@@ -108,7 +108,11 @@ class QuotientTrace:
                            "alpha_den": p.slope.denominator,
                            "quotient_lo": decimal_str(q.lo, digits, "floor"),
                            "quotient_hi": decimal_str(q.hi, digits, "ceil")})
-        return json.dumps({"center": str(self.center), "probes": probes,
+        if isinstance(self.center, ContinuedFraction):
+            center = self.center.name or "cf"
+        else:
+            center = str(self.center)
+        return json.dumps({"center": center, "probes": probes,
                            "verdict": self.verdict}, indent=2)
 
 
