@@ -6,17 +6,19 @@ Everything here revolves around the strictly decreasing function
 
 for a digit sequence (a_n) with a_1 >= 1.  Its unique root is enclosed by
 bisection with exact integer sign tests, so enclosures are proofs: the root
-lies in [lo, hi] because g(lo) > 0 and g(hi) < 0 are integer facts.
+lies in [lo, hi] because g(lo) > 0 and g(hi) < 0 are integer facts.  Bracket
+endpoints are dyadic, m / 2^k, and both the sign tests and the interval
+evaluation of orbit polynomials run on plain integers with shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
-from .intervals import Enclosure, eval_poly
+from .intervals import Enclosure
 from .words import PeriodicWord, Word
 
 DEFAULT_TOL = Fraction(1, 10 ** 30)
@@ -24,23 +26,29 @@ DEFAULT_TOL = Fraction(1, 10 ** 30)
 IntPoly = Tuple[int, ...]  # coefficients, ascending powers
 
 
-def _poly_sign(coeffs: Sequence[int], x: Fraction) -> int:
-    """Exact sign of sum coeffs[i] * x**i at rational x.
+def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
+    """Exact sign of sum coeffs[i] * x**i at the dyadic point x = m / 2**k.
 
-    Horner with denominator clearing: the accumulator ends up equal to
-    P(x) * den^deg, a plain integer with the same sign as P(x).
+    Horner with the denominator cleared: the accumulator ends up equal to
+    P(x) * 2**(k*deg), a plain integer with the same sign as P(x).  Every
+    power of the denominator is a left shift; the only products are by m.
     """
-    num, den = x.numerator, x.denominator
     acc = 0
-    dp = 1
+    shift = 0
     for c in reversed(coeffs):
-        acc = acc * num + c * dp
-        dp *= den
+        acc *= m
+        if c:
+            acc += c << shift
+        shift += k
     return (acc > 0) - (acc < 0)
 
 
 def digit_series_sign(digits: Sequence[int], x: Fraction) -> int:
-    """Exact sign of g(x) = sum a_n x^(-n) - 1 for a finite digit word."""
+    """Exact sign of g(x) = sum a_n x^(-n) - 1 for a finite digit word.
+
+    The reference at any rational x > 0; root isolation itself runs the
+    dyadic ``_poly_sign`` on the word's annihilator.
+    """
     if x <= 0:
         raise PreconditionError("sign test requires x > 0")
     num, den = x.numerator, x.denominator
@@ -86,70 +94,109 @@ def finite_annihilator(digits: Sequence[int]) -> IntPoly:
     return tuple(c)
 
 
+DyadicSign = Callable[[int, int], int]  # (m, k) -> sign at m / 2**k
+
+
 class RefinableRoot:
-    """A bisection bracket [lo, hi] around the root of a decreasing function,
-    refinable on demand.  ``sign`` must be exact: +1 left of the root, -1
-    right of it, 0 only at the root itself.
+    """A bisection bracket [a/2^k, b/2^k] around the root of a decreasing
+    function, refinable on demand.  ``sign(m, k)`` must be the exact sign at
+    m/2^k: +1 left of the root, -1 right of it, 0 only at the root itself.
+
+    The bracket is kept as the integers (a, b, k) and an exact hit m/2^j as
+    (m, j), so bisection builds no ``Fraction``; ``lo``, ``hi``, ``exact``
+    and ``enclosure`` present them as fractions.
     """
 
-    def __init__(self, sign: Callable[[Fraction], int], lo: Fraction, hi: Fraction):
-        if not lo < hi:
+    def __init__(self, sign: DyadicSign, a: int, b: int, k: int = 0,
+                 exact: Optional[int] = None):
+        if not a < b:
             raise PreconditionError("need lo < hi")
         self._sign = sign
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        self.exact: Optional[Fraction] = None
+        self._a, self._b, self._k = a, b, k
+        self._hit: Optional[Tuple[int, int]] = None if exact is None else (exact, k)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._a, 1 << self._k)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._b, 1 << self._k)
+
+    @property
+    def exact(self) -> Optional[Fraction]:
+        if self._hit is None:
+            return None
+        m, j = self._hit
+        return Fraction(m, 1 << j)
+
+    @property
+    def bracket(self) -> Tuple[int, int, int]:
+        """The enclosure as integers (a, b, k), meaning [a/2^k, b/2^k]."""
+        if self._hit is not None:
+            m, j = self._hit
+            return m, m, j
+        return self._a, self._b, self._k
 
     @property
     def enclosure(self) -> Enclosure:
-        if self.exact is not None:
-            return Enclosure.exact(self.exact)
-        return Enclosure(self.lo, self.hi)
+        a, b, k = self.bracket
+        return Enclosure(Fraction(a, 1 << k), Fraction(b, 1 << k))
 
     def refine(self, tol: Fraction) -> Enclosure:
-        while self.exact is None and self.hi - self.lo > tol:
-            mid = (self.lo + self.hi) / 2
-            s = self._sign(mid)
-            if s == 0:
-                self.exact = mid
-            elif s > 0:
-                self.lo = mid
-            else:
-                self.hi = mid
+        tol = Fraction(tol)
+        if tol <= 0:
+            raise PreconditionError("tolerance must be positive")
+        # The width (b - a)/2^k is at most tol once 2^k >= (b - a)/tol.
+        ratio = -(-(self._b - self._a) * tol.denominator // tol.numerator)
+        self._bisect((ratio - 1).bit_length() - self._k)
         return self.enclosure
 
     def refine_steps(self, steps: int) -> Enclosure:
-        for _ in range(steps):
-            if self.exact is not None:
-                break
-            mid = (self.lo + self.hi) / 2
-            s = self._sign(mid)
-            if s == 0:
-                self.exact = mid
-            elif s > 0:
-                self.lo = mid
-            else:
-                self.hi = mid
+        self._bisect(steps)
         return self.enclosure
 
+    def _bisect(self, steps: int) -> None:
+        """Halve the bracket up to ``steps`` times, stopping at an exact hit."""
+        if self._hit is not None:
+            return
+        sign, a, b, k = self._sign, self._a, self._b, self._k
+        for _ in range(steps):
+            m = a + b  # the midpoint, at scale 2^(k+1)
+            s = sign(m, k + 1)
+            if s == 0:
+                self._hit = (m, k + 1)
+                break
+            if s > 0:
+                a, b = m, b << 1
+            else:
+                a, b = a << 1, m
+            k += 1
+        self._a, self._b, self._k = a, b, k
 
-def _bracket(sign: Callable[[Fraction], int], a1: int) -> Union[RefinableRoot, Fraction]:
-    """Initial bracket for the root of g, given the leading digit a_1 >= 1."""
-    lo = Fraction(a1)
-    s_lo = sign(lo)
-    if s_lo == 0:
-        return lo
-    if s_lo < 0:
+
+def _bracket(F: IntPoly, a1: int) -> RefinableRoot:
+    """Bracket the root above the leading digit a_1 >= 1 of a digit series
+    whose annihilator is F (the series has the sign of -F there): a unit
+    bracket [n, n+1], or an exact integer root n inside [n-1, n+1]."""
+    sign = lambda m, k: -_poly_sign(F, m, k)
+    n = a1
+    s = sign(n, 0)
+    if s < 0:
         raise PreconditionError("digit sequence has no root above its leading digit")
-    hi = Fraction(a1 + 1)
-    while True:
-        s_hi = sign(hi)
-        if s_hi == 0:
-            return hi
-        if s_hi < 0:
-            return RefinableRoot(sign, lo, hi)
-        lo = hi
-        hi += 1
+    while s > 0:
+        n += 1
+        s = sign(n, 0)
+    if s == 0:
+        return RefinableRoot(sign, n - 1, n + 1, exact=n)
+    return RefinableRoot(sign, n - 1, n)
+
+
+def _certified_root(F: IntPoly, a1: int, tol: Fraction) -> RefinableRoot:
+    rr = _bracket(F, a1)
+    if rr.exact is None:
+        rr.refine(tol)
+    return rr
 
 
 def beta_root_finite(digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> RefinableRoot:
@@ -161,29 +208,17 @@ def beta_root_finite(digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> Refi
         raise PreconditionError("digits must be nonnegative")
     if digits[0] == 1 and not any(digits[1:]):
         raise PreconditionError("the word 1 0^k has root 1, outside the base range")
-    sign = lambda x: digit_series_sign(digits, x)
-    got = _bracket(sign, digits[0])
-    if isinstance(got, Fraction):
-        rr = RefinableRoot(sign, got - 1, got + 1)
-        rr.exact = got
-        return rr
-    got.refine(tol)
-    return got
+    return _certified_root(finite_annihilator(digits), digits[0], tol)
 
 
 def beta_root_periodic(w: PeriodicWord, tol: Fraction = DEFAULT_TOL) -> RefinableRoot:
     """Certified enclosure of the base beta > 1 for an eventually periodic word."""
     if w[0] < 1:
         raise PreconditionError("leading digit must be >= 1")
-    F = periodic_annihilator(w)
-    sign = lambda x: -_poly_sign(F, x)
-    got = _bracket(sign, w[0])
-    if isinstance(got, Fraction):
-        rr = RefinableRoot(sign, got - 1, got + 1)
-        rr.exact = got
-        return rr
-    got.refine(tol)
-    return got
+    if not any(w.per):
+        # A finite word: its periodic annihilator has the spurious root 1.
+        return beta_root_finite(w.pre, tol)
+    return _certified_root(periodic_annihilator(w), w[0], tol)
 
 
 def positive_root_finite(digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> Enclosure:
@@ -299,9 +334,8 @@ class BetaHandle:
     def from_integer(cls, b: int) -> "BetaHandle":
         if b < 2:
             raise PreconditionError("integer base must be >= 2")
-        rr = RefinableRoot(lambda x: (x < b) - (x > b), Fraction(b - 1), Fraction(b + 1))
-        rr.exact = Fraction(b)
-        return cls(rr, (-b, 1))
+        F = (-b, 1)
+        return cls(_bracket(F, b), F)
 
 
 def _poly_reduce(coeffs: List[int], modulus: IntPoly) -> List[int]:
@@ -321,10 +355,26 @@ def _poly_times_x(coeffs: List[int], modulus: IntPoly) -> List[int]:
     return _poly_reduce([0] + coeffs, modulus)
 
 
-def _poly_eval_enclosure(coeffs: Sequence[int], x: Enclosure) -> Enclosure:
-    if not coeffs:
-        return Enclosure.exact(Fraction(0))
-    return eval_poly([Fraction(c) for c in coeffs], x)
+def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, int]:
+    """Interval Horner of sum coeffs[i] * x**i over x in [a/2^k, b/2^k],
+    0 <= a <= b, coeffs nonempty.
+
+    Returns integers (lo, hi, s) for the enclosure [lo/2^s, hi/2^s].  It is
+    exactly the interval ``intervals.eval_poly`` gives for the same
+    coefficients and x: each step is that one scaled by a positive power of
+    two, which commutes with the interval product and sum.
+    """
+    lo = hi = coeffs[-1]
+    s = 0
+    for c in reversed(coeffs[:-1]):
+        s += k
+        lo *= a if lo >= 0 else b
+        hi *= b if hi >= 0 else a
+        if c:
+            c <<= s
+            lo += c
+            hi += c
+    return lo, hi, s
 
 
 def greedy_digits(beta: BetaHandle, n: int, x: Fraction = Fraction(1),
@@ -335,10 +385,10 @@ def greedy_digits(beta: BetaHandle, n: int, x: Fraction = Fraction(1),
     hits 0 exactly (certified through the annihilator), in which case the
     digit word is the complete finite expansion.
 
-    The orbit value is carried as a rational-coefficient polynomial in beta
-    reduced modulo the annihilator; a zero reduced polynomial certifies an
-    exact hit, and floors are decided by interval evaluation with on-demand
-    refinement.
+    The orbit value is carried as an integer polynomial in beta reduced
+    modulo the annihilator, over the denominator of x; a zero reduced
+    polynomial certifies an exact hit, and floors are decided by interval
+    evaluation with on-demand refinement.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -348,16 +398,17 @@ def greedy_digits(beta: BetaHandle, n: int, x: Fraction = Fraction(1),
         if not (beta.enclosure.lo > 1):
             raise PreconditionError("greedy expansion needs beta > 1")
     mod = beta.annihilator
-    r: List = [] if x == 0 else [x.numerator if x.denominator == 1 else x]
+    den = x.denominator
+    r: List[int] = [x.numerator] if x else []  # the orbit value is r(beta) / den
     out: List[int] = []
     for _ in range(n):
         r = _poly_times_x(r, mod)  # beta * r_{k-1}
         if not r:
             return tuple(out), True
-        digit = _decide_floor(r, beta, mod, refine_budget)
+        digit = _decide_floor(r, beta, mod, refine_budget, den)
         out.append(digit)
         if digit:
-            r = _poly_reduce(_poly_sub_const(r, digit), mod)
+            r = _poly_reduce(_poly_sub_const(r, digit * den), mod)
         if not r:
             return tuple(out), True
     return tuple(out), False
@@ -372,18 +423,19 @@ def _poly_sub_const(coeffs: List[int], c: int) -> List[int]:
     return coeffs
 
 
-def _decide_floor(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: int) -> int:
-    """floor of the real number represented by polynomial r at beta."""
+def _decide_floor(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: int,
+                  den: int = 1) -> int:
+    """floor of the real number r(beta) / den."""
     spent = 0
     while True:
-        val = _poly_eval_enclosure(r, beta.enclosure)
-        f_lo = val.lo.numerator // val.lo.denominator
-        f_hi = val.hi.numerator // val.hi.denominator
+        lo, hi, s = _horner(r, *beta.root.bracket)
+        f_lo = (lo >> s) // den
+        f_hi = (hi >> s) // den
         if f_lo == f_hi:
             return f_lo
         if f_hi == f_lo + 1:
             # Could the value be exactly the integer f_hi?
-            probe = _poly_reduce(_poly_sub_const(list(r), f_hi), mod)
+            probe = _poly_reduce(_poly_sub_const(list(r), f_hi * den), mod)
             if not probe:
                 return f_hi
         if spent >= refine_budget:
@@ -434,7 +486,9 @@ def extremal_orbit_check(beta: BetaHandle, k_max: int,
             out.append(OrbitPoint(k, Enclosure.exact(Fraction(0)), "zero"))
             break
         verdict = _band_verdict(r, beta, mod, refine_budget)
-        out.append(OrbitPoint(k, _poly_eval_enclosure(r, beta.enclosure), verdict))
+        lo, hi, s = _horner(r, *beta.root.bracket)
+        out.append(OrbitPoint(k, Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s)),
+                              verdict))
     return out
 
 
@@ -454,11 +508,12 @@ def _band_verdict(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: i
         return "boundary-low"
     spent = 0
     while True:
-        up = _poly_eval_enclosure(upper, beta.enclosure)
-        lo = _poly_eval_enclosure(lower, beta.enclosure)
-        if up.hi < 0 and lo.lo > 0:
+        # The enclosures' scales are positive, so their numerators' signs decide.
+        up_lo, up_hi, _ = _horner(upper, *beta.root.bracket)
+        lo_lo, lo_hi, _ = _horner(lower, *beta.root.bracket)
+        if up_hi < 0 and lo_lo > 0:
             return "interior"
-        if up.lo > 0 or lo.hi < 0:
+        if up_lo > 0 or lo_hi < 0:
             return "outside"
         if spent >= refine_budget:
             raise CertificationError("orbit band verdict undecided at budget")

@@ -162,3 +162,11 @@ def test_rejects_bad_digit_words():
         beta_root_finite((1, 0, 0))  # root 1 is outside the base range
     with pytest.raises(PreconditionError):
         greedy_digits(BetaHandle.from_finite_word((1, 1), TOL), 3, Fraction(2))
+
+
+def test_beta_root_periodic_finite_word():
+    # 11 0^w is the finite word 11: the golden ratio, not the spurious root 1
+    # of its periodic annihilator (x - 1)(x^2 - x - 1)
+    enc = beta_root_periodic(PeriodicWord.make((1, 1), (0,)), TOL).enclosure
+    assert enc.width <= TOL
+    assert enc.lo ** 2 - enc.lo - 1 < 0 < enc.hi ** 2 - enc.hi - 1
