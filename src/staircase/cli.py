@@ -35,8 +35,7 @@ EXIT_CERTIFICATION = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on usage errors, not argparse's 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # one line and exit 1 on usage errors, not argparse's 2
         print(f"error: usage: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -60,6 +59,26 @@ def parse_fraction(s: str) -> Fraction:
         return Fraction(int(s), 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"bad fraction {s!r}: {exc}") from exc
+
+
+def _tolerance_arg(s: str) -> Fraction:
+    """--tol: a decimal or an exact 'P/Q'; a malformed value is a usage error."""
+    try:
+        return parse_fraction(s) if "/" in s else Fraction(s)
+    except ValueError:  # PreconditionError from parse_fraction is a ValueError
+        raise argparse.ArgumentTypeError(f"not a decimal or P/Q: {s!r}") from None
+
+
+def _digits_arg(s: str) -> int:
+    """--digits (default from STAIRCASE_DIGITS): a nonnegative integer."""
+    try:
+        n = int(s)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"digits must be a nonnegative integer (--digits or {ENV_DIGITS}), got {s!r}")
+    return n
 
 
 def _e_tail_from(start: int):
@@ -302,10 +321,12 @@ def _add_global_opts(p: argparse.ArgumentParser, top: bool = False) -> None:
     before the subcommand is not clobbered by a default afterwards.
     """
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    p.add_argument("--tol", type=str, default=d(None),
+    p.add_argument("--tol", type=_tolerance_arg, default=d(None),
                    help="enclosure tolerance as a decimal or P/Q (default 1e-12)")
-    p.add_argument("--digits", type=int,
-                   default=d(int(os.environ.get(ENV_DIGITS, "30"))),
+    # A string default goes through _digits_arg too, so a bad env value is a
+    # usage error.
+    p.add_argument("--digits", type=_digits_arg,
+                   default=d(os.environ.get(ENV_DIGITS, "30")),
                    help=f"printed precision digits (env {ENV_DIGITS})")
     p.add_argument("--output", choices=["json", "csv"], default=d("json"))
     p.add_argument("--bit-budget", type=int, default=d(diophantine.DEFAULT_BIT_BUDGET))
@@ -399,10 +420,7 @@ def build_parser() -> _Parser:
 def _config_from(args) -> RunConfig:
     cfg = RunConfig()
     if args.tol is not None:
-        if "/" in args.tol:
-            cfg.tolerance = parse_fraction(args.tol)
-        else:
-            cfg.tolerance = Fraction(args.tol)
+        cfg.tolerance = args.tol
     if cfg.tolerance <= 0:
         raise PreconditionError("tolerance must be positive")
     cfg.precision_digits = args.digits

@@ -292,9 +292,7 @@ def _separate(a: DeltaValue, b: DeltaValue, max_rounds: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _iv_log(e: Enclosure):
-    from mpmath import iv
-
+def _iv_log(iv, e: Enclosure):
     from .intervals import decimal_str
 
     # Endpoint decimal strings are rounded outward (60 digits, far beyond the
@@ -311,15 +309,16 @@ def lipschitz_order(delta: DeltaValue, theta: Enclosure,
     irrational slope whose approximation base theta satisfies
     1 < theta < Delta(alpha); the hypothesis is checked on the enclosures.
     """
-    from mpmath import iv
+    from mpmath.ctx_iv import MPIntervalContext
 
+    iv = MPIntervalContext()  # a local context: the global mpmath.iv keeps its precision
     iv.prec = 128
     enc = delta.refine(tol)
     if not (theta.lo > 1):
         raise PreconditionError("need theta > 1 certified")
     if not (theta.hi < enc.lo):
         raise PreconditionError("hypothesis theta < Delta(alpha) not certified")
-    ratio = _iv_log(enc) / _iv_log(theta)
+    ratio = _iv_log(iv, enc) / _iv_log(iv, theta)
     # float() may round in either direction; pad by more than one ulp.
     pad = Fraction(1, 10 ** 12)
     lo = Fraction(float(ratio.a)) * (1 - pad) - pad

@@ -373,6 +373,8 @@ def cf_expand(x, n: int, refine: Optional[Callable[[], Enclosure]] = None) -> Li
     ``refine`` callback is supplied it is invoked (up to a budget) to shrink
     the enclosure when a quotient is undecided.
     """
+    if n < 0:
+        raise PreconditionError("cf_expand needs n >= 0")
     if isinstance(x, Fraction) or isinstance(x, int):
         return _cf_euclid(Fraction(x), n)
     if not isinstance(x, Enclosure):

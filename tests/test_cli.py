@@ -165,3 +165,23 @@ def test_exit_code_certification(capsys):
     code, _, err = run(capsys, ["delta", "eval", "--cf", "0,2,3"])
     assert code == cli.EXIT_CERTIFICATION
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, env_digits, code", [
+    (["--tol", "abc", "delta", "eval", "--alpha", "1/2"], None, cli.EXIT_USAGE),
+    (["delta", "eval", "--alpha", "1/2", "--digits", "-3"], None, cli.EXIT_USAGE),
+    (["delta", "eval", "--alpha", "1/2"], "x", cli.EXIT_USAGE),
+    (["cf", "expand", "--alpha", "17/12", "-N", "-1"], None, cli.EXIT_PRECONDITION),
+])
+def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, code):
+    if env_digits is not None:
+        monkeypatch.setenv(cli.ENV_DIGITS, env_digits)
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code and out == ""
+    lines = err.splitlines()
+    prefix = "error: usage: " if code == cli.EXIT_USAGE else "error: "
+    assert len(lines) == 1 and lines[0].startswith(prefix), err

@@ -167,3 +167,15 @@ def test_lipschitz_order_golden():
 def test_negative_slope_rejected():
     with pytest.raises(PreconditionError):
         delta_rational(Fraction(-1, 2))
+
+
+def test_lipschitz_order_leaves_mpmath_precision_alone():
+    from mpmath import iv
+
+    saved = iv.prec
+    iv.prec = 60
+    try:
+        lipschitz_order(delta_irrational(golden_cf()), Enclosure(Fraction(3, 2), Fraction(3, 2)))
+        assert iv.prec == 60
+    finally:
+        iv.prec = saved
