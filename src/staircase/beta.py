@@ -94,9 +94,6 @@ def finite_annihilator(digits: Sequence[int]) -> IntPoly:
     return tuple(c)
 
 
-DyadicSign = Callable[[int, int], int]  # (m, k) -> sign at m / 2**k
-
-
 class RefinableRoot:
     """A bisection bracket [a/2^k, b/2^k] around the root of a decreasing
     function, refinable on demand.  ``sign(m, k)`` must be the exact sign at
@@ -107,7 +104,7 @@ class RefinableRoot:
     and ``enclosure`` present them as fractions.
     """
 
-    def __init__(self, sign: DyadicSign, a: int, b: int, k: int = 0,
+    def __init__(self, sign: Callable[[int, int], int], a: int, b: int, k: int = 0,
                  exact: Optional[int] = None):
         if not a < b:
             raise PreconditionError("need lo < hi")
