@@ -21,19 +21,11 @@ from .delta import (DeltaValue, delta_irrational, delta_rational,
                     delta_right_limit, _split_slope)
 from .diophantine import ContinuedFraction
 from .errors import CertificationError, PreconditionError
-from .intervals import Enclosure, decimal_str
+from .intervals import Enclosure, decimal_str, refine_until
 from .words import PeriodicWord, common_prefix_radius
 
 DEFAULT_TOL = Fraction(1, 10 ** 12)
 TREND_WINDOW = 5
-
-
-def _abs_enclosure(e: Enclosure) -> Enclosure:
-    if e.lo >= 0:
-        return e
-    if e.hi <= 0:
-        return Enclosure(-e.hi, -e.lo)
-    return Enclosure(Fraction(0), max(-e.lo, e.hi))
 
 
 @dataclass
@@ -54,8 +46,8 @@ class QuotientPoint:
 
     @property
     def quotient(self) -> Enclosure:
-        diff = _abs_enclosure(self.probe_value.enclosure - self.center_value.enclosure)
-        return diff / self.dx
+        diff = self.probe_value.enclosure - self.center_value.enclosure
+        return diff.abs() / self.dx
 
     def refine(self, tol: Fraction) -> None:
         self.center_value.refine(tol)
@@ -74,19 +66,20 @@ class QuotientTrace:
         if len(pts) < 2:
             self.verdict = "inconclusive"
             return self.verdict
-        tol = min(max(p.quotient.width, Fraction(1, 2 ** 48)) for p in pts)
-        for _ in range(max_rounds):
+
+        def trend() -> Optional[str]:
             qs = [p.quotient for p in pts]
             if all(qs[i].hi > qs[i + 1].hi for i in range(len(qs) - 1)):
-                self.verdict = "toward_zero"
-                return self.verdict
+                return "toward_zero"
             if all(qs[i].lo < qs[i + 1].lo for i in range(len(qs) - 1)):
-                self.verdict = "toward_infinity"
-                return self.verdict
-            tol /= 2 ** 8
-            for p in pts:
-                p.refine(tol)
-        self.verdict = "inconclusive"
+                return "toward_infinity"
+            return None
+
+        tol = min(max(p.quotient.width, Fraction(1, 2 ** 48)) for p in pts)
+        try:
+            self.verdict = refine_until(trend, pts, tol, 2 ** 8, max_rounds, "quotient trend")
+        except CertificationError:
+            self.verdict = "inconclusive"
         return self.verdict
 
     def csv_rows(self, digits: int = 30) -> List[List[str]]:
@@ -113,7 +106,7 @@ class QuotientTrace:
         else:
             center = str(self.center)
         return json.dumps({"center": center, "probes": probes,
-                           "verdict": self.verdict}, indent=2)
+                           "verdict": self.verdict}, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +254,18 @@ def _resolve_quotient(point: QuotientPoint, tol: Fraction,
     — but the trend only needs each enclosure to clear the previous one, which
     is exponentially cheaper than resolving the values themselves.
     """
-    for _ in range(max_rounds):
+
+    def ordered() -> Optional[bool]:
         q = point.quotient
         if prev is None:
-            if q.lo > 0 and q.width <= q.lo:
-                return
-        else:
-            pq = prev.quotient
-            if q.hi < pq.hi or q.lo > pq.lo:
-                return
-        tol /= 2 ** 10
-        point.refine(tol)
+            return True if q.lo > 0 and q.width <= q.lo else None
+        pq = prev.quotient
+        return True if q.hi < pq.hi or q.lo > pq.lo else None
+
+    try:
+        refine_until(ordered, (point,), tol, 2 ** 10, max_rounds, "probe quotient")
+    except CertificationError:
+        pass  # certify() judges the trend from the enclosures reached
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +328,16 @@ def lowerbound_check(alpha: Fraction, alpha_N: Fraction,
     beta_N = delta_rational(alpha_N, tol)
     b = max(w[0], w_N[0])
 
-    for _ in range(max_rounds):
+    def report() -> Optional[LowerboundReport]:
         e, e_N = beta.enclosure, beta_N.enclosure
         big = e_N if mirrored else e
-        lhs = _abs_enclosure(e - e_N)
-        rhs = ((e - Enclosure.exact(Fraction(1)))
-               * (e_N - Enclosure.exact(Fraction(1)))
-               / (big.pow_int(N) * Enclosure.exact(Fraction(b * N))))
+        lhs = (e - e_N).abs()
+        rhs = (e - 1) * (e_N - 1) / (big.pow_int(N) * (b * N))
         if lhs.lo > rhs.hi:
             return LowerboundReport(N, mirrored, lhs, rhs, True)
         if lhs.hi < rhs.lo:
             return LowerboundReport(N, mirrored, lhs, rhs, False)
-        tol /= 2 ** 8
-        beta.refine(tol)
-        beta_N.refine(tol)
-    raise CertificationError("lower-bound inequality undecided at budget")
+        return None
+
+    return refine_until(report, (beta, beta_N), tol, 2 ** 8, max_rounds,
+                        "lower-bound inequality")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
-from .intervals import Enclosure
+from .intervals import Enclosure, refine_until
 from .words import PeriodicWord, Word
 
 DEFAULT_TOL = Fraction(1, 10 ** 30)
@@ -423,22 +423,32 @@ def _poly_sub_const(coeffs: List[int], c: int) -> List[int]:
 def _decide_floor(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: int,
                   den: int = 1) -> int:
     """floor of the real number r(beta) / den."""
-    spent = 0
-    while True:
+
+    def floor() -> Optional[int]:
         lo, hi, s = _horner(r, *beta.root.bracket)
         f_lo = (lo >> s) // den
         f_hi = (hi >> s) // den
         if f_lo == f_hi:
             return f_lo
-        if f_hi == f_lo + 1:
-            # Could the value be exactly the integer f_hi?
-            probe = _poly_reduce(_poly_sub_const(list(r), f_hi * den), mod)
-            if not probe:
-                return f_hi
-        if spent >= refine_budget:
-            raise CertificationError("greedy digit undecided at refinement budget")
-        beta.root.refine_steps(32)
-        spent += 32
+        # Could the value be exactly the integer f_hi?
+        if f_hi == f_lo + 1 and not _poly_reduce(_poly_sub_const(list(r), f_hi * den), mod):
+            return f_hi
+        return None
+
+    return _refine_root_until(floor, beta.root, refine_budget, "greedy digit")
+
+
+def _refine_root_until(verdict, root: RefinableRoot, refine_budget: int, what: str):
+    """``refine_until`` on a beta root in rounds of 32 bisection steps, at most
+    ``refine_budget`` steps in all."""
+    # Most calls decide at once: ask before building the first tolerance.
+    decision = verdict()
+    if decision is not None:
+        return decision
+    # lo and hi ignore an exact hit, so the tolerance stays positive, and each
+    # round's tol, the bracket width over 2^32, takes exactly 32 steps.
+    return refine_until(verdict, (root,), root.hi - root.lo, 2 ** 32,
+                        -(-refine_budget // 32), what)
 
 
 def quasi_greedy_of_finite(digits: Sequence[int]) -> PeriodicWord:
@@ -503,8 +513,8 @@ def _band_verdict(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: i
         return "boundary-high"
     if not lower:
         return "boundary-low"
-    spent = 0
-    while True:
+
+    def band() -> Optional[str]:
         # The enclosures' scales are positive, so their numerators' signs decide.
         up_lo, up_hi, _ = _horner(upper, *beta.root.bracket)
         lo_lo, lo_hi, _ = _horner(lower, *beta.root.bracket)
@@ -512,10 +522,9 @@ def _band_verdict(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: i
             return "interior"
         if up_lo > 0 or lo_hi < 0:
             return "outside"
-        if spent >= refine_budget:
-            raise CertificationError("orbit band verdict undecided at budget")
-        beta.root.refine_steps(32)
-        spent += 32
+        return None
+
+    return _refine_root_until(band, beta.root, refine_budget, "orbit band verdict")
 
 
 # ---------------------------------------------------------------------------

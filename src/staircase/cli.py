@@ -43,11 +43,9 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class RunConfig:
     tolerance: Fraction = Fraction(1, 10 ** 12)
-    max_truncation: int = 1 << 20
     integer_bit_budget: int = diophantine.DEFAULT_BIT_BUDGET
     output: str = "json"  # csv|json
     precision_digits: int = 30
-    seed: int = 0
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -96,12 +94,13 @@ def _e_tail_from(start: int):
     return gen
 
 
-def parse_cf(spec: str) -> ContinuedFraction:
+def parse_cf(spec: str, irrational: bool = False) -> ContinuedFraction:
     """Comma list 'a0,a1,...' with an optional trailing generator suffix.
 
     Suffixes: 'fib' continues with 1s (golden pattern), 'e-pattern' continues
     the 1,2k,1 blocks of e's expansion, 'periodic' repeats the listed tail.
-    A plain numeric list is a finite (rational) continued fraction.
+    A plain numeric list is a finite (rational) continued fraction, which
+    ``irrational`` rejects.
     """
     parts = [p.strip() for p in spec.split(",") if p.strip() != ""]
     if not parts:
@@ -119,6 +118,9 @@ def parse_cf(spec: str) -> ContinuedFraction:
     if any(t < 1 for t in tail):
         raise PreconditionError("partial quotients must be >= 1")
     if suffix is None:
+        if irrational:
+            raise PreconditionError(f"--cf {spec} has no generator suffix, so it names "
+                                    "a rational slope: pass it as --alpha P/Q")
         return ContinuedFraction.from_quotients(a0, tail, name=spec)
     if suffix == "fib":
         def gen(tail=tuple(tail)):
@@ -139,9 +141,9 @@ def parse_cf(spec: str) -> ContinuedFraction:
     return ContinuedFraction(a0, gen, name=spec)
 
 
-def _resolve_cf(args) -> ContinuedFraction:
+def _resolve_cf(args, irrational: bool = False) -> ContinuedFraction:
     if getattr(args, "cf", None):
-        return parse_cf(args.cf)
+        return parse_cf(args.cf, irrational)
     preset = diophantine.lookup_preset(args.preset)
     if preset.cf is None:
         raise PreconditionError(f"preset {preset.name} has no continued fraction form")
@@ -213,7 +215,7 @@ def _cmd_delta_eval(args, cfg: RunConfig) -> int:
             value = delta.delta_rational(alpha, tol)
         payload = {"slope": str(alpha), **_delta_payload(value, cfg.precision_digits)}
     else:
-        cf = _resolve_cf(args)
+        cf = _resolve_cf(args, irrational=True)
         value = delta.delta_irrational(cf, tol)
         payload = {"slope_cf": cf.name or "cf", **_delta_payload(value, cfg.precision_digits)}
     _emit(payload)
@@ -283,8 +285,7 @@ def _trace_out(trace: analysis.QuotientTrace, cfg: RunConfig, out_path: Optional
         header = ["k", "alpha_k_num", "alpha_k_den", "quotient_lo", "quotient_hi"]
         _csv_out(header, trace.csv_rows(cfg.precision_digits), out_path)
     else:
-        payload = json.loads(trace.to_json(cfg.precision_digits))
-        _emit(payload)
+        print(trace.to_json(cfg.precision_digits))
 
 
 def _cmd_probe(args, cfg: RunConfig) -> int:
@@ -296,7 +297,7 @@ def _cmd_probe(args, cfg: RunConfig) -> int:
     elif args.probe_cmd == "zero":
         trace = analysis.zero_plus_quotients(args.K, tol)
     elif args.probe_cmd == "irrational":
-        trace = analysis.irrational_probe(_resolve_cf(args), args.I, tol)
+        trace = analysis.irrational_probe(_resolve_cf(args, irrational=True), args.I, tol)
     else:  # lowerbound
         rep = analysis.lowerbound_check(parse_fraction(args.alpha),
                                         parse_fraction(args.alpha_n), tol)
@@ -330,7 +331,6 @@ def _add_global_opts(p: argparse.ArgumentParser, top: bool = False) -> None:
                    help=f"printed precision digits (env {ENV_DIGITS})")
     p.add_argument("--output", choices=["json", "csv"], default=d("json"))
     p.add_argument("--bit-budget", type=int, default=d(diophantine.DEFAULT_BIT_BUDGET))
-    p.add_argument("--seed", type=int, default=d(0))
 
 
 def build_parser() -> _Parser:
@@ -426,7 +426,6 @@ def _config_from(args) -> RunConfig:
     cfg.precision_digits = args.digits
     cfg.output = args.output
     cfg.integer_bit_budget = args.bit_budget
-    cfg.seed = args.seed
     return cfg
 
 

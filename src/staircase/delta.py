@@ -11,14 +11,14 @@ at every positive rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .beta import BetaHandle, SeriesRoot, greedy_digits, quasi_greedy_of_finite
 from .diophantine import ContinuedFraction
 from .errors import CertificationError, PreconditionError
-from .intervals import Enclosure, enclosure_strings
+from .intervals import Enclosure, enclosure_strings, refine_until
 from .words import PeriodicWord, Word, bzb_word, central_word, to_alphabet
 
 RATIONAL_TOL = Fraction(1, 10 ** 30)
@@ -40,27 +40,28 @@ class DeltaValue:
     """Delta at (or just to the right of) a slope, with its certificate.
 
     ``word`` is the digit expansion of 1 in base beta; ``refine`` shrinks the
-    enclosure on demand.  ``nature`` records what kind of number beta is.
+    enclosure on demand through ``handle`` (algebraic values) or
+    ``series_root`` (irrational slopes, whose digit ``stream`` is kept too).
+    ``enclosure`` changes only through ``refine``.  ``nature`` records what
+    kind of number beta is.
     """
 
     slope: Fraction
     word: Union[Word, PeriodicWord]
     nature: str  # "algebraic" | "labelled_transcendental"
-    _enclosure: Enclosure
-    _refiner: Optional[Callable[[Fraction], Enclosure]] = None
+    enclosure: Enclosure
     handle: Optional[BetaHandle] = None
-
-    @property
-    def enclosure(self) -> Enclosure:
-        return self._enclosure
+    series_root: Optional[SeriesRoot] = None
+    stream: Optional["StaircaseDigitStream"] = None
 
     def refine(self, tol: Fraction) -> Enclosure:
-        if self._refiner is not None and self._enclosure.width > tol:
-            self._enclosure = self._refiner(Fraction(tol))
-        return self._enclosure
+        source = self.handle or self.series_root
+        if source is not None and self.enclosure.width > tol:
+            self.enclosure = source.refine(Fraction(tol))
+        return self.enclosure
 
     def strings(self, digits: int = 30) -> Tuple[str, str]:
-        return enclosure_strings(self._enclosure, digits)
+        return enclosure_strings(self.enclosure, digits)
 
 
 def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaValue:
@@ -79,8 +80,7 @@ def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaValue:
         return DeltaValue(alpha, (b,), "algebraic", Enclosure.exact(Fraction(b)))
     digits = bzb_word(b, p, q)
     handle = BetaHandle.from_finite_word(digits, tol)
-    return DeltaValue(alpha, digits, "algebraic", handle.enclosure,
-                      _refiner=handle.refine, handle=handle)
+    return DeltaValue(alpha, digits, "algebraic", handle.enclosure, handle=handle)
 
 
 def right_limit_word(alpha: Fraction) -> PeriodicWord:
@@ -113,8 +113,7 @@ def delta_right_limit(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaVal
                           Enclosure.exact(Fraction(1)))
     word = right_limit_word(alpha)
     handle = BetaHandle.from_periodic_word(word, tol)
-    return DeltaValue(alpha, word, "algebraic", handle.enclosure,
-                      _refiner=handle.refine, handle=handle)
+    return DeltaValue(alpha, word, "algebraic", handle.enclosure, handle=handle)
 
 
 @dataclass
@@ -130,15 +129,11 @@ class JumpValue:
 
     def certify_positive(self, max_steps: int = 4000) -> Enclosure:
         """Refine both sides until the jump's lower bound is positive."""
-        tol = min(self.left.enclosure.width, self.right.enclosure.width)
-        tol = max(tol, Fraction(1, 2 ** 40))
-        for _ in range(max_steps):
-            if self.enclosure.lo > 0:
-                return self.enclosure
-            tol /= 2 ** 16
-            self.left.refine(tol)
-            self.right.refine(tol)
-        raise CertificationError(f"jump at {self.slope} not separated from 0")
+        tol = max(min(self.left.enclosure.width, self.right.enclosure.width),
+                  Fraction(1, 2 ** 40))
+        return refine_until(lambda: self.enclosure if self.enclosure.lo > 0 else None,
+                            (self.left, self.right), tol, 2 ** 16, max_steps,
+                            f"sign of the jump at {self.slope}")
 
 
 def jump(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> JumpValue:
@@ -207,10 +202,8 @@ def delta_irrational(cf: ContinuedFraction, tol: Fraction = IRRATIONAL_TOL) -> D
     root = SeriesRoot(stream.digit, max_digit=stream.b)
     enc = root.refine(tol)
     prefix = tuple(stream.digit(n) for n in range(1, 33))
-    out = DeltaValue(Fraction(0), prefix, "labelled_transcendental", enc, _refiner=root.refine)
-    out.stream = stream  # type: ignore[attr-defined]
-    out.series_root = root  # type: ignore[attr-defined]
-    return out
+    return DeltaValue(Fraction(0), prefix, "labelled_transcendental", enc,
+                      series_root=root, stream=stream)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +270,9 @@ def plot_samples(lo: Fraction, hi: Fraction, max_den: int,
 
 def _separate(a: DeltaValue, b: DeltaValue, max_rounds: int) -> None:
     tol = max(min(a.enclosure.width, b.enclosure.width), Fraction(1, 2 ** 50))
-    for _ in range(max_rounds):
-        if a.enclosure.hi < b.enclosure.lo:
-            return
-        tol /= 2 ** 16
-        a.refine(tol)
-        b.refine(tol)
-    raise CertificationError(
-        f"could not separate staircase values at {a.slope} and {b.slope}")
+    refine_until(lambda: True if a.enclosure.hi < b.enclosure.lo else None,
+                 (a, b), tol, 2 ** 16, max_rounds,
+                 f"order of Delta at {a.slope} and {b.slope}")
 
 
 # ---------------------------------------------------------------------------

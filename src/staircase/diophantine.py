@@ -96,11 +96,6 @@ class LogMagnitude:
         a, b = nat_ln_interval(other)
         return LogMagnitude(_down(self.ln_lo + a), _up(self.ln_hi + b))
 
-    def serialize(self) -> dict:
-        mid = self.ln_lo if self.saturated else (self.ln_lo + self.ln_hi) / 2
-        err = _INF if self.saturated else (self.ln_hi - self.ln_lo) / 2
-        return {"ln": repr(mid), "err": repr(err)}
-
 
 Nat = Union[int, LogMagnitude]
 
@@ -365,13 +360,11 @@ def _log_step(a: Nat, prev: Nat, prev2: Nat) -> LogMagnitude:
 # ---------------------------------------------------------------------------
 
 
-def cf_expand(x, n: int, refine: Optional[Callable[[], Enclosure]] = None) -> List[int]:
+def cf_expand(x, n: int) -> List[int]:
     """First partial quotients [a0, a1, ...] (up to n+1 of them) of x.
 
     Rational x uses exact Euclid and may terminate early.  An Enclosure is
-    expanded only as far as both endpoints certify the same quotients; if a
-    ``refine`` callback is supplied it is invoked (up to a budget) to shrink
-    the enclosure when a quotient is undecided.
+    expanded only as far as both endpoints certify the same quotients.
     """
     if n < 0:
         raise PreconditionError("cf_expand needs n >= 0")
@@ -379,15 +372,10 @@ def cf_expand(x, n: int, refine: Optional[Callable[[], Enclosure]] = None) -> Li
         return _cf_euclid(Fraction(x), n)
     if not isinstance(x, Enclosure):
         raise PreconditionError("cf_expand needs a Fraction or an Enclosure")
-    attempts = 0
-    while True:
-        got = _cf_interval(x, n)
-        if got is not None:
-            return got
-        if refine is None or attempts >= 64:
-            raise CertificationError("cf_expand: quotient undecided at refinement budget")
-        x = refine()
-        attempts += 1
+    got = _cf_interval(x, n)
+    if got is None:
+        raise CertificationError("cf_expand: enclosure too wide to decide a0")
+    return got
 
 
 def _cf_euclid(x: Fraction, n: int) -> List[int]:
@@ -470,9 +458,6 @@ class MeasureEstimate:
     headline: Tuple[float, float]
     caveat: bool = True
     window_note: str = ""
-
-    def headline_max(self) -> float:
-        return self.headline[1]
 
 
 def _running_max(values: List[Tuple[int, float, float]]) -> Tuple[float, float]:
@@ -629,7 +614,7 @@ def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure
     if q > 10 ** 4:
         raise PreconditionError("brute-force scope is q <= 10^4")
 
-    def decide(x) -> dict:
+    def decide(x) -> Optional[dict]:
         target_first = _abs_diff(x, Fraction(p, q))
         target_second = _abs_lin(x, p, q)
         first = True
@@ -648,16 +633,15 @@ def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure
                 cmp1 = _iv_less(target_first, _abs_diff(x, Fraction(a, b)))
                 cmp2 = _iv_less(target_second, _abs_lin(x, a, b))
                 if cmp1 is None or cmp2 is None:
-                    return {"undecided": True}
+                    return None
                 first = first and cmp1
                 second = second and cmp2
-        return {"first_kind": first, "second_kind": second, "undecided": False}
+        return {"first_kind": first, "second_kind": second}
 
     attempts = 0
     while True:
         res = decide(t)
-        if not res.get("undecided"):
-            res.pop("undecided", None)
+        if res is not None:
             return res
         if refine is None or attempts >= 64:
             raise CertificationError("best_approx_check: comparison undecided at budget")
@@ -670,7 +654,7 @@ def _abs_diff(x, frac: Fraction) -> Enclosure:
         d = x - Enclosure.exact(frac)
     else:
         d = Enclosure.exact(Fraction(x) - frac)
-    return _iv_abs(d)
+    return d.abs()
 
 
 def _abs_lin(x, a: int, b: int) -> Enclosure:
@@ -678,15 +662,7 @@ def _abs_lin(x, a: int, b: int) -> Enclosure:
         d = x * b - Enclosure.exact(a)
     else:
         d = Enclosure.exact(Fraction(x) * b - a)
-    return _iv_abs(d)
-
-
-def _iv_abs(e: Enclosure) -> Enclosure:
-    if e.lo >= 0:
-        return e
-    if e.hi <= 0:
-        return Enclosure(-e.hi, -e.lo)
-    return Enclosure(Fraction(0), max(-e.lo, e.hi))
+    return d.abs()
 
 
 def _iv_less(a: Enclosure, b: Enclosure) -> Optional[bool]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CertificationError
+
 
 @dataclass(frozen=True)
 class Enclosure:
@@ -39,9 +41,6 @@ class Enclosure:
     def contains(self, value) -> bool:
         return self.lo <= value <= self.hi
 
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
     def intersect(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(max(self.lo, other.lo), min(self.hi, other.hi))
 
@@ -62,6 +61,14 @@ class Enclosure:
 
     def __neg__(self):
         return Enclosure(-self.hi, -self.lo)
+
+    def abs(self) -> "Enclosure":
+        """The exact range of |x| over the interval."""
+        if self.lo >= 0:
+            return self
+        if self.hi <= 0:
+            return -self
+        return Enclosure(Fraction(0), max(-self.lo, self.hi))
 
     def reciprocal(self) -> "Enclosure":
         if self.lo <= 0 <= self.hi:
@@ -87,6 +94,27 @@ def _as_enclosure(x) -> Enclosure:
     if isinstance(x, Enclosure):
         return x
     return Enclosure.exact(x)
+
+
+def refine_until(verdict, values, tol: Fraction, shrink, rounds: int, what: str):
+    """Refine ``values`` until ``verdict()`` decides, and return its decision.
+
+    ``verdict`` returns None while undecided; it is asked before each round
+    and once after the last.  Each round divides ``tol`` by ``shrink`` and
+    calls ``refine(tol)`` on every value.  After ``rounds`` undecided rounds
+    the budget is spent and CertificationError names ``what``.
+    """
+    for _ in range(rounds):
+        decision = verdict()
+        if decision is not None:
+            return decision
+        tol /= shrink
+        for v in values:
+            v.refine(tol)
+    decision = verdict()
+    if decision is not None:
+        return decision
+    raise CertificationError(f"{what} undecided at refinement budget")
 
 
 def eval_poly(coeffs, x: Enclosure) -> Enclosure:

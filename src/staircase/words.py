@@ -407,10 +407,3 @@ def parse_word(s: str) -> Word:
             raise PreconditionError(f"bad word character: {c!r}")
     return tuple(out)
 
-
-def periodic_to_json(w: PeriodicWord) -> dict:
-    return {"pre": list(w.pre), "per": list(w.per)}
-
-
-def periodic_from_json(d: dict) -> PeriodicWord:
-    return PeriodicWord.make(d["pre"], d["per"])

@@ -161,8 +161,9 @@ def test_exit_code_precondition(capsys):
 
 
 def test_exit_code_certification(capsys):
-    # a finite (rational) continued fraction runs out of terms mid-refinement
-    code, _, err = run(capsys, ["delta", "eval", "--cf", "0,2,3"])
+    # alpha2's third partial quotient exists only in log space, so its digit
+    # stream cannot be read off exactly
+    code, _, err = run(capsys, ["delta", "eval", "--preset", "alpha2"])
     assert code == cli.EXIT_CERTIFICATION
     assert "error:" in err
 
@@ -172,6 +173,9 @@ def test_exit_code_certification(capsys):
     (["delta", "eval", "--alpha", "1/2", "--digits", "-3"], None, cli.EXIT_USAGE),
     (["delta", "eval", "--alpha", "1/2"], "x", cli.EXIT_USAGE),
     (["cf", "expand", "--alpha", "17/12", "-N", "-1"], None, cli.EXIT_PRECONDITION),
+    # a --cf list without a generator suffix is a rational slope
+    (["delta", "eval", "--cf", "0,1"], None, cli.EXIT_PRECONDITION),
+    (["probe", "irrational", "--cf", "0,1,2", "-I", "2"], None, cli.EXIT_PRECONDITION),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, code):
     if env_digits is not None:
@@ -183,5 +187,5 @@ def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, c
     out, err = capsys.readouterr()
     assert got == code and out == ""
     lines = err.splitlines()
-    prefix = "error: usage: " if code == cli.EXIT_USAGE else "error: "
+    prefix = "error: usage: " if code == cli.EXIT_USAGE else "error: precondition: "
     assert len(lines) == 1 and lines[0].startswith(prefix), err

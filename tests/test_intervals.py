@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from staircase.errors import PreconditionError
-from staircase.intervals import Enclosure, decimal_str, enclosure_strings, eval_poly
+from staircase.errors import CertificationError, PreconditionError
+from staircase.intervals import (Enclosure, decimal_str, enclosure_strings, eval_poly,
+                                 refine_until)
 
 
 def test_basic_arithmetic_contains_products():
@@ -62,3 +65,68 @@ def test_enclosure_strings_bracket_value():
     lo, hi = enclosure_strings(e, 5)
     assert lo == "1.61803" and hi == "1.61804"
     assert Fraction(lo) <= e.lo <= e.hi <= Fraction(hi)
+
+
+endpoints = st.fractions(min_value=-10, max_value=10, max_denominator=1000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(endpoints, endpoints)
+def test_abs_contains_and_is_tight(x, y):
+    e = Enclosure(min(x, y), max(x, y))
+    a = e.abs()
+    points = [e.lo, e.mid, e.hi] + ([Fraction(0)] if e.contains(0) else [])
+    values = {abs(v) for v in points}
+    assert all(a.contains(v) for v in values)
+    assert a.lo in values and a.hi in values
+
+
+class Recorder:
+    """A refinable value that records the tolerances it is refined to."""
+
+    def __init__(self):
+        self.tols = []
+
+    def refine(self, tol):
+        self.tols.append(tol)
+
+
+def test_refine_until_returns_first_decision_even_if_falsy():
+    v = Recorder()
+    asked = []
+
+    def floor():
+        asked.append(len(v.tols))
+        return 0 if len(v.tols) == 2 else None
+
+    assert refine_until(floor, [v], Fraction(1), 4, 10, "floor") == 0
+    assert asked == [0, 1, 2]
+
+
+def test_refine_until_shrinks_the_tolerance_each_round():
+    a, b = Recorder(), Recorder()
+    decisions = iter([None, None, None, "done"])
+    assert refine_until(lambda: next(decisions), [a, b], Fraction(1, 3), 2 ** 8, 5,
+                        "trend") == "done"
+    expected = [Fraction(1, 3 * 2 ** 8), Fraction(1, 3 * 2 ** 16), Fraction(1, 3 * 2 ** 24)]
+    assert a.tols == expected and b.tols == expected
+
+
+def test_refine_until_asks_once_after_the_last_round():
+    v = Recorder()
+    assert refine_until(lambda: "yes" if len(v.tols) == 3 else None, [v], Fraction(1), 2, 3,
+                        "order") == "yes"
+    assert len(v.tols) == 3
+
+
+def test_refine_until_raises_after_exactly_the_budget():
+    v = Recorder()
+    asked = []
+
+    def never():
+        asked.append(len(v.tols))
+        return None
+
+    with pytest.raises(CertificationError, match="band verdict undecided"):
+        refine_until(never, [v], Fraction(1), 2, 5, "band verdict")
+    assert len(v.tols) == 5 and asked == [0, 1, 2, 3, 4, 5]
