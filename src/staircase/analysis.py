@@ -117,19 +117,25 @@ class QuotientTrace:
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The smallest-denominator fraction strictly inside (lo, hi), 0 <= lo < hi.
 
-    Stern-Brocot descent: walk mediants toward the interval until one lands
-    inside it.
+    Continued-fraction descent (Graham, Knuth & Patashnik, Concrete
+    Mathematics, section 4.5), one step per partial quotient: the answer is
+    the first integer above lo if that lies below hi; otherwise both ends
+    share the integer part f, and the answer is f + 1/y for the simplest y in
+    (1/(hi - f), 1/(lo - f)).  (p1 y + p0)/(q1 y + q0) maps y back to x.
     """
     p0, q0, p1, q1 = 0, 1, 1, 0
-    for _ in range(10 ** 6):
-        m = Fraction(p0 + p1, q0 + q1)
-        if m <= lo:
-            p0, q0 = m.numerator, m.denominator
-        elif m >= hi:
-            p1, q1 = m.numerator, m.denominator
-        else:
-            return m
-    raise CertificationError("interval too thin for mediant descent budget")
+    while True:
+        f = lo.numerator // lo.denominator
+        if f + 1 < hi:
+            y = f + 1
+            break
+        p0, q0, p1, q1 = p1, q1, p1 * f + p0, q1 * f + q0
+        r = 1 / (hi - f)
+        if lo == f:  # y may be any number above r
+            y = r.numerator // r.denominator + 1
+            break
+        lo, hi = r, 1 / (lo - f)
+    return Fraction(p1 * y + p0, q1 * y + q0)
 
 
 def _ladder_offset(alpha0: Fraction, N: int, side: str) -> Fraction:

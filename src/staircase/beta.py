@@ -4,17 +4,20 @@ Everything here revolves around the strictly decreasing function
 
     g(x) = sum_{n >= 1} a_n x^(-n) - 1,   x > 1,
 
-for a digit sequence (a_n) with a_1 >= 1.  Its unique root is enclosed by
-bisection with exact integer sign tests, so enclosures are proofs: the root
-lies in [lo, hi] because g(lo) > 0 and g(hi) < 0 are integer facts.  Bracket
-endpoints are dyadic, m / 2^k, and both the sign tests and the interval
-evaluation of orbit polynomials run on plain integers with shifts.
+for a digit sequence (a_n) with a_1 >= 1.  Its unique root is enclosed with
+exact integer sign tests, so enclosures are proofs: the root lies in [lo, hi]
+because g(lo) > 0 and g(hi) < 0 are integer facts.  Bracket endpoints are
+dyadic, m / 2^k.  Bisection narrows a bracket step by step; a deep refinement
+jumps to its final cell with a fixed-point Newton guess that sign tests then
+certify.  Both the sign tests and the interval evaluation of orbit
+polynomials run on plain integers with shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
@@ -24,6 +27,18 @@ from .words import PeriodicWord, Word
 DEFAULT_TOL = Fraction(1, 10 ** 30)
 
 IntPoly = Tuple[int, ...]  # coefficients, ascending powers
+
+# A refinement with more than JUMP_MIN_STEPS bisection steps left past a
+# 2^-JUMP_FROM_BITS cell jumps to its final cell (RefinableRoot._jump), with
+# GUARD_BITS extra bits of Newton precision.  Jumping earlier than this costs
+# roots of high degree more in Newton steps than it saves in sign tests.
+JUMP_FROM_BITS = 32
+JUMP_MIN_STEPS = 64
+GUARD_BITS = 16
+
+# The longest digit word a root is built from: series truncations stop here,
+# and delta_rational refuses slopes whose word would be longer.
+MAX_WORD_LENGTH = 1 << 20
 
 
 def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
@@ -41,6 +56,64 @@ def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
             acc += c << shift
         shift += k
     return (acc > 0) - (acc < 0)
+
+
+def _sparse_sign(terms: Sequence[Tuple[int, int]], m: int, k: int) -> int:
+    """``_poly_sign`` over the nonzero terms (i, c_i) of a polynomial, listed
+    by descending power: one product by m^gap for each run of zero
+    coefficients in place of one product by m per coefficient."""
+    if not terms:
+        return 0
+    deg = prev = terms[0][0]
+    acc = 0
+    for i, c in terms:
+        if i != prev:
+            acc *= m ** (prev - i)
+        acc += c << (k * (deg - i))
+        prev = i
+    if prev:
+        acc *= m ** prev
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
+    """The exact sign of F at m/2^k as a function of (m, k): the sparse test
+    when at most a quarter of F's coefficients are nonzero (the near-one
+    words 1 0^(n-2) 1 have three), dense Horner otherwise."""
+    terms = [(i, c) for i, c in enumerate(F) if c]
+    if 4 * len(terms) <= len(F):
+        return partial(_sparse_sign, terms[::-1])
+    return partial(_poly_sign, F)
+
+
+def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
+    """Newton's method on F in fixed point from the guess x/2^p, p < P.
+
+    The precision about doubles from step to step up to P bits; steps at P
+    bits then repeat, at most four more, until one moves x by at most
+    2^(GUARD_BITS - P).  Returns the final x at scale 2^P, or None where F'
+    is not positive.  The result is only a guess: no error bound is claimed.
+    """
+    schedule = [P]
+    while schedule[-1] > 2 * p:
+        schedule.append(schedule[-1] // 2 + 8)
+    schedule.reverse()
+    for q in schedule + [P] * 4:
+        x <<= q - p
+        p = q
+        f, d = F[-1] << p, 0  # F(x) and F'(x) at scale 2^p, by Horner
+        for c in reversed(F[:-1]):
+            d = (d * x >> p) + f
+            f = f * x >> p
+            if c:
+                f += c << p
+        if d <= 0:
+            return None
+        step = (f << p) // d
+        x -= step
+        if p == P and abs(step) <= 1 << GUARD_BITS:
+            break
+    return x
 
 
 def digit_series_sign(digits: Sequence[int], x: Fraction) -> int:
@@ -95,22 +168,27 @@ def finite_annihilator(digits: Sequence[int]) -> IntPoly:
 
 
 class RefinableRoot:
-    """A bisection bracket [a/2^k, b/2^k] around the root of a decreasing
-    function, refinable on demand.  ``sign(m, k)`` must be the exact sign at
-    m/2^k: +1 left of the root, -1 right of it, 0 only at the root itself.
+    """A bracket [a/2^k, b/2^k] around the root of a monic integer polynomial
+    F in a unit cell [n-1, n], refinable on demand.  ``sign(m, k)`` is the
+    exact sign of F at m/2^k: -1 left of the root, +1 right of it.
 
-    The bracket is kept as the integers (a, b, k) and an exact hit m/2^j as
-    (m, j), so bisection builds no ``Fraction``; ``lo``, ``hi``, ``exact``
-    and ``enclosure`` present them as fractions.
+    F is the annihilator of a digit series, increasing through its only root
+    above 1.  Rational roots of a monic integer polynomial are integers, and
+    the cell's open interior holds none, so no dyadic point in it is a root:
+    refining to scale K always ends on the one cell [j, j+1]/2^K that holds
+    the root, whether reached by bisection or by ``_jump``.  An integer root
+    n is an exact hit, kept with the bracket [n-1, n+1] and never refined.
+
+    The bracket is kept as integers, so refinement builds no ``Fraction``;
+    ``lo``, ``hi``, ``exact`` and ``enclosure`` present it as fractions.
     """
 
-    def __init__(self, sign: Callable[[int, int], int], a: int, b: int, k: int = 0,
-                 exact: Optional[int] = None):
-        if not a < b:
-            raise PreconditionError("need lo < hi")
+    def __init__(self, F: IntPoly, sign: Callable[[int, int], int], n: int,
+                 exact: bool = False):
+        self._F = F
         self._sign = sign
-        self._a, self._b, self._k = a, b, k
-        self._hit: Optional[Tuple[int, int]] = None if exact is None else (exact, k)
+        self._exact = n if exact else None
+        self._a, self._b, self._k = n - 1, (n + 1 if exact else n), 0
 
     @property
     def lo(self) -> Fraction:
@@ -122,17 +200,13 @@ class RefinableRoot:
 
     @property
     def exact(self) -> Optional[Fraction]:
-        if self._hit is None:
-            return None
-        m, j = self._hit
-        return Fraction(m, 1 << j)
+        return None if self._exact is None else Fraction(self._exact)
 
     @property
     def bracket(self) -> Tuple[int, int, int]:
         """The enclosure as integers (a, b, k), meaning [a/2^k, b/2^k]."""
-        if self._hit is not None:
-            m, j = self._hit
-            return m, m, j
+        if self._exact is not None:
+            return self._exact, self._exact, 0
         return self._a, self._b, self._k
 
     @property
@@ -154,39 +228,67 @@ class RefinableRoot:
         return self.enclosure
 
     def _bisect(self, steps: int) -> None:
-        """Halve the bracket up to ``steps`` times, stopping at an exact hit."""
-        if self._hit is not None:
+        """Narrow the bracket to the cell at scale 2^(k + steps) that holds
+        the root: by bisection, with a jump over all but the first
+        JUMP_FROM_BITS steps when more than JUMP_MIN_STEPS would remain."""
+        if self._exact is not None or steps <= 0:
             return
+        K = self._k + steps
+        if K - max(self._k, JUMP_FROM_BITS) > JUMP_MIN_STEPS:
+            self._halve(JUMP_FROM_BITS - self._k)
+            self._jump(K)
+        self._halve(K - self._k)
+
+    def _halve(self, steps: int) -> None:
         sign, a, b, k = self._sign, self._a, self._b, self._k
         for _ in range(steps):
             m = a + b  # the midpoint, at scale 2^(k+1)
-            s = sign(m, k + 1)
-            if s == 0:
-                self._hit = (m, k + 1)
-                break
-            if s > 0:
+            if sign(m, k + 1) < 0:
                 a, b = m, b << 1
             else:
                 a, b = a << 1, m
             k += 1
         self._a, self._b, self._k = a, b, k
 
+    def _jump(self, K: int) -> None:
+        """Move the bracket to the cell [j, j+1]/2^K holding the root, or
+        leave it for bisection.  Newton from the bracket's midpoint guesses
+        j, which is clamped into the bracket, where F has no other root (it
+        may elsewhere); exact sign tests at j/2^K and
+        (j+1)/2^K then certify the cell, after at most one move to a
+        neighbouring cell: three sign tests at most."""
+        a, k = self._a, self._k
+        x = _newton(self._F, 2 * a + 1, k + 1, K + GUARD_BITS)
+        if x is None:
+            return
+        first = a << (K - k)
+        last = first + (1 << (K - k)) - 1
+        j = min(max(x >> GUARD_BITS, first), last)
+        sign = self._sign
+        if sign(j, K) > 0:  # the root is left of j
+            j -= 1
+            if j < first or sign(j, K) > 0:
+                return
+        elif sign(j + 1, K) < 0:  # the root is right of j + 1
+            j += 1
+            if j > last or sign(j + 1, K) < 0:
+                return
+        self._a, self._b, self._k = j, j + 1, K
+
 
 def _bracket(F: IntPoly, a1: int) -> RefinableRoot:
     """Bracket the root above the leading digit a_1 >= 1 of a digit series
     whose annihilator is F (the series has the sign of -F there): a unit
-    bracket [n, n+1], or an exact integer root n inside [n-1, n+1]."""
-    sign = lambda m, k: -_poly_sign(F, m, k)
+    bracket [n-1, n], or an exact integer root n."""
+    sign = _sign_kernel(F)
     n = a1
     s = sign(n, 0)
-    if s < 0:
+    if s > 0:
         raise PreconditionError("digit sequence has no root above its leading digit")
-    while s > 0:
+    while s < 0:
         n += 1
         s = sign(n, 0)
-    if s == 0:
-        return RefinableRoot(sign, n - 1, n + 1, exact=n)
-    return RefinableRoot(sign, n - 1, n)
+    return RefinableRoot(F, sign, n, exact=s == 0)
 
 
 def _certified_root(F: IntPoly, a1: int, tol: Fraction) -> RefinableRoot:
@@ -238,7 +340,7 @@ class SeriesRoot:
     """
 
     def __init__(self, digit: Callable[[int], int], max_digit: int, m0: int = 32,
-                 m_cap: int = 1 << 20):
+                 m_cap: int = MAX_WORD_LENGTH):
         if max_digit < 1:
             raise PreconditionError("max_digit must be >= 1")
         if digit(1) < 1:
@@ -288,7 +390,7 @@ class SeriesRoot:
 
 def positive_root_series(digit: Callable[[int], int], max_digit: int,
                          tol: Fraction = DEFAULT_TOL, m0: int = 32,
-                         m_cap: int = 1 << 20) -> Tuple[Enclosure, List[Tuple[int, Enclosure]]]:
+                         m_cap: int = MAX_WORD_LENGTH) -> Tuple[Enclosure, List[Tuple[int, Enclosure]]]:
     """Certified root zeta in (0, 1) of the infinite series sum a_n x^n = 1.
 
     Returns the final enclosure (width <= tol) and the per-truncation history

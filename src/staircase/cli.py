@@ -236,6 +236,10 @@ def _cmd_cf(args, cfg: RunConfig) -> int:
         _emit({"alpha": str(x), "quotients": qs})
     else:  # convergents
         cf = _resolve_cf(args)
+        if cf.length is not None and args.n > cf.length:
+            raise PreconditionError(f"--cf {args.cf} has {cf.length + 1} terms, so its "
+                                    f"convergents stop at n = {cf.length}; pass -N {cf.length} "
+                                    "or less")
         table = diophantine.convergents(cf, args.n, cfg.integer_bit_budget)
         rows = []
         for c in table:

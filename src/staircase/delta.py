@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .beta import BetaHandle, SeriesRoot, greedy_digits, quasi_greedy_of_finite
+from .beta import (MAX_WORD_LENGTH, BetaHandle, SeriesRoot, greedy_digits,
+                   quasi_greedy_of_finite)
 from .diophantine import ContinuedFraction
 from .errors import CertificationError, PreconditionError
 from .intervals import Enclosure, enclosure_strings, refine_until
@@ -70,10 +71,14 @@ def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaValue:
     Delta(0) = 1 and Delta(b) = b + 1 at positive integers, exactly.  At a
     non-integer slope (b-1) + p/q the expansion of 1 is the word b z b built
     from the central word z of p/q on the alphabet {b-1, b}, and beta is the
-    algebraic number with sum a_n beta^(-n) = 1.
+    algebraic number with sum a_n beta^(-n) = 1.  The word has q letters, at
+    most ``MAX_WORD_LENGTH``.
     """
     alpha = Fraction(alpha)
     b, p, q = _split_slope(alpha)
+    if q > MAX_WORD_LENGTH:
+        raise PreconditionError(f"slope {alpha} has a digit word of {q} letters, "
+                                f"over the cap of {MAX_WORD_LENGTH}")
     if p == 0:
         # Integer slope b - 1: the value is the integer b, whose expansion of
         # 1 is the single digit b (the degenerate base 1 at slope 0 included).

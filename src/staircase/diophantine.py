@@ -177,21 +177,23 @@ class ContinuedFraction:
     ``term_source`` yields the partial quotients a1, a2, ...; each is either a
     positive int or a LogMagnitude descriptor.  The stream may be finite (a
     rational tail), in which case operations needing more terms raise
-    :class:`CertificationError`.
+    :class:`CertificationError`.  ``length`` is the number of partial
+    quotients after a0 when the list is known to be finite, else None.
     """
 
-    def __init__(self, a0: int, term_source: Callable[[], Iterator[Nat]], name: str = ""):
+    def __init__(self, a0: int, term_source: Callable[[], Iterator[Nat]], name: str = "",
+                 length: Optional[int] = None):
         self.a0 = a0
         self.name = name
+        self.length = length
         self._make_iter = term_source
         self._iter: Optional[Iterator[Nat]] = None
         self._terms: List[Nat] = []
-        self._exhausted = False
 
     @classmethod
     def from_quotients(cls, a0: int, quotients: Sequence[Nat], name: str = "") -> "ContinuedFraction":
         qs = list(quotients)
-        return cls(a0, lambda: iter(qs), name=name)
+        return cls(a0, lambda: iter(qs), name=name, length=len(qs))
 
     @classmethod
     def constant(cls, a0: int, a: int, name: str = "") -> "ContinuedFraction":
@@ -202,7 +204,7 @@ class ContinuedFraction:
         return cls(a0, gen, name=name)
 
     def clone(self) -> "ContinuedFraction":
-        return ContinuedFraction(self.a0, self._make_iter, name=self.name)
+        return ContinuedFraction(self.a0, self._make_iter, name=self.name, length=self.length)
 
     def term(self, n: int) -> Nat:
         """a_n for n >= 1."""
@@ -214,7 +216,6 @@ class ContinuedFraction:
             try:
                 t = next(self._iter)
             except StopIteration:
-                self._exhausted = True
                 raise CertificationError(
                     f"continued fraction {self.name or '<anonymous>'} ran out of "
                     f"partial quotients at index {len(self._terms) + 1}"

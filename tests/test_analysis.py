@@ -1,9 +1,12 @@
 """Difference-quotient traces and the explicit separation bound."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircase.analysis import (
     QuotientTrace,
@@ -14,6 +17,7 @@ from staircase.analysis import (
     rational_right_quotients,
     zero_plus_quotients,
 )
+from staircase.delta import delta_rational
 from staircase.diophantine import ContinuedFraction
 from staircase.errors import CertificationError, PreconditionError
 
@@ -27,6 +31,41 @@ def test_simplest_between():
     for q in range(1, got.denominator):
         for p in range(q + 1):
             assert not Fraction(113, 355) < Fraction(p, q) < Fraction(113, 354)
+
+
+def _simplest_by_search(lo: Fraction, hi: Fraction) -> Fraction:
+    q = 1
+    while True:
+        p = lo.numerator * q // lo.denominator + 1  # the first p/q above lo
+        if Fraction(p, q) < hi:
+            return Fraction(p, q)
+        q += 1
+
+
+small_fractions = st.builds(Fraction, st.integers(0, 400), st.integers(1, 400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_fractions, small_fractions)
+def test_simplest_between_matches_search(a, b):
+    if a == b:
+        return
+    lo, hi = min(a, b), max(a, b)
+    assert _simplest_between(lo, hi) == _simplest_by_search(lo, hi)
+
+
+def test_delta_rational_caps_the_word_length():
+    with pytest.raises(PreconditionError):
+        delta_rational(Fraction(1, (1 << 20) + 1))
+
+
+def test_thin_probe_ladder_is_a_precondition_error():
+    # The probe slopes near 1/1000 have denominators near 10^9: their words
+    # are over the length cap, and the descent to them is fast.
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        rational_left_quotients(Fraction(1, 1000), 3)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("alpha0", [Fraction(2, 5), Fraction(1, 2), Fraction(1)])

@@ -2,17 +2,20 @@
 ``Fraction`` references."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from staircase.beta import (RefinableRoot, _horner, _poly_sign, beta_root_finite,
+from staircase import beta
+from staircase.beta import (GUARD_BITS, JUMP_FROM_BITS, RefinableRoot, _bracket, _horner,
+                            _poly_sign, _sign_kernel, _sparse_sign, beta_root_finite,
                             beta_root_periodic, digit_series_sign,
                             finite_annihilator, periodic_annihilator)
 from staircase.errors import PreconditionError
 from staircase.intervals import Enclosure, eval_poly
-from staircase.words import PeriodicWord
+from staircase.words import PeriodicWord, bzb_word
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -141,3 +144,114 @@ def test_refine_rejects_nonpositive_tolerance():
     rr = beta_root_finite((1, 1), Fraction(1, 4))
     with pytest.raises(PreconditionError):
         rr.refine(Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Sparse sign test and the verified Newton jump
+# ---------------------------------------------------------------------------
+
+sparse_polys = st.dictionaries(st.integers(0, 60), st.integers(-50, 50).filter(bool),
+                               max_size=5)
+
+
+@SETTINGS
+@given(sparse_polys, st.integers(0, 8), st.integers(-(1 << 12), 1 << 12), scales)
+@example({}, 0, 3, 1)
+@example({0: -1, 40: 1, 41: -1}, 0, -5, 2)
+def test_sparse_sign_matches_reference(terms, pad, m, k):
+    coeffs = [0] * (max(terms, default=0) + 1 + pad)
+    for i, c in terms.items():
+        coeffs[i] = c
+    expected = fraction_poly_sign(coeffs, Fraction(m, 1 << k))
+    assert _sparse_sign(sorted(terms.items(), reverse=True), m, k) == expected
+    assert _sign_kernel(tuple(coeffs))(m, k) == expected
+
+
+def _root_of(word):
+    """(F, a_1) for a finite digit word or a periodic word with a nonzero period."""
+    if isinstance(word, PeriodicWord):
+        return periodic_annihilator(word), word[0]
+    return finite_annihilator(word), word[0]
+
+
+jump_words = st.one_of(
+    st.lists(st.integers(0, 4), min_size=2, max_size=24).map(tuple).filter(
+        lambda w: w[0] >= 1 and any(w[1:])),
+    st.builds(lambda pre, per: PeriodicWord.make(tuple(pre), tuple(per)),
+              st.lists(st.integers(0, 3), max_size=6),
+              st.lists(st.integers(0, 3), min_size=1, max_size=6)).filter(
+        lambda w: w[0] >= 1 and any(w.per)))
+
+
+def _bisected(F, a1, K):
+    rr = _bracket(F, a1)
+    rr._halve(K)
+    return rr
+
+
+@settings(max_examples=60, deadline=None)
+@given(jump_words, st.integers(65, 400))
+# These roots lie within 2^-146 and 2^-86 of a grid point: Newton's guess
+# lands one cell off and the neighbour step brings it back.
+@example(bzb_word(3, 20, 21), 130)  # Delta(62/21)
+@example(bzb_word(3, 43, 44), 70)  # Delta(131/44)
+def test_newton_jump_lands_on_the_bisection_cell(word, K):
+    F, a1 = _root_of(word)
+    rr = _bracket(F, a1)
+    assume(rr.exact is None)
+    rr._halve(JUMP_FROM_BITS)
+    rr._jump(K)
+    assert rr.bracket == _bisected(F, a1, K).bracket
+    a, b, k = rr.bracket
+    assert k == K and b == a + 1
+    assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
+
+
+@pytest.mark.parametrize("cells_off", [-1, 1])
+@pytest.mark.parametrize("word", [(1, 1), (2, 0, 1, 1), bzb_word(2, 5, 13)])
+def test_jump_steps_to_the_neighbour_cell(word, cells_off):
+    """A guess one cell off still jumps: the neighbour step certifies the
+    right cell without falling back to bisection."""
+    F, a1 = _root_of(word)
+    newton = beta._newton
+    with mock.patch.object(beta, "_newton",
+                           lambda F, x, p, P: newton(F, x, p, P) + (cells_off << GUARD_BITS)):
+        rr = _bracket(F, a1)
+        rr._halve(JUMP_FROM_BITS)
+        rr._jump(150)
+    assert rr.bracket == _bisected(F, a1, 150).bracket
+
+
+@settings(max_examples=40, deadline=None)
+@given(jump_words, st.integers(100, 300),
+       st.one_of(st.integers(-4, 4), st.just(None), st.just(1 << 500), st.just(-(1 << 500))))
+@example((2, 1, 1), 200, 2)
+def test_wrong_newton_guess_still_certifies(word, K, cells_off):
+    """A guess moved by some cells, far off, or missing still ends on the
+    bisection cell: a neighbour step, the clamp, or bisection mends it."""
+    F, a1 = _root_of(word)
+    assume(_bracket(F, a1).exact is None)
+    newton = beta._newton
+
+    def wrong(F, x, p, P):
+        if cells_off is None:
+            return None
+        return newton(F, x, p, P) + (cells_off << GUARD_BITS)
+
+    with mock.patch.object(beta, "_newton", wrong):
+        rr = _bracket(F, a1)
+        rr.refine_steps(K)
+    assert rr.bracket == _bisected(F, a1, K).bracket
+    a, b, _ = rr.bracket
+    assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
+
+
+def test_newton_guess_at_another_root_is_clamped():
+    # x^3 - x^2 - 4x - 1 also rises through a root in (-2, -1); Newton started
+    # at -3/2 finds it, and only the clamp keeps that cell from being certified.
+    digits = (1, 4, 1)
+    F = finite_annihilator(digits)
+    newton = beta._newton
+    with mock.patch.object(beta, "_newton", lambda F, x, p, P: newton(F, -3 << (p - 1), p, P)):
+        rr = beta_root_finite(digits, Fraction(1, 1 << 200))
+    assert rr.bracket == _bisected(F, 1, 200).bracket

@@ -85,6 +85,10 @@ def test_cf_convergents_exact_and_logged(capsys):
     payload = run_json(capsys, ["cf", "convergents", "--preset", "golden",
                                 "-N", "64", "--bit-budget", "16"])
     assert any("ln_q" in row for row in payload["convergents"])
+    # a finite --cf list has as many convergents as terms
+    payload = run_json(capsys, ["cf", "convergents", "--cf", "0,2,3", "-N", "2"])
+    assert [(row["p"], row["q"]) for row in payload["convergents"]] == [
+        ("0", "1"), ("1", "2"), ("3", "7")]
 
 
 def test_measure_theta_targeted(capsys):
@@ -176,6 +180,8 @@ def test_exit_code_certification(capsys):
     # a --cf list without a generator suffix is a rational slope
     (["delta", "eval", "--cf", "0,1"], None, cli.EXIT_PRECONDITION),
     (["probe", "irrational", "--cf", "0,1,2", "-I", "2"], None, cli.EXIT_PRECONDITION),
+    # more convergents (default -N 10) than the finite list has
+    (["cf", "convergents", "--cf", "0,2,3"], None, cli.EXIT_PRECONDITION),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, code):
     if env_digits is not None:

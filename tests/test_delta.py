@@ -6,6 +6,7 @@ from math import isqrt
 import mpmath as mp
 import pytest
 
+from staircase.beta import finite_annihilator, periodic_annihilator
 from staircase.delta import (
     CSV_HEADER,
     IRRATIONAL_TOL,
@@ -179,3 +180,23 @@ def test_lipschitz_order_leaves_mpmath_precision_alone():
         assert iv.prec == 60
     finally:
         iv.prec = saved
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(17, 12), Fraction(7, 3)])
+@pytest.mark.parametrize("value, annihilator", [(delta_rational, finite_annihilator),
+                                                (delta_right_limit, periodic_annihilator)])
+def test_deep_enclosure_contains_polyroots_root(alpha, value, annihilator):
+    """Differential oracle: at 2^-1000 the enclosure holds the one real root
+    above 1 of the annihilator that mpmath.polyroots finds at 1100 bits, with
+    polyroots' own error bound."""
+    d = value(alpha, Fraction(1, 1 << 1000))
+    assert d.enclosure.width <= Fraction(1, 1 << 1000)
+    coeffs = annihilator(d.word)
+    with mp.workprec(1100):
+        roots, err = mp.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=1100,
+                                  error=True)
+        real = [r.real for r in roots if abs(r.imag) < mp.mpf(2) ** -900 and r.real > 1]
+        lo = mp.mpf(d.enclosure.lo.numerator) / d.enclosure.lo.denominator
+        hi = mp.mpf(d.enclosure.hi.numerator) / d.enclosure.hi.denominator
+        assert err < mp.mpf(2) ** -1050 and len(real) == 1
+        assert lo <= real[0] - err and real[0] + err <= hi
