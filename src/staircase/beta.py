@@ -15,10 +15,12 @@ polynomials run on plain integers with shifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
 from .intervals import Enclosure, refine_until
@@ -32,6 +34,7 @@ IntPoly = Tuple[int, ...]  # coefficients, ascending powers
 # 2^-JUMP_FROM_BITS cell jumps to its final cell (RefinableRoot._jump), with
 # GUARD_BITS extra bits of Newton precision.  Jumping earlier than this costs
 # roots of high degree more in Newton steps than it saves in sign tests.
+# GUARD_BITS is also the margin the head sign test (_head_sign) aims for.
 JUMP_FROM_BITS = 32
 JUMP_MIN_STEPS = 64
 GUARD_BITS = 16
@@ -58,6 +61,55 @@ def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _horner_shift(acc: int, shift: int, descending: Iterable[int], m: int,
+                  k: int) -> Tuple[int, int]:
+    """``_poly_sign``'s loop, resumable: continue the accumulator ``acc``
+    over more coefficients, listed by descending power; ``shift`` is k times
+    the number already taken.  Returns the new (acc, shift)."""
+    for c in descending:
+        acc *= m
+        if c:
+            acc += c << shift
+        shift += k
+    return acc, shift
+
+
+def _head_sign(F: IntPoly, prefix_max: Sequence[int], k_head: float, m: int, k: int) -> int:
+    """``_poly_sign(F, m, k)``, decided from F's leading coefficients when the
+    rest cannot change the sign, at scales k < k_head (see ``_sign_kernel``).
+
+    With x = m/2^k > 1 and q = deg F, F(x) = x^q H(1/x) for
+    H(y) = sum_n F[q-n] y^n.  After the top N+1 coefficients, Horner's
+    accumulator is A = m^N H_N(2^k/m), H_N the first N+1 terms of H; the
+    others, each at most C = prefix_max[q-N-1] in size, add at most
+    C y^(N+1) / (1 - y) to H.  So |A| (m - 2^k) > C 2^(k(N+1)) proves
+    sign F(x) = sign A.  N starts where that holds with GUARD_BITS to spare
+    at 2^-k from a root, by a float estimate of log2 x that only picks N,
+    and doubles while the bound fails; from 2N >= q on, Horner runs to the
+    end, which is the full test.  ``prefix_max[i]`` is max |F[0..i]|.
+    """
+    q = len(F) - 1
+    d = m - (1 << k)
+    if k >= k_head or d <= 0:
+        return _poly_sign(F, m, k)
+    # log2 x, and the digits wanted: k + GUARD_BITS + log2 C + log2(x/(x-1))
+    lx = math.log2(m) - k
+    want = k + GUARD_BITS + prefix_max[q - 1].bit_length() + math.log2(m) - math.log2(d)
+    if want >= q * lx:
+        return _poly_sign(F, m, k)
+    n = math.ceil(want / lx)
+    acc, shift, top = 0, 0, q
+    while n < q:
+        rest = q - n - 1  # the highest index left out of the head
+        acc, shift = _horner_shift(acc, shift, F[top:rest:-1], m, k)
+        top = rest
+        if abs(acc) * d > prefix_max[rest] << shift:
+            return (acc > 0) - (acc < 0)
+        n *= 2
+    acc, _ = _horner_shift(acc, shift, F[top::-1], m, k)
+    return (acc > 0) - (acc < 0)
+
+
 def _sparse_sign(terms: Sequence[Tuple[int, int]], m: int, k: int) -> int:
     """``_poly_sign`` over the nonzero terms (i, c_i) of a polynomial, listed
     by descending power: one product by m^gap for each run of zero
@@ -79,11 +131,25 @@ def _sparse_sign(terms: Sequence[Tuple[int, int]], m: int, k: int) -> int:
 def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     """The exact sign of F at m/2^k as a function of (m, k): the sparse test
     when at most a quarter of F's coefficients are nonzero (the near-one
-    words 1 0^(n-2) 1 have three), dense Horner otherwise."""
+    words 1 0^(n-2) 1 have three), else dense Horner, through ``_head_sign``
+    at the scales where its head can be short.
+
+    The roots of F lie below C + 1, C = max |F[i]| under the leading one,
+    and the points tested lie near them, so ``_head_sign``'s head has at
+    least (k + GUARD_BITS + log2 C) / log2(C + 1) coefficients.  It is tried
+    for the k where that is under half of F: a longer head saves too little
+    to pay for its estimate on words of a few dozen letters.
+    """
     terms = [(i, c) for i, c in enumerate(F) if c]
     if 4 * len(terms) <= len(F):
         return partial(_sparse_sign, terms[::-1])
-    return partial(_poly_sign, F)
+    q = len(F) - 1
+    prefix_max = list(accumulate(map(abs, F), max))
+    C = prefix_max[q - 1] if q else 0
+    k_head = q * math.log2(C + 1) / 2 - GUARD_BITS - C.bit_length()
+    if k_head <= 0:
+        return partial(_poly_sign, F)
+    return partial(_head_sign, F, prefix_max, k_head)
 
 
 def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:

@@ -264,8 +264,8 @@ def _cmd_measure(args, cfg: RunConfig) -> int:
         preset = diophantine.lookup_preset(args.preset)
     else:
         preset = diophantine.Preset("cf", cf=parse_cf(args.cf))
-    est = preset.mu_estimate(args.N) if args.measure_cmd == "mu" \
-        else preset.theta_estimate(args.N)
+    est = preset.mu_estimate(args.N, cfg.integer_bit_budget) if args.measure_cmd == "mu" \
+        else preset.theta_estimate(args.N, cfg.integer_bit_budget)
     _emit({"target": preset.name, "N": args.N, **_measure_payload(est)})
     return EXIT_OK
 
@@ -275,7 +275,7 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
         target = diophantine.lookup_preset(args.preset)
     else:
         target = diophantine.Preset("cf", cf=parse_cf(args.cf))
-    c = diophantine.classify(target, args.N)
+    c = diophantine.classify(target, args.N, bit_budget=cfg.integer_bit_budget)
     payload = {"target": target.name, "N": args.N, "label": c.label, "caveat": c.caveat,
                "theta": _measure_payload(c.theta) if c.theta else None,
                "mu": _measure_payload(c.mu) if c.mu else None,

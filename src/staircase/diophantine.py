@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificationError, PreconditionError
@@ -227,12 +228,17 @@ class ContinuedFraction:
 
     def exact_convergent(self, i: int) -> Tuple[int, int]:
         """(p_i, q_i) as exact integers; raises if a term is log-space only."""
-        p0, q0 = self.a0, 1
-        if i == 0:
-            return (p0, q0)
+        return next(islice(self._exact_convergents(), i, None))
+
+    def _exact_convergents(self) -> Iterator[Tuple[int, int]]:
+        """(p_j, q_j) for j = 0, 1, ..., by the recurrence; raises at the
+        first term that is log-space only."""
         pm1, qm1 = 1, 0
-        p, q = p0, q0
-        for n in range(1, i + 1):
+        p, q = self.a0, 1
+        n = 0
+        while True:
+            yield p, q
+            n += 1
             a = self.term(n)
             if not isinstance(a, int):
                 raise CertificationError(
@@ -240,7 +246,6 @@ class ContinuedFraction:
                 )
             p, pm1 = a * p + pm1, p
             q, qm1 = a * q + qm1, q
-        return (p, q)
 
     def value_enclosure(self, i: int) -> Enclosure:
         """Enclosure of the value from convergents i and i+1 (exact terms only)."""
@@ -254,20 +259,19 @@ class ContinuedFraction:
     def floors_upto(self, n: int) -> List[int]:
         """[floor(m * alpha) for m in 0..n], computed exactly.
 
-        Uses the convergent p_k/q_k with q_{k-1} > n: for 1 <= m <= n the
-        fractions m*alpha and m*p_k/q_k lie strictly between the same two
-        integers, so their floors agree.
+        Uses the convergent p_k/q_k with q_{k-1} > n, k >= 1 least: for
+        1 <= m <= n the fractions m*alpha and m*p_k/q_k lie strictly between
+        the same two integers, so their floors agree.
         """
         if n == 0:
             return [0]
-        k = 1
-        while True:
-            _, qkm1 = self.exact_convergent(k - 1)
-            if qkm1 > n:
+        convergents = self._exact_convergents()
+        _, q_prev = next(convergents)
+        for p, q in convergents:
+            if q_prev > n:
                 break
-            k += 1
-        pk, qk = self.exact_convergent(k)
-        return [(m * pk) // qk for m in range(n + 1)]
+            q_prev = q
+        return [(m * p) // q for m in range(n + 1)]
 
 
 def golden_cf() -> ContinuedFraction:
@@ -695,7 +699,8 @@ class Classification:
     caveat: bool = True
 
 
-def classify(target, N: int = 8, thresholds: Thresholds = Thresholds()) -> Classification:
+def classify(target, N: int = 8, thresholds: Thresholds = Thresholds(),
+             bit_budget: int = DEFAULT_BIT_BUDGET) -> Classification:
     """Finite-N trisection of a preset (or CF) into the Liouville growth classes.
 
     The decision reads the trend of the last few running log-theta estimates
@@ -707,8 +712,8 @@ def classify(target, N: int = 8, thresholds: Thresholds = Thresholds()) -> Class
         preset = target
     else:
         preset = Preset(getattr(target, "name", None) or "cf", cf=target)
-    theta_est = preset.theta_estimate(N)
-    mu_est = preset.mu_estimate(N)
+    theta_est = preset.theta_estimate(N, bit_budget)
+    mu_est = preset.mu_estimate(N, bit_budget)
     log_low = math.log(thresholds.theta_low)
     log_high = math.log(thresholds.theta_high)
     tail = theta_est.running[-3:]
@@ -751,14 +756,14 @@ class Preset:
             raise PreconditionError(f"preset {self.name} has no series samples")
         return self._samples(m_max)
 
-    def theta_estimate(self, N: int) -> MeasureEstimate:
+    def theta_estimate(self, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> MeasureEstimate:
         if self.cf is not None:
-            return theta_estimate(self.cf.clone(), N)
+            return theta_estimate(self.cf.clone(), N, bit_budget)
         return theta_from_samples(self.samples(N))
 
-    def mu_estimate(self, N: int) -> Optional[MeasureEstimate]:
+    def mu_estimate(self, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Optional[MeasureEstimate]:
         if self.cf is not None:
-            return mu_estimate(self.cf.clone(), N)
+            return mu_estimate(self.cf.clone(), N, bit_budget)
         return mu_from_samples(self.samples(N))
 
 

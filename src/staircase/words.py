@@ -48,14 +48,15 @@ def mechanical_prefix(alpha: Slope, rho: Fraction = Fraction(0), n: int = 0,
     alpha = Fraction(alpha)
     if alpha < 0:
         raise PreconditionError("slope must be >= 0")
-    rnd = _ceil_frac if upper else _floor_frac
-    prev = rnd(rho)
-    out = []
-    for k in range(1, n + 1):
-        cur = rnd(alpha * k + rho)
-        out.append(cur - prev)
-        prev = cur
-    return tuple(out)
+    # alpha*k + rho = (a*k + r) / d over the common denominator d.
+    d = math.lcm(alpha.denominator, rho.denominator)
+    a = alpha.numerator * (d // alpha.denominator)
+    r = rho.numerator * (d // rho.denominator)
+    if upper:
+        cuts = [-((-a * k - r) // d) for k in range(n + 1)]
+    else:
+        cuts = [(a * k + r) // d for k in range(n + 1)]
+    return mechanical_prefix_floors(cuts)
 
 
 def _mechanical_prefix_cf(alpha: ContinuedFraction, n: int, upper: bool) -> Word:
@@ -63,8 +64,7 @@ def _mechanical_prefix_cf(alpha: ContinuedFraction, n: int, upper: bool) -> Word
     if not upper:
         return mechanical_prefix_floors(floors)
     # For irrational alpha, ceil(k*alpha) = floor(k*alpha) + 1 for k >= 1.
-    ceils = [0] + [f + 1 for f in floors[1:]]
-    return tuple(ceils[k + 1] - ceils[k] for k in range(n))
+    return mechanical_prefix_floors([0] + [f + 1 for f in floors[1:]])
 
 
 def mechanical_prefix_floors(floors: Sequence[int]) -> Word:
@@ -74,10 +74,6 @@ def mechanical_prefix_floors(floors: Sequence[int]) -> Word:
 
 def _floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 # ---------------------------------------------------------------------------

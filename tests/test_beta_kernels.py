@@ -1,7 +1,9 @@
 """Property tests: the integer dyadic kernels of ``staircase.beta`` against
 ``Fraction`` references."""
 
+import random
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircase import beta
-from staircase.beta import (GUARD_BITS, JUMP_FROM_BITS, RefinableRoot, _bracket, _horner,
-                            _poly_sign, _sign_kernel, _sparse_sign, beta_root_finite,
+from staircase.beta import (GUARD_BITS, JUMP_FROM_BITS, RefinableRoot, _bracket, _head_sign,
+                            _horner, _poly_sign, _sign_kernel, _sparse_sign, beta_root_finite,
                             beta_root_periodic, digit_series_sign,
                             finite_annihilator, periodic_annihilator)
 from staircase.errors import PreconditionError
@@ -35,7 +37,9 @@ def dyadic_brackets(draw):
 
 
 def fraction_poly_sign(coeffs, x: Fraction) -> int:
-    v = sum(Fraction(c) * x ** i for i, c in enumerate(coeffs))
+    v = Fraction(0)
+    for c in reversed(coeffs):
+        v = v * x + c
     return (v > 0) - (v < 0)
 
 
@@ -255,3 +259,107 @@ def test_newton_guess_at_another_root_is_clamped():
     with mock.patch.object(beta, "_newton", lambda F, x, p, P: newton(F, -3 << (p - 1), p, P)):
         rr = beta_root_finite(digits, Fraction(1, 1 << 200))
     assert rr.bracket == _bisected(F, 1, 200).bracket
+
+
+# ---------------------------------------------------------------------------
+# The head sign test of long words
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def long_annihilators(draw):
+    """(F, a_1): the annihilator of a random finite or eventually periodic
+    word of 65 to 800 letters over {0, ..., top}, a_1 >= 1."""
+    q = draw(st.integers(65, 800))
+    top = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    digits = [rng.randint(0, top) for _ in range(q)]
+    digits[0] = max(digits[0], 1)
+    if draw(st.booleans()):
+        return finite_annihilator(digits), digits[0]
+    split = rng.randint(0, q - 1)
+    w = PeriodicWord.make(tuple(digits[:split]), tuple(digits[split:]))
+    assume(any(w.per))
+    return periodic_annihilator(w), w[0]
+
+
+def _reference_cell(F, a1, depth):
+    """The cell [a, b]/2^k, k = depth, that holds the root, found with full
+    Horner sign tests only; None for an integer root."""
+    n = a1
+    while _poly_sign(F, n, 0) < 0:
+        n += 1
+    if _poly_sign(F, n, 0) == 0:
+        return None
+    a, b, k = n - 1, n, 0
+    for _ in range(depth):
+        m = a + b
+        a, b = (m, b << 1) if _poly_sign(F, m, k + 1) < 0 else (a << 1, m)
+        k += 1
+    return a, b, k
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_annihilators(), st.integers(0, 48), st.integers(0, 64), st.integers(0, 1 << 70))
+# x = 1 + 2^-20: the estimate of the head length gives up at once
+@example((finite_annihilator(bzb_word(1, 40, 97)), 1), 10, 20, 1 << 20)
+def test_long_word_sign_matches_reference(root, depth, k, draw_m):
+    """Beside the root (the bisection midpoint and the points 1 and 3 cells
+    either side of it) and at a random point x = m/2^k in (0, 12)."""
+    F, a1 = root
+    sign = _sign_kernel(F)
+    cell = _reference_cell(F, a1, depth)
+    assume(cell is not None)
+    a, b, d = cell
+    for off in (0, -1, 1, -3, 3):
+        m = a + b + off
+        assert sign(m, d + 1) == fraction_poly_sign(F, Fraction(m, 1 << (d + 1)))
+    m = 1 + draw_m % (12 << k)
+    assert sign(m, k) == fraction_poly_sign(F, Fraction(m, 1 << k))
+
+
+def _greedy_digits_of_one(x: Fraction, q: int):
+    """The first q digits of the greedy expansion of 1 in base x > 1."""
+    r, out = Fraction(1), []
+    for _ in range(q):
+        r *= x
+        out.append(r.numerator // r.denominator)
+        r -= out[-1]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(65, 400), st.integers(1, 8), st.integers(0, 1 << 16))
+@example(3, 80, 3, 0)  # x = 1 + 2^-3, where the estimate gives up at once
+@example(5, 300, 1, 0)  # x = 1 + 2^-5
+def test_sign_of_a_root_beside_a_coarse_point(k, q, bump, draw_m):
+    """Words whose root lies within about x^-q above the coarse point
+    x = m/2^k: the greedy expansion of 1 in base x, its last digit raised by
+    ``bump``.
+    Every head of the word sums to less than 1 and the whole word to more,
+    so each truncated sign is wrong and only the tail bound, with C taken
+    over the coefficients left out, sends the test on to the full word."""
+    m = (1 << k) + 1 + draw_m % (3 << k)
+    x = Fraction(m, 1 << k)
+    digits = _greedy_digits_of_one(x, q)
+    assume(any(digits[1:]))
+    digits[-1] += bump
+    F = finite_annihilator(digits)
+    assert fraction_poly_sign(F, x) == -1
+    assert _sign_kernel(F)(m, k) == -1
+    prefix_max = list(accumulate(map(abs, F), max))
+    assert _head_sign(F, prefix_max, float("inf"), m, k) == -1
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_tail_bound_takes_the_largest_coefficient_left_out(k):
+    """x = 2 = (2 << k)/2^k and the word 1^19 0 1^(G-21) D^(G+10), D = 2^(G-20):
+    its heads inside the ones sum to within 2^-19 of 1 from below, and only
+    the tail's large digits D take the sum past 1.  A tail bound over the
+    head's coefficients (at most 1) would certify the wrong sign."""
+    for G in range(22, 64):
+        D = 1 << (G - 20)
+        digits = [1] * 19 + [0] + [1] * (G - 21) + [D] * (G + 10)
+        F = finite_annihilator(digits)
+        assert fraction_poly_sign(F, Fraction(2)) == -1
+        assert _sign_kernel(F)(2 << k, k) == -1

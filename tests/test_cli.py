@@ -4,11 +4,12 @@ import json
 import math
 import os
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 
-from staircase import cli
+from staircase import cli, diophantine
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schema.json").read_text())
@@ -110,6 +111,25 @@ def test_classify_presets(capsys):
     payload = run_json(capsys, ["classify", "--preset", "alpha5", "-N", "6"])
     assert payload["label"] == "exponential"
     assert payload["caveat"] is True
+
+
+@pytest.mark.parametrize("argv", [["measure", "mu"], ["measure", "theta"], ["classify"]])
+def test_bit_budget_reaches_convergents(capsys, argv):
+    """The global --bit-budget is the budget of every convergent table that
+    measure and classify build; without it they use the default."""
+    budgets = []
+    convergents = diophantine.convergents
+
+    def spy(cf, n, bit_budget=diophantine.DEFAULT_BIT_BUDGET):
+        budgets.append(bit_budget)
+        return convergents(cf, n, bit_budget)
+
+    with mock.patch.object(diophantine, "convergents", spy):
+        run_json(capsys, argv + ["--preset", "golden", "-N", "40", "--bit-budget", "16"])
+        assert budgets and set(budgets) == {16}
+        budgets.clear()
+        run_json(capsys, argv + ["--preset", "golden", "-N", "40"])
+        assert budgets and set(budgets) == {diophantine.DEFAULT_BIT_BUDGET}
 
 
 def test_probe_zero_json(capsys):

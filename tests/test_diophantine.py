@@ -16,16 +16,18 @@ from staircase.diophantine import (
     convergents,
     dist_to_integers,
     e_cf,
+    golden_cf,
     lookup_preset,
     mu_estimate,
     mu_from_samples,
     nat_ln_interval,
     presets,
+    sqrt2_minus_1_cf,
     targeted_theta_cf,
     theta_estimate,
     theta_from_samples,
 )
-from staircase.errors import PreconditionError
+from staircase.errors import CertificationError, PreconditionError
 
 
 def test_cf_expand_rational():
@@ -175,3 +177,26 @@ def test_classify_custom_thresholds():
     t = Thresholds(theta_low=1e9, theta_high=1e12)
     c = classify(lookup_preset("targeted:2"), N=6, thresholds=t)
     assert c.label in ("hypo-exponential", "apparently-non-Liouville")
+
+
+def _floors_from_scratch(cf: ContinuedFraction, n: int):
+    """The former floor table: each convergent rebuilt from a_0 up."""
+    if n == 0:
+        return [0]
+    k = 1
+    while cf.exact_convergent(k - 1)[1] <= n:
+        k += 1
+    p, q = cf.exact_convergent(k)
+    return [(m * p) // q for m in range(n + 1)]
+
+
+@pytest.mark.parametrize("make", [golden_cf, sqrt2_minus_1_cf, e_cf])
+def test_floors_upto_one_pass_matches_rebuilt_convergents(make):
+    for n in list(range(60)) + [144, 233, 985, 1000, 4181, 5741, 10 ** 4]:
+        assert make().floors_upto(n) == _floors_from_scratch(make(), n), n
+
+
+def test_floors_upto_log_space_term_is_certification_error():
+    cf = ContinuedFraction.from_quotients(0, [2, LogMagnitude(10.0, 11.0)], name="big")
+    with pytest.raises(CertificationError, match="q_2 of big is not exactly representable"):
+        cf.floors_upto(5)

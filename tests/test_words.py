@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from staircase.errors import PreconditionError
 from staircase.words import (
@@ -156,3 +158,24 @@ def test_mechanical_rejects_bad_input():
     assert central_word(1, 2) == ()  # shortest case: empty interior
     with pytest.raises(PreconditionError):
         common_prefix_radius(Fraction(2, 5), 7, "sideways")
+
+
+def fraction_mechanical(alpha: Fraction, rho: Fraction, n: int, upper: bool):
+    """Reference: the floors (ceilings) of alpha*k + rho as Fractions."""
+    cut = (lambda x: -((-x.numerator) // x.denominator)) if upper else \
+        (lambda x: x.numerator // x.denominator)
+    return tuple(cut(alpha * (k + 1) + rho) - cut(alpha * k + rho) for k in range(n))
+
+
+intercepts = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]),
+                       st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=0, max_value=5, max_denominator=10 ** 6), intercepts,
+       st.integers(0, 2000), st.booleans())
+@example(Fraction(2, 5), Fraction(0), 10, True)
+@example(Fraction(3, 7), Fraction(1), 14, False)
+@example(Fraction(1, 3), Fraction(2, 3), 9, True)
+def test_mechanical_prefix_matches_fraction_reference(alpha, rho, n, upper):
+    assert mechanical_prefix(alpha, rho, n, upper=upper) == fraction_mechanical(alpha, rho, n, upper)
