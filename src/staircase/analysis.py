@@ -12,17 +12,17 @@ lower bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .beta import quasi_greedy_of_finite
 from .delta import (DeltaValue, delta_irrational, delta_rational,
                     delta_right_limit, _split_slope)
 from .diophantine import ContinuedFraction
 from .errors import CertificationError, PreconditionError
-from .intervals import Enclosure, decimal_str, refine_until
-from .words import PeriodicWord, common_prefix_radius
+from .intervals import Enclosure, enclosure_strings, refine_until
+from .words import PeriodicWord, bzb_word, common_prefix_radius
 
 DEFAULT_TOL = Fraction(1, 10 ** 12)
 TREND_WINDOW = 5
@@ -82,25 +82,19 @@ class QuotientTrace:
             self.verdict = "inconclusive"
         return self.verdict
 
+    def _rows(self, digits: int) -> List[tuple]:
+        """(k, alpha_k_num, alpha_k_den, quotient_lo, quotient_hi) per probe."""
+        return [(p.index, p.slope.numerator, p.slope.denominator,
+                 *enclosure_strings(p.quotient, digits)) for p in self.points]
+
     def csv_rows(self, digits: int = 30) -> List[List[str]]:
-        """Rows (k, alpha_k_num, alpha_k_den, quotient_lo, quotient_hi) + footer."""
-        rows = []
-        for p in self.points:
-            q = p.quotient
-            rows.append([str(p.index), str(p.slope.numerator), str(p.slope.denominator),
-                         decimal_str(q.lo, digits, "floor"), decimal_str(q.hi, digits, "ceil")])
-        rows.append(["verdict", self.verdict, "", "", ""])
-        return rows
+        """The probe rows as strings, and a verdict footer."""
+        return [list(map(str, row)) for row in self._rows(digits)] + [
+            ["verdict", self.verdict, "", "", ""]]
 
     def to_json(self, digits: int = 30) -> str:
-        probes = []
-        for p in self.points:
-            q = p.quotient
-            probes.append({"k": p.index,
-                           "alpha_num": p.slope.numerator,
-                           "alpha_den": p.slope.denominator,
-                           "quotient_lo": decimal_str(q.lo, digits, "floor"),
-                           "quotient_hi": decimal_str(q.hi, digits, "ceil")})
+        keys = ("k", "alpha_num", "alpha_den", "quotient_lo", "quotient_hi")
+        probes = [dict(zip(keys, row)) for row in self._rows(digits)]
         if isinstance(self.center, ContinuedFraction):
             center = self.center.name or "cf"
         else:
@@ -158,41 +152,32 @@ def rational_left_quotients(alpha0: Fraction, K: int, tol: Fraction = DEFAULT_TO
     """Difference quotients (Delta(alpha0) - Delta(alpha)) / (alpha0 - alpha)
     along probes alpha -> alpha0 from the left; expected trend toward_zero.
     """
-    alpha0 = Fraction(alpha0)
-    if alpha0 <= 0:
-        raise PreconditionError("left quotients need alpha0 > 0")
-    if K < 3:
-        raise PreconditionError("need K >= 3 probes")
-    center = delta_rational(alpha0, tol)
-    points = []
-    for k in range(1, K + 1):
-        # step N by the denominator: the quotient decays through drops at
-        # multiples of q, with a slow rise in between
-        N = 1 + alpha0.denominator * k
-        off = _ladder_offset(alpha0, N, "below")
-        probe = alpha0 - off
-        points.append(QuotientPoint(k, probe, Enclosure.exact(off),
-                                    center, delta_rational(probe, tol)))
-    trace = QuotientTrace(alpha0, points)
-    trace.certify()
-    return trace
+    return _rational_quotients(alpha0, K, tol, "below")
 
 
 def rational_right_quotients(alpha0: Fraction, K: int, tol: Fraction = DEFAULT_TOL) -> QuotientTrace:
     """Difference quotients (Delta(alpha) - Delta(alpha0+)) / (alpha - alpha0)
     along probes alpha -> alpha0 from the right; expected trend toward_zero.
     """
+    return _rational_quotients(alpha0, K, tol, "above")
+
+
+def _rational_quotients(alpha0: Fraction, K: int, tol: Fraction, side: str) -> QuotientTrace:
+    """One-sided quotients at alpha0 against Delta(alpha0) from below and
+    Delta(alpha0+) from above."""
     alpha0 = Fraction(alpha0)
     if alpha0 <= 0:
-        raise PreconditionError("right quotients need alpha0 > 0")
+        raise PreconditionError("one-sided quotients need alpha0 > 0")
     if K < 3:
         raise PreconditionError("need K >= 3 probes")
-    center = delta_right_limit(alpha0, tol)
+    center = (delta_rational if side == "below" else delta_right_limit)(alpha0, tol)
     points = []
     for k in range(1, K + 1):
+        # step N by the denominator: the quotient decays through drops at
+        # multiples of q, with a slow rise in between
         N = 1 + alpha0.denominator * k
-        off = _ladder_offset(alpha0, N, "above")
-        probe = alpha0 + off
+        off = _ladder_offset(alpha0, N, side)
+        probe = alpha0 - off if side == "below" else alpha0 + off
         points.append(QuotientPoint(k, probe, Enclosure.exact(off),
                                     center, delta_rational(probe, tol)))
     trace = QuotientTrace(alpha0, points)
@@ -304,8 +289,6 @@ def _left_limit_word(alpha: Fraction) -> PeriodicWord:
         if b < 2:
             raise PreconditionError("slope 0 has no expansion from below")
         return PeriodicWord.make((), (b - 1,))
-    from .words import bzb_word
-
     return quasi_greedy_of_finite(bzb_word(b, p, q))
 
 

@@ -16,7 +16,7 @@ polynomials run on plain integers with shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -50,6 +50,8 @@ def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
     Horner with the denominator cleared: the accumulator ends up equal to
     P(x) * 2**(k*deg), a plain integer with the same sign as P(x).  Every
     power of the denominator is a left shift; the only products are by m.
+    The loop is ``_horner_shift``'s, kept inline: calling it would make the
+    roots of short words (up to 40 letters) about 3 % slower.
     """
     acc = 0
     shift = 0
@@ -234,27 +236,52 @@ def finite_annihilator(digits: Sequence[int]) -> IntPoly:
 
 
 class RefinableRoot:
-    """A bracket [a/2^k, b/2^k] around the root of a monic integer polynomial
-    F in a unit cell [n-1, n], refinable on demand.  ``sign(m, k)`` is the
-    exact sign of F at m/2^k: -1 left of the root, +1 right of it.
+    """The root above 1 of a digit series: a bracket [a/2^k, b/2^k] around
+    the root of the series' annihilator F, a monic integer polynomial, in a
+    unit cell [n-1, n], refinable on demand.  ``sign(m, k)`` is the exact
+    sign of F at m/2^k: -1 left of the root, +1 right of it.  ``annihilator``
+    is that F; exact orbit arithmetic (``greedy_digits``) reduces modulo it.
 
-    F is the annihilator of a digit series, increasing through its only root
-    above 1.  Rational roots of a monic integer polynomial are integers, and
-    the cell's open interior holds none, so no dyadic point in it is a root:
-    refining to scale K always ends on the one cell [j, j+1]/2^K that holds
-    the root, whether reached by bisection or by ``_jump``.  An integer root
-    n is an exact hit, kept with the bracket [n-1, n+1] and never refined.
+    F increases through its only root above 1.  Rational roots of a monic
+    integer polynomial are integers, and the cell's open interior holds none,
+    so no dyadic point in it is a root: refining to scale K always ends on the
+    one cell [j, j+1]/2^K that holds the root, whether reached by bisection or
+    by ``_jump``.  An integer root n is an exact hit, kept with the bracket
+    [n-1, n+1] and never refined.
 
     The bracket is kept as integers, so refinement builds no ``Fraction``;
     ``lo``, ``hi``, ``exact`` and ``enclosure`` present it as fractions.
     """
 
-    def __init__(self, F: IntPoly, sign: Callable[[int, int], int], n: int,
-                 exact: bool = False):
-        self._F = F
-        self._sign = sign
-        self._exact = n if exact else None
-        self._a, self._b, self._k = n - 1, (n + 1 if exact else n), 0
+    def __init__(self, F: IntPoly, a1: int):
+        """Bracket the root above the leading digit a_1 >= 1 of a series whose
+        annihilator is F (the series has the sign of -F there): a unit
+        bracket [n-1, n], or an exact integer root n."""
+        self.annihilator = F
+        self._sign = sign = _sign_kernel(F)
+        n = a1
+        s = sign(n, 0)
+        if s > 0:
+            raise PreconditionError("digit sequence has no root above its leading digit")
+        while s < 0:
+            n += 1
+            s = sign(n, 0)
+        self._exact = n if s == 0 else None
+        self._a, self._b, self._k = n - 1, (n + 1 if s == 0 else n), 0
+
+    @classmethod
+    def from_finite_word(cls, digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> "RefinableRoot":
+        return beta_root_finite(digits, tol)
+
+    @classmethod
+    def from_periodic_word(cls, w: PeriodicWord, tol: Fraction = DEFAULT_TOL) -> "RefinableRoot":
+        return beta_root_periodic(w, tol)
+
+    @classmethod
+    def from_integer(cls, b: int) -> "RefinableRoot":
+        if b < 2:
+            raise PreconditionError("integer base must be >= 2")
+        return cls((-b, 1), b)
 
     @property
     def lo(self) -> Fraction:
@@ -324,7 +351,7 @@ class RefinableRoot:
         (j+1)/2^K then certify the cell, after at most one move to a
         neighbouring cell: three sign tests at most."""
         a, k = self._a, self._k
-        x = _newton(self._F, 2 * a + 1, k + 1, K + GUARD_BITS)
+        x = _newton(self.annihilator, 2 * a + 1, k + 1, K + GUARD_BITS)
         if x is None:
             return
         first = a << (K - k)
@@ -342,23 +369,12 @@ class RefinableRoot:
         self._a, self._b, self._k = j, j + 1, K
 
 
-def _bracket(F: IntPoly, a1: int) -> RefinableRoot:
-    """Bracket the root above the leading digit a_1 >= 1 of a digit series
-    whose annihilator is F (the series has the sign of -F there): a unit
-    bracket [n-1, n], or an exact integer root n."""
-    sign = _sign_kernel(F)
-    n = a1
-    s = sign(n, 0)
-    if s > 0:
-        raise PreconditionError("digit sequence has no root above its leading digit")
-    while s < 0:
-        n += 1
-        s = sign(n, 0)
-    return RefinableRoot(F, sign, n, exact=s == 0)
+# Earlier names: a root as a handle on the base beta, and its bracketing.
+BetaHandle = _bracket = RefinableRoot
 
 
 def _certified_root(F: IntPoly, a1: int, tol: Fraction) -> RefinableRoot:
-    rr = _bracket(F, a1)
+    rr = RefinableRoot(F, a1)
     if rr.exact is None:
         rr.refine(tol)
     return rr
@@ -381,7 +397,8 @@ def beta_root_periodic(w: PeriodicWord, tol: Fraction = DEFAULT_TOL) -> Refinabl
     if w[0] < 1:
         raise PreconditionError("leading digit must be >= 1")
     if not any(w.per):
-        # A finite word: its periodic annihilator has the spurious root 1.
+        # A finite word: its periodic annihilator has the spurious factor
+        # x - 1, so bracket it (and reduce its orbits) on the finite one.
         return beta_root_finite(w.pre, tol)
     return _certified_root(periodic_annihilator(w), w[0], tol)
 
@@ -468,39 +485,8 @@ def positive_root_series(digit: Callable[[int], int], max_digit: int,
 
 
 # ---------------------------------------------------------------------------
-# Beta handles and greedy expansions
+# Greedy expansions
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BetaHandle:
-    """A real beta > 1 given by a refinable certified enclosure plus a monic
-    integer polynomial vanishing at it (used to do exact orbit arithmetic)."""
-
-    root: RefinableRoot
-    annihilator: IntPoly
-
-    @property
-    def enclosure(self) -> Enclosure:
-        return self.root.enclosure
-
-    def refine(self, tol: Fraction) -> Enclosure:
-        return self.root.refine(tol)
-
-    @classmethod
-    def from_finite_word(cls, digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> "BetaHandle":
-        return cls(beta_root_finite(digits, tol), finite_annihilator(digits))
-
-    @classmethod
-    def from_periodic_word(cls, w: PeriodicWord, tol: Fraction = DEFAULT_TOL) -> "BetaHandle":
-        return cls(beta_root_periodic(w, tol), periodic_annihilator(w))
-
-    @classmethod
-    def from_integer(cls, b: int) -> "BetaHandle":
-        if b < 2:
-            raise PreconditionError("integer base must be >= 2")
-        F = (-b, 1)
-        return cls(_bracket(F, b), F)
 
 
 def _poly_reduce(coeffs: List[int], modulus: IntPoly) -> List[int]:
@@ -518,6 +504,10 @@ def _poly_reduce(coeffs: List[int], modulus: IntPoly) -> List[int]:
 
 def _poly_times_x(coeffs: List[int], modulus: IntPoly) -> List[int]:
     return _poly_reduce([0] + coeffs, modulus)
+
+
+def _poly_sub_const(coeffs: List[int], c: int) -> List[int]:
+    return [coeffs[0] - c] + coeffs[1:] if coeffs else [-c]
 
 
 def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, int]:
@@ -542,18 +532,31 @@ def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, in
     return lo, hi, s
 
 
-def greedy_digits(beta: BetaHandle, n: int, x: Fraction = Fraction(1),
+def _orbit_step(r: List[int], beta: RefinableRoot, refine_budget: int,
+                den: int = 1) -> Tuple[int, List[int]]:
+    """One step of T(x) = beta*x - floor(beta*x) from x = r(beta) / den.
+
+    Orbit values are integer polynomials in beta reduced modulo its
+    annihilator, over a fixed denominator; the reduced form of 0 is the empty
+    list.  Returns the digit floor(beta*x) and the reduced T(x); the digit is
+    0 without a floor decision when beta*x reduces to 0.
+    """
+    F = beta.annihilator
+    r = _poly_times_x(r, F)
+    digit = _decide_floor(r, beta, refine_budget, den) if r else 0
+    if digit:
+        r = _poly_reduce(_poly_sub_const(r, digit * den), F)
+    return digit, r
+
+
+def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1),
                   refine_budget: int = 20000) -> Tuple[Word, bool]:
     """First n digits of the greedy expansion of x in base beta, x in [0, 1].
 
     Returns (digits, terminated): ``terminated`` is True when the orbit of x
     hits 0 exactly (certified through the annihilator), in which case the
-    digit word is the complete finite expansion.
-
-    The orbit value is carried as an integer polynomial in beta reduced
-    modulo the annihilator, over the denominator of x; a zero reduced
-    polynomial certifies an exact hit, and floors are decided by interval
-    evaluation with on-demand refinement.
+    digit word is the complete finite expansion.  Floors are decided by
+    interval evaluation with on-demand refinement.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -562,48 +565,33 @@ def greedy_digits(beta: BetaHandle, n: int, x: Fraction = Fraction(1),
         beta.refine(Fraction(1, 16))
         if not (beta.enclosure.lo > 1):
             raise PreconditionError("greedy expansion needs beta > 1")
-    mod = beta.annihilator
-    den = x.denominator
     r: List[int] = [x.numerator] if x else []  # the orbit value is r(beta) / den
     out: List[int] = []
     for _ in range(n):
-        r = _poly_times_x(r, mod)  # beta * r_{k-1}
-        if not r:
-            return tuple(out), True
-        digit = _decide_floor(r, beta, mod, refine_budget, den)
-        out.append(digit)
-        if digit:
-            r = _poly_reduce(_poly_sub_const(r, digit * den), mod)
+        digit, r = _orbit_step(r, beta, refine_budget, x.denominator)
+        if r or digit:  # beta*x itself 0 gives no digit
+            out.append(digit)
         if not r:
             return tuple(out), True
     return tuple(out), False
 
 
-def _poly_sub_const(coeffs: List[int], c: int) -> List[int]:
-    coeffs = list(coeffs)
-    if coeffs:
-        coeffs[0] -= c
-    else:
-        coeffs = [-c]
-    return coeffs
-
-
-def _decide_floor(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: int,
-                  den: int = 1) -> int:
+def _decide_floor(r: List[int], beta: RefinableRoot, refine_budget: int, den: int = 1) -> int:
     """floor of the real number r(beta) / den."""
 
     def floor() -> Optional[int]:
-        lo, hi, s = _horner(r, *beta.root.bracket)
+        lo, hi, s = _horner(r, *beta.bracket)
         f_lo = (lo >> s) // den
         f_hi = (hi >> s) // den
         if f_lo == f_hi:
             return f_lo
         # Could the value be exactly the integer f_hi?
-        if f_hi == f_lo + 1 and not _poly_reduce(_poly_sub_const(list(r), f_hi * den), mod):
+        if f_hi == f_lo + 1 and not _poly_reduce(_poly_sub_const(r, f_hi * den),
+                                                 beta.annihilator):
             return f_hi
         return None
 
-    return _refine_root_until(floor, beta.root, refine_budget, "greedy digit")
+    return _refine_root_until(floor, beta, refine_budget, "greedy digit")
 
 
 def _refine_root_until(verdict, root: RefinableRoot, refine_budget: int, what: str):
@@ -637,10 +625,10 @@ def quasi_greedy_of_finite(digits: Sequence[int]) -> PeriodicWord:
 class OrbitPoint:
     k: int
     value: Enclosure
-    verdict: str  # "interior" | "zero" | "boundary-low" | "boundary-high"
+    verdict: str  # "interior" | "outside" | "zero" | "boundary-low" | "boundary-high"
 
 
-def extremal_orbit_check(beta: BetaHandle, k_max: int,
+def extremal_orbit_check(beta: RefinableRoot, k_max: int,
                          refine_budget: int = 20000) -> List[OrbitPoint]:
     """Certify, for k = 1..k_max, where T^k(1) sits relative to the band
     (1 - 1/beta, 1), T being x -> beta*x mod 1.
@@ -649,34 +637,25 @@ def extremal_orbit_check(beta: BetaHandle, k_max: int,
     zero reduced polynomials, the strict cases through interval signs.
     Stops after a "zero" verdict (the orbit is then constant 0).
     """
-    mod = beta.annihilator
     r: List[int] = [1]
     out: List[OrbitPoint] = []
     for k in range(1, k_max + 1):
-        r = _poly_times_x(r, mod)
-        digit = _decide_floor(r, beta, mod, refine_budget) if r else 0
-        if digit:
-            r = _poly_reduce(_poly_sub_const(r, digit), mod)
+        _, r = _orbit_step(r, beta, refine_budget)
         if not r:
             out.append(OrbitPoint(k, Enclosure.exact(Fraction(0)), "zero"))
             break
-        verdict = _band_verdict(r, beta, mod, refine_budget)
-        lo, hi, s = _horner(r, *beta.root.bracket)
+        verdict = _band_verdict(r, beta, refine_budget)
+        lo, hi, s = _horner(r, *beta.bracket)
         out.append(OrbitPoint(k, Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s)),
                               verdict))
     return out
 
 
-def _band_verdict(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: int) -> str:
-    # upper edge: v - 1;  lower edge: beta*v - beta + 1  (v > 1 - 1/beta).
-    upper = _poly_reduce(_poly_sub_const(list(r), 1), mod)
-    bv = _poly_times_x(list(r), mod)
-    lower = list(bv)
-    while len(lower) < 2:
-        lower.append(0)
-    lower[0] += 1
-    lower[1] -= 1
-    lower = _poly_reduce(lower, mod)
+def _band_verdict(r: List[int], beta: RefinableRoot, refine_budget: int) -> str:
+    # upper edge: v - 1;  lower edge: beta*(v - 1) + 1  (v > 1 - 1/beta).
+    F = beta.annihilator
+    upper = _poly_reduce(_poly_sub_const(r, 1), F)
+    lower = _poly_reduce(_poly_sub_const(_poly_times_x(upper, F), -1), F)
     if not upper:
         return "boundary-high"
     if not lower:
@@ -684,15 +663,15 @@ def _band_verdict(r: List[int], beta: BetaHandle, mod: IntPoly, refine_budget: i
 
     def band() -> Optional[str]:
         # The enclosures' scales are positive, so their numerators' signs decide.
-        up_lo, up_hi, _ = _horner(upper, *beta.root.bracket)
-        lo_lo, lo_hi, _ = _horner(lower, *beta.root.bracket)
+        up_lo, up_hi, _ = _horner(upper, *beta.bracket)
+        lo_lo, lo_hi, _ = _horner(lower, *beta.bracket)
         if up_hi < 0 and lo_lo > 0:
             return "interior"
         if up_lo > 0 or lo_hi < 0:
             return "outside"
         return None
 
-    return _refine_root_until(band, beta.root, refine_budget, "orbit band verdict")
+    return _refine_root_until(band, beta, refine_budget, "orbit band verdict")
 
 
 # ---------------------------------------------------------------------------

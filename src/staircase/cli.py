@@ -17,14 +17,14 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import List, Optional, Sequence
 
 from . import analysis, delta, diophantine, words
 from .diophantine import ContinuedFraction, e_cf
 from .errors import CertificationError, PreconditionError
-from .intervals import decimal_str, enclosure_strings
+from .intervals import enclosure_strings
 
 ENV_DIGITS = "STAIRCASE_DIGITS"
 
@@ -38,14 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line and exit 1 on usage errors, not argparse's 2
         print(f"error: usage: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class RunConfig:
-    tolerance: Fraction = Fraction(1, 10 ** 12)
-    integer_bit_budget: int = diophantine.DEFAULT_BIT_BUDGET
-    output: str = "json"  # csv|json
-    precision_digits: int = 30
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -67,31 +59,19 @@ def _tolerance_arg(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a decimal or P/Q: {s!r}") from None
 
 
-def _digits_arg(s: str) -> int:
-    """--digits (default from STAIRCASE_DIGITS): a nonnegative integer."""
-    try:
-        n = int(s)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"digits must be a nonnegative integer (--digits or {ENV_DIGITS}), got {s!r}")
-    return n
+def _nonnegative_arg(what: str):
+    """An option's type: a nonnegative integer, else a usage error naming ``what``."""
 
+    def parse(s: str) -> int:
+        try:
+            n = int(s)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be a nonnegative integer, got {s!r}")
+        return n
 
-def _e_tail_from(start: int):
-    """Terms of e's CF tail 1,2,1,1,4,1,1,6,... starting at index ``start`` (1-based)."""
-
-    def term(n: int) -> int:
-        return 2 * ((n + 1) // 3) if n % 3 == 2 else 1
-
-    def gen():
-        n = start
-        while True:
-            yield term(n)
-            n += 1
-
-    return gen
+    return parse
 
 
 def parse_cf(spec: str, irrational: bool = False) -> ContinuedFraction:
@@ -134,10 +114,11 @@ def parse_cf(spec: str, irrational: bool = False) -> ContinuedFraction:
         def gen(tail=tuple(tail)):
             while True:
                 yield from tail
-    else:  # e-pattern
+    else:  # e-pattern: e's own terms 1,2,1,1,4,1,... from index len(tail) + 1 on
         def gen(tail=tuple(tail)):
+            e = e_cf()
             yield from tail
-            yield from _e_tail_from(len(tail) + 1)()
+            yield from (e.term(n) for n in count(len(tail) + 1))
     return ContinuedFraction(a0, gen, name=spec)
 
 
@@ -162,8 +143,11 @@ def _csv_out(header: List[str], rows: List[List[str]], path: Optional[str]) -> N
     w.writerow(header)
     w.writerows(rows)
     if path:
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(path, "w") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            raise PreconditionError(f"cannot write --out {path!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(buf.getvalue())
 
@@ -173,7 +157,7 @@ def _csv_out(header: List[str], rows: List[List[str]], path: Optional[str]) -> N
 # ---------------------------------------------------------------------------
 
 
-def _cmd_word(args, cfg: RunConfig) -> int:
+def _cmd_word(args) -> int:
     if args.word_cmd == "christoffel":
         w = words.christoffel(args.p, args.q, upper=args.upper)
         print(words.word_str(w))
@@ -191,45 +175,41 @@ def _cmd_word(args, cfg: RunConfig) -> int:
             w = words.PeriodicWord.make(words.parse_word(pre_s), words.parse_word(per_s))
         else:
             w = words.parse_word(s)
-        _emit({"word": str(w) if isinstance(w, words.PeriodicWord) else words.word_str(w),
+        _emit({"word": words.word_str(w),
                "admissible": words.is_parry_admissible(w)})
     return EXIT_OK
 
 
 def _delta_payload(value: delta.DeltaValue, digits: int) -> dict:
-    lo, hi = value.strings(digits)
-    if isinstance(value.word, words.PeriodicWord):
-        word = str(value.word)
-    else:
-        word = words.word_str(value.word)
-    return {"word": word, "nature": value.nature, "enclosure": [lo, hi]}
+    return {"word": words.word_str(value.word), "nature": value.nature,
+            "enclosure": list(value.strings(digits))}
 
 
-def _cmd_delta_eval(args, cfg: RunConfig) -> int:
-    tol = cfg.tolerance
+def _cmd_delta_eval(args) -> int:
+    tol = args.tol
     if args.alpha is not None:
         alpha = parse_fraction(args.alpha)
         if args.right_limit:
             value = delta.delta_right_limit(alpha, tol)
         else:
             value = delta.delta_rational(alpha, tol)
-        payload = {"slope": str(alpha), **_delta_payload(value, cfg.precision_digits)}
+        payload = {"slope": str(alpha), **_delta_payload(value, args.digits)}
     else:
         cf = _resolve_cf(args, irrational=True)
         value = delta.delta_irrational(cf, tol)
-        payload = {"slope_cf": cf.name or "cf", **_delta_payload(value, cfg.precision_digits)}
+        payload = {"slope_cf": cf.name or "cf", **_delta_payload(value, args.digits)}
     _emit(payload)
     return EXIT_OK
 
 
-def _cmd_delta_plot(args, cfg: RunConfig) -> int:
+def _cmd_delta_plot(args) -> int:
     rows = delta.plot_samples(parse_fraction(getattr(args, "from")),
-                              parse_fraction(args.to), args.max_den, cfg.tolerance)
-    _csv_out(delta.CSV_HEADER, [r.csv_fields(cfg.precision_digits) for r in rows], args.out)
+                              parse_fraction(args.to), args.max_den, args.tol)
+    _csv_out(delta.CSV_HEADER, [r.csv_fields(args.digits) for r in rows], args.out)
     return EXIT_OK
 
 
-def _cmd_cf(args, cfg: RunConfig) -> int:
+def _cmd_cf(args) -> int:
     if args.cf_cmd == "expand":
         x = parse_fraction(args.alpha)
         qs = diophantine.cf_expand(x, args.n)
@@ -240,7 +220,7 @@ def _cmd_cf(args, cfg: RunConfig) -> int:
             raise PreconditionError(f"--cf {args.cf} has {cf.length + 1} terms, so its "
                                     f"convergents stop at n = {cf.length}; pass -N {cf.length} "
                                     "or less")
-        table = diophantine.convergents(cf, args.n, cfg.integer_bit_budget)
+        table = diophantine.convergents(cf, args.n, args.bit_budget)
         rows = []
         for c in table:
             if isinstance(c.q, int) and isinstance(c.p, int):
@@ -259,23 +239,24 @@ def _measure_payload(est: diophantine.MeasureEstimate) -> dict:
             "note": est.window_note}
 
 
-def _cmd_measure(args, cfg: RunConfig) -> int:
-    if args.preset and not args.cf:
-        preset = diophantine.lookup_preset(args.preset)
-    else:
-        preset = diophantine.Preset("cf", cf=parse_cf(args.cf))
-    est = preset.mu_estimate(args.N, cfg.integer_bit_budget) if args.measure_cmd == "mu" \
-        else preset.theta_estimate(args.N, cfg.integer_bit_budget)
+def _target(args) -> diophantine.Preset:
+    """The number that measure and classify estimate: --cf, else --preset."""
+    if args.cf:
+        return diophantine.Preset("cf", cf=parse_cf(args.cf))
+    return diophantine.lookup_preset(args.preset)
+
+
+def _cmd_measure(args) -> int:
+    preset = _target(args)
+    est = preset.mu_estimate(args.N, args.bit_budget) if args.measure_cmd == "mu" \
+        else preset.theta_estimate(args.N, args.bit_budget)
     _emit({"target": preset.name, "N": args.N, **_measure_payload(est)})
     return EXIT_OK
 
 
-def _cmd_classify(args, cfg: RunConfig) -> int:
-    if args.preset and not args.cf:
-        target = diophantine.lookup_preset(args.preset)
-    else:
-        target = diophantine.Preset("cf", cf=parse_cf(args.cf))
-    c = diophantine.classify(target, args.N, bit_budget=cfg.integer_bit_budget)
+def _cmd_classify(args) -> int:
+    target = _target(args)
+    c = diophantine.classify(target, args.N, bit_budget=args.bit_budget)
     payload = {"target": target.name, "N": args.N, "label": c.label, "caveat": c.caveat,
                "theta": _measure_payload(c.theta) if c.theta else None,
                "mu": _measure_payload(c.mu) if c.mu else None,
@@ -284,16 +265,8 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _trace_out(trace: analysis.QuotientTrace, cfg: RunConfig, out_path: Optional[str]) -> None:
-    if cfg.output == "csv":
-        header = ["k", "alpha_k_num", "alpha_k_den", "quotient_lo", "quotient_hi"]
-        _csv_out(header, trace.csv_rows(cfg.precision_digits), out_path)
-    else:
-        print(trace.to_json(cfg.precision_digits))
-
-
-def _cmd_probe(args, cfg: RunConfig) -> int:
-    tol = cfg.tolerance
+def _cmd_probe(args) -> int:
+    tol = args.tol
     if args.probe_cmd == "left":
         trace = analysis.rational_left_quotients(parse_fraction(args.alpha), args.K, tol)
     elif args.probe_cmd == "right":
@@ -305,12 +278,16 @@ def _cmd_probe(args, cfg: RunConfig) -> int:
     else:  # lowerbound
         rep = analysis.lowerbound_check(parse_fraction(args.alpha),
                                         parse_fraction(args.alpha_n), tol)
-        d = cfg.precision_digits
+        d = args.digits
         _emit({"N": rep.N, "mirrored": rep.mirrored, "holds": rep.holds,
                "lhs": list(enclosure_strings(rep.lhs, d)),
                "rhs": list(enclosure_strings(rep.rhs, d))})
         return EXIT_OK
-    _trace_out(trace, cfg, getattr(args, "out", None))
+    if args.output == "csv":
+        header = ["k", "alpha_k_num", "alpha_k_den", "quotient_lo", "quotient_hi"]
+        _csv_out(header, trace.csv_rows(args.digits), args.out)
+    else:
+        print(trace.to_json(args.digits))
     return EXIT_OK
 
 
@@ -326,15 +303,16 @@ def _add_global_opts(p: argparse.ArgumentParser, top: bool = False) -> None:
     before the subcommand is not clobbered by a default afterwards.
     """
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    p.add_argument("--tol", type=_tolerance_arg, default=d(None),
+    p.add_argument("--tol", type=_tolerance_arg, default=d(Fraction(1, 10 ** 12)),
                    help="enclosure tolerance as a decimal or P/Q (default 1e-12)")
-    # A string default goes through _digits_arg too, so a bad env value is a
+    # A string default goes through the type too, so a bad env value is a
     # usage error.
-    p.add_argument("--digits", type=_digits_arg,
+    p.add_argument("--digits", type=_nonnegative_arg(f"digits (--digits or {ENV_DIGITS})"),
                    default=d(os.environ.get(ENV_DIGITS, "30")),
                    help=f"printed precision digits (env {ENV_DIGITS})")
     p.add_argument("--output", choices=["json", "csv"], default=d("json"))
-    p.add_argument("--bit-budget", type=int, default=d(diophantine.DEFAULT_BIT_BUDGET))
+    p.add_argument("--bit-budget", type=_nonnegative_arg("--bit-budget"),
+                   default=d(diophantine.DEFAULT_BIT_BUDGET))
 
 
 def build_parser() -> _Parser:
@@ -421,18 +399,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.tol is not None:
-        cfg.tolerance = args.tol
-    if cfg.tolerance <= 0:
-        raise PreconditionError("tolerance must be positive")
-    cfg.precision_digits = args.digits
-    cfg.output = args.output
-    cfg.integer_bit_budget = args.bit_budget
-    return cfg
-
-
 _HANDLERS = {
     "word": _cmd_word,
     "cf": _cmd_cf,
@@ -446,18 +412,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from(args)
+        if args.tol <= 0:
+            raise PreconditionError("tolerance must be positive")
         if args.cmd == "delta":
             handler = _cmd_delta_eval if args.delta_cmd == "eval" else _cmd_delta_plot
         else:
             handler = _HANDLERS[args.cmd]
-        if args.cmd in ("measure", "classify") and not (getattr(args, "cf", None)
-                                                        or getattr(args, "preset", None)):
-            raise PreconditionError("need --cf or --preset")
-        if args.cmd == "delta" and args.delta_cmd == "eval" and not (
-                args.alpha or args.cf or args.preset):
-            raise PreconditionError("need --alpha, --cf, or --preset")
-        return handler(args, cfg)
+        # Every subcommand with --preset reads its number from --cf or --preset
+        # (or, for delta eval, --alpha).
+        if hasattr(args, "preset") and not (args.cf or args.preset or getattr(args, "alpha", None)):
+            raise PreconditionError("need --alpha, --cf, or --preset" if hasattr(args, "alpha")
+                                    else "need --cf or --preset")
+        return handler(args)
     except SystemExit:
         raise
     except PreconditionError as exc:

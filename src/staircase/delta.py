@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .beta import (MAX_WORD_LENGTH, BetaHandle, SeriesRoot, greedy_digits,
-                   quasi_greedy_of_finite)
+from .beta import MAX_WORD_LENGTH, BetaHandle, SeriesRoot
 from .diophantine import ContinuedFraction
 from .errors import CertificationError, PreconditionError
-from .intervals import Enclosure, enclosure_strings, refine_until
+from .intervals import Enclosure, decimal_str, enclosure_strings, refine_until
 from .words import PeriodicWord, Word, bzb_word, central_word, to_alphabet
 
 RATIONAL_TOL = Fraction(1, 10 ** 30)
@@ -226,7 +225,6 @@ class PlotRow:
     def csv_fields(self, digits: int = 30) -> List[str]:
         d_lo, d_hi = self.delta.strings(digits)
         r_lo, r_hi = self.right.strings(digits)
-        from .intervals import decimal_str
         return [str(self.slope.numerator), str(self.slope.denominator),
                 d_lo, d_hi, r_lo, r_hi, decimal_str(self.jump_lo, digits, "floor")]
 
@@ -286,8 +284,6 @@ def _separate(a: DeltaValue, b: DeltaValue, max_rounds: int) -> None:
 
 
 def _iv_log(iv, e: Enclosure):
-    from .intervals import decimal_str
-
     # Endpoint decimal strings are rounded outward (60 digits, far beyond the
     # 128-bit working precision) so the interval certificate survives.
     return iv.log(iv.mpf([decimal_str(e.lo, 60, "floor"),

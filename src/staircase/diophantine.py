@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import partial
+from itertools import count, islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificationError, PreconditionError
@@ -145,9 +146,7 @@ def log_pow(base: Nat, exponent: Nat) -> LogMagnitude:
         elo, ehi = exponent.value_interval()
     lo = _down(elo * blo)
     hi = _up(ehi * bhi) if ehi != _INF else _INF
-    if hi != _INF and hi >= LN_SAT:
-        return LogMagnitude.saturate(lo)
-    if hi == _INF:
+    if hi >= LN_SAT:  # inf included
         return LogMagnitude.saturate(lo)
     return LogMagnitude(lo, hi)
 
@@ -368,45 +367,33 @@ def _log_step(a: Nat, prev: Nat, prev2: Nat) -> LogMagnitude:
 def cf_expand(x, n: int) -> List[int]:
     """First partial quotients [a0, a1, ...] (up to n+1 of them) of x.
 
-    Rational x uses exact Euclid and may terminate early.  An Enclosure is
-    expanded only as far as both endpoints certify the same quotients.
+    Rational x is expanded as the exact enclosure [x, x], which is Euclid's
+    algorithm, and may terminate early.  An Enclosure is expanded only as far
+    as both endpoints certify the same quotients.
     """
     if n < 0:
         raise PreconditionError("cf_expand needs n >= 0")
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return _cf_euclid(Fraction(x), n)
-    if not isinstance(x, Enclosure):
+    exact = isinstance(x, (Fraction, int))
+    if not (exact or isinstance(x, Enclosure)):
         raise PreconditionError("cf_expand needs a Fraction or an Enclosure")
-    got = _cf_interval(x, n)
-    if got is None:
+    out = _cf_interval(Enclosure.exact(x) if exact else x, n)
+    if not out:
         raise CertificationError("cf_expand: enclosure too wide to decide a0")
-    return got
-
-
-def _cf_euclid(x: Fraction, n: int) -> List[int]:
-    out = []
-    for _ in range(n + 1):
-        a = x.numerator // x.denominator
-        out.append(a)
-        frac = x - a
-        if frac == 0:
-            break
-        x = 1 / frac
-    # Canonical form: avoid a trailing quotient 1.
-    if len(out) >= 2 and out[-1] == 1 and len(out) <= n:
+    # Canonical form of a terminated rational expansion: no trailing quotient 1.
+    if exact and len(out) >= 2 and out[-1] == 1 and len(out) <= n:
         out[-2] += 1
         out.pop()
     return out
 
 
-def _cf_interval(x: Enclosure, n: int) -> Optional[List[int]]:
+def _cf_interval(x: Enclosure, n: int) -> List[int]:
     out = []
     lo, hi = x.lo, x.hi
     for _ in range(n + 1):
         flo = lo.numerator // lo.denominator
         fhi = hi.numerator // hi.denominator
         if flo != fhi:
-            return out if out else None
+            return out
         out.append(flo)
         lo, hi = lo - flo, hi - flo
         if lo == 0 or hi == 0:
@@ -465,68 +452,64 @@ class MeasureEstimate:
     window_note: str = ""
 
 
-def _running_max(values: List[Tuple[int, float, float]]) -> Tuple[float, float]:
-    if not values:
-        return (0.0, 0.0)
-    return (max(v[1] for v in values), max(v[2] for v in values))
+def _estimate(kind: str, rows: Iterator[Union[Tuple[int, float, float], str]]) -> MeasureEstimate:
+    """The estimate from its running values (n, lo, hi); a string among the
+    rows is the note on where the window ended."""
+    running: List[Tuple[int, float, float]] = []
+    note = ""
+    for row in rows:
+        if isinstance(row, str):
+            note = row
+        else:
+            running.append(row)
+    headline = ((max(v[1] for v in running), max(v[2] for v in running)) if running
+                else (0.0, 0.0))
+    return MeasureEstimate(kind, running, headline, True, note)
 
 
 def mu_estimate(cf: ContinuedFraction, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> MeasureEstimate:
     """Running values 1 + ln q_{n+1} / ln q_n for n < N."""
-    if N < 2:
-        raise PreconditionError("mu_estimate needs N >= 2")
-    convs = _convergents_window(cf, N, bit_budget)
-    running: List[Tuple[int, float, float]] = []
-    note = ""
+    return Preset(cf.name, cf=cf).mu_estimate(N, bit_budget)
+
+
+def theta_estimate(cf: ContinuedFraction, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> MeasureEstimate:
+    """Running values ln q_{n+1} / q_n for n < N (log theta scale)."""
+    return Preset(cf.name, cf=cf).theta_estimate(N, bit_budget)
+
+
+def _mu_rows(convs: List[Convergent]):
     for n in range(1, len(convs) - 1):
         la_lo, la_hi = nat_ln_interval(convs[n].q)
         lb_lo, lb_hi = nat_ln_interval(convs[n + 1].q)
         if la_lo <= 0.0:
             continue  # q_n < 2: the ratio is not meaningful yet
         if lb_hi == _INF:
-            note = f"ln q_{n + 1} beyond float range; window ends at n={n}"
-            break
-        running.append((n, _down(1.0 + lb_lo / la_hi), _up(1.0 + lb_hi / la_lo)))
-    return MeasureEstimate("mu", running, _running_max(running), True, note)
+            yield f"ln q_{n + 1} beyond float range; window ends at n={n}"
+            return
+        yield n, _down(1.0 + lb_lo / la_hi), _up(1.0 + lb_hi / la_lo)
 
 
-def theta_estimate(cf: ContinuedFraction, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> MeasureEstimate:
-    """Running values ln q_{n+1} / q_n for n < N (log theta scale)."""
-    if N < 2:
-        raise PreconditionError("theta_estimate needs N >= 2")
-    convs = _convergents_window(cf, N, bit_budget)
-    running: List[Tuple[int, float, float]] = []
-    note = ""
+def _theta_rows(convs: List[Convergent]):
     for n in range(1, len(convs) - 1):
         qn = convs[n].q
-        if isinstance(qn, int):
-            d_lo = d_hi = qn
-        else:
-            d_lo, d_hi = qn.value_interval()
-            if d_hi == _INF:
-                note = f"q_{n} representable only in log space; window ends at n={n - 1}"
-                break
+        d_lo, d_hi = (qn, qn) if isinstance(qn, int) else qn.value_interval()
+        if d_hi == _INF:
+            yield f"q_{n} representable only in log space; window ends at n={n - 1}"
+            return
         lb_lo, lb_hi = nat_ln_interval(convs[n + 1].q)
         if lb_hi == _INF:
-            note = f"ln q_{n + 1} beyond float range; window ends at n={n - 1}"
-            break
-        running.append((n, _down(lb_lo / float(d_hi)), _up(lb_hi / float(d_lo))))
-    return MeasureEstimate("theta", running, _running_max(running), True, note)
+            yield f"ln q_{n + 1} beyond float range; window ends at n={n - 1}"
+            return
+        yield n, _down(lb_lo / float(d_hi)), _up(lb_hi / float(d_lo))
 
 
 def _convergents_window(cf: ContinuedFraction, N: int, bit_budget: int) -> List[Convergent]:
+    """Convergents 0..N, or as many as a finite quotient list has."""
     try:
         return convergents(cf, N, bit_budget)
     except CertificationError:
-        # Finite quotient list shorter than requested: use what exists.
-        k = 0
-        while True:
-            try:
-                cf.term(k + 1)
-                k += 1
-            except CertificationError:
-                break
-        return convergents(cf, k, bit_budget)
+        # The list ran out: the failed call has fetched all of its terms.
+        return convergents(cf, len(cf._terms), bit_budget)
 
 
 @dataclass(frozen=True)
@@ -553,22 +536,25 @@ def theta_from_samples(samples: Sequence[ApproximationSample]) -> MeasureEstimat
     Any subsequence of good denominators lower-bounds the limsup, so this is
     a certified one-sided estimate.
     """
-    running: List[Tuple[int, float, float]] = []
-    note = ""
-    for i, s in enumerate(samples):
-        ratio = s.ratio_bounds or _nat_ratio(s.neg_log_dist, s.q)
-        if ratio is None:
-            note = f"sample {s.label}: ratio indeterminate in log space; skipped"
-            continue
-        running.append((i + 1, ratio[0], ratio[1]))
-    return MeasureEstimate("theta", running, _running_max(running), True, note)
+    return _estimate("theta", _theta_sample_rows(samples))
 
 
 def mu_from_samples(samples: Sequence[ApproximationSample]) -> MeasureEstimate:
     """Lower-bound estimate of mu: max of 1 - ln||q alpha|| / ln q over samples."""
-    running: List[Tuple[int, float, float]] = []
-    note = ""
-    for i, s in enumerate(samples):
+    return _estimate("mu", _mu_sample_rows(samples))
+
+
+def _theta_sample_rows(samples: Sequence[ApproximationSample]):
+    for i, s in enumerate(samples, start=1):
+        ratio = s.ratio_bounds or _nat_ratio(s.neg_log_dist, s.q)
+        if ratio is None:
+            yield f"sample {s.label}: ratio indeterminate in log space; skipped"
+        else:
+            yield i, ratio[0], ratio[1]
+
+
+def _mu_sample_rows(samples: Sequence[ApproximationSample]):
+    for i, s in enumerate(samples, start=1):
         lq_lo, lq_hi = nat_ln_interval(s.q)
         if lq_lo <= 0.0:
             continue
@@ -577,11 +563,9 @@ def mu_from_samples(samples: Sequence[ApproximationSample]) -> MeasureEstimate:
         v_lo = math.exp(nl_lo) if nl_lo < 700 else _INF
         v_hi = math.exp(nl_hi) if nl_hi < 700 else _INF
         if v_lo == _INF:
-            running.append((i + 1, _down(1.0 + sys.float_info.max / lq_hi), _INF))
-            continue
-        hi = _INF if v_hi == _INF else _up(1.0 + v_hi / lq_lo)
-        running.append((i + 1, _down(1.0 + v_lo / lq_hi), hi))
-    return MeasureEstimate("mu", running, _running_max(running), True, note)
+            yield i, _down(1.0 + sys.float_info.max / lq_hi), _INF
+        else:
+            yield i, _down(1.0 + v_lo / lq_hi), _INF if v_hi == _INF else _up(1.0 + v_hi / lq_lo)
 
 
 def _nat_ratio(num: LogMagnitude, den: Nat) -> Optional[Tuple[float, float]]:
@@ -619,24 +603,21 @@ def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure
     if q > 10 ** 4:
         raise PreconditionError("brute-force scope is q <= 10^4")
 
-    def decide(x) -> Optional[dict]:
-        target_first = _abs_diff(x, Fraction(p, q))
-        target_second = _abs_lin(x, p, q)
+    def decide(x: Enclosure) -> Optional[dict]:
+        target_first = (x - Fraction(p, q)).abs()
+        target_second = (x * q - p).abs()
         first = True
         second = True
         for b in range(1, q + 1):
-            if isinstance(x, Enclosure):
-                centre = x.mid * b
-            else:
-                centre = x * b
+            centre = x.mid * b
             a0 = centre.numerator // centre.denominator
             for a in (a0 - 1, a0, a0 + 1):
                 if b == q and a == p:
                     continue
                 if Fraction(a, b) == Fraction(p, q):
                     continue
-                cmp1 = _iv_less(target_first, _abs_diff(x, Fraction(a, b)))
-                cmp2 = _iv_less(target_second, _abs_lin(x, a, b))
+                cmp1 = _iv_less(target_first, (x - Fraction(a, b)).abs())
+                cmp2 = _iv_less(target_second, (x * b - a).abs())
                 if cmp1 is None or cmp2 is None:
                     return None
                 first = first and cmp1
@@ -644,6 +625,8 @@ def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure
         return {"first_kind": first, "second_kind": second}
 
     attempts = 0
+    if not isinstance(t, Enclosure):
+        t = Enclosure.exact(t)
     while True:
         res = decide(t)
         if res is not None:
@@ -652,22 +635,6 @@ def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure
             raise CertificationError("best_approx_check: comparison undecided at budget")
         t = refine()
         attempts += 1
-
-
-def _abs_diff(x, frac: Fraction) -> Enclosure:
-    if isinstance(x, Enclosure):
-        d = x - Enclosure.exact(frac)
-    else:
-        d = Enclosure.exact(Fraction(x) - frac)
-    return d.abs()
-
-
-def _abs_lin(x, a: int, b: int) -> Enclosure:
-    if isinstance(x, Enclosure):
-        d = x * b - Enclosure.exact(a)
-    else:
-        d = Enclosure.exact(Fraction(x) * b - a)
-    return d.abs()
 
 
 def _iv_less(a: Enclosure, b: Enclosure) -> Optional[bool]:
@@ -717,23 +684,18 @@ def classify(target, N: int = 8, thresholds: Thresholds = Thresholds(),
     log_low = math.log(thresholds.theta_low)
     log_high = math.log(thresholds.theta_high)
     tail = theta_est.running[-3:]
-    if tail:
-        head_lo = max(t[1] for t in tail)
-        head_hi = max(t[2] for t in tail)
-    else:
-        head_lo, head_hi = 0.0, 0.0
+    head_lo = max((t[1] for t in tail), default=0.0)
+    head_hi = max((t[2] for t in tail), default=0.0)
+    encl = None
     if head_lo > log_high:
         label = "hyper-exponential"
-        encl = None
     elif head_lo > log_low:
         label = "exponential"
         encl = (math.exp(head_lo), math.exp(min(head_hi, 700.0)))
+    elif mu_est.headline[1] >= thresholds.mu_cutoff:
+        label = "hypo-exponential"
     else:
-        if mu_est is not None and mu_est.headline[1] >= thresholds.mu_cutoff:
-            label = "hypo-exponential"
-        else:
-            label = "apparently-non-Liouville"
-        encl = None
+        label = "apparently-non-Liouville"
     return Classification(label, mu_est, theta_est, encl, caveat=True)
 
 
@@ -746,124 +708,112 @@ class Preset:
     """A named number construction: a CF descriptor, a sample family, or both."""
 
     def __init__(self, name: str, cf: Optional[ContinuedFraction] = None,
-                 samples: Optional[Callable[[int], List[ApproximationSample]]] = None):
+                 samples: Optional[Callable[[], Iterator[ApproximationSample]]] = None):
         self.name = name
         self.cf = cf
         self._samples = samples
 
     def samples(self, m_max: int) -> List[ApproximationSample]:
+        """The samples m = 1..m_max of the series, or fewer where they end."""
         if self._samples is None:
             raise PreconditionError(f"preset {self.name} has no series samples")
-        return self._samples(m_max)
+        return list(islice(self._samples(), m_max))
 
     def theta_estimate(self, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> MeasureEstimate:
-        if self.cf is not None:
-            return theta_estimate(self.cf.clone(), N, bit_budget)
-        return theta_from_samples(self.samples(N))
+        return self._estimate("theta", N, bit_budget, _theta_rows, _theta_sample_rows)
 
-    def mu_estimate(self, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Optional[MeasureEstimate]:
-        if self.cf is not None:
-            return mu_estimate(self.cf.clone(), N, bit_budget)
-        return mu_from_samples(self.samples(N))
+    def mu_estimate(self, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> MeasureEstimate:
+        return self._estimate("mu", N, bit_budget, _mu_rows, _mu_sample_rows)
+
+    def _estimate(self, kind: str, N: int, bit_budget: int, cf_rows, sample_rows) -> MeasureEstimate:
+        """Every estimator's window: convergents 0..N of the CF (as many as a
+        finite one has), else the first N samples; N >= 2."""
+        if N < 2:
+            raise PreconditionError(f"{kind} estimates need N >= 2")
+        if self.cf is None:
+            return _estimate(kind, sample_rows(self.samples(N)))
+        return _estimate(kind, cf_rows(_convergents_window(self.cf.clone(), N, bit_budget)))
 
 
-def _factorial_series_samples(base: int) -> Callable[[int], List[ApproximationSample]]:
+def _factorial_series_samples(base: int) -> Iterator[ApproximationSample]:
     """Partial sums of sum 1/base^{k!}: denominators s_m = base^{m!}."""
+    lnb = math.log(base)
+    ln2 = math.log(2)
+    for m in count(1):
+        f_m = math.factorial(m)
+        gap = f_m * m  # (m+1)! - m!
+        try:
+            g = float(gap)
+        except OverflowError:
+            return
+        if f_m * math.log2(base) <= 4096:
+            q: Nat = base ** f_m
+        else:
+            lq = float(f_m) * lnb
+            q = LogMagnitude(_down(lq * (1 - 1e-12)), _up(lq * (1 + 1e-12)))
+        # ||s_m alpha|| is within a factor 2 of s_m/s_{m+1}, so
+        # -ln||s_m alpha|| lies in [gap*ln(base) - ln 2, gap*ln(base)].
+        v_lo = g * lnb - ln2
+        v_hi = g * lnb
+        if v_lo <= 0:
+            return
+        nld = LogMagnitude(_down(math.log(v_lo * (1 - 1e-12))),
+                           _up(math.log(v_hi * (1 + 1e-12))))
+        yield ApproximationSample(f"m={m}", q, nld)
 
-    def make(m_max: int) -> List[ApproximationSample]:
-        lnb = math.log(base)
-        ln2 = math.log(2)
-        out = []
-        for m in range(1, m_max + 1):
-            f_m = math.factorial(m)
-            gap = f_m * m  # (m+1)! - m!
-            try:
-                g = float(gap)
-            except OverflowError:
-                break
-            if f_m * math.log2(base) <= 4096:
-                q: Nat = base ** f_m
-            else:
-                lq = float(f_m) * lnb
-                q = LogMagnitude(_down(lq * (1 - 1e-12)), _up(lq * (1 + 1e-12)))
-            # ||s_m alpha|| is within a factor 2 of s_m/s_{m+1}, so
-            # -ln||s_m alpha|| lies in [gap*ln(base) - ln 2, gap*ln(base)].
-            v_lo = g * lnb - ln2
-            v_hi = g * lnb
-            if v_lo <= 0:
-                break
+
+def _tower_series_samples(base: int) -> Iterator[ApproximationSample]:
+    """Partial sums of sum 1/EXP_k(base): denominators s_m = EXP_m(base)."""
+    lnb = math.log(base)
+    ln2 = math.log(2)
+    e = 1  # s_m = base ** e; the exponent stays an exact int far past s_m itself
+    for m in count(1):
+        ln_s = e * lnb
+        if e * math.log2(base) <= 53:
+            q: Nat = base ** e
+        else:
+            q = LogMagnitude(_down(ln_s * (1 - 1e-12)), _up(ln_s * (1 + 1e-12)))
+        # -ln||s_m alpha|| = ln(s_{m+1}/s_m) - [0, ln 2],  s_{m+1} = base^{s_m}
+        if e * math.log2(base) <= 900:
+            s_val = float(base ** e)  # exact power, one float rounding
+            v_lo = (s_val - e) * lnb - ln2
+            v_hi = (s_val - e) * lnb
             nld = LogMagnitude(_down(math.log(v_lo * (1 - 1e-12))),
                                _up(math.log(v_hi * (1 + 1e-12))))
-            out.append(ApproximationSample(f"m={m}", q, nld))
-        return out
-
-    return make
-
-
-def _tower_series_samples(base: int) -> Callable[[int], List[ApproximationSample]]:
-    """Partial sums of sum 1/EXP_k(base): denominators s_m = EXP_m(base)."""
-
-    def make(m_max: int) -> List[ApproximationSample]:
-        lnb = math.log(base)
-        ln2 = math.log(2)
-        out = []
-        e = 1  # s_m = base ** e; the exponent stays an exact int far past s_m itself
-        for m in range(1, m_max + 1):
-            ln_s = e * lnb
-            if e * math.log2(base) <= 53:
-                q: Nat = base ** e
-            else:
-                q = LogMagnitude(_down(ln_s * (1 - 1e-12)), _up(ln_s * (1 + 1e-12)))
-            # -ln||s_m alpha|| = ln(s_{m+1}/s_m) - [0, ln 2],  s_{m+1} = base^{s_m}
-            if e * math.log2(base) <= 900:
-                s_val = float(base ** e)  # exact power, one float rounding
-                v_lo = (s_val - e) * lnb - ln2
-                v_hi = (s_val - e) * lnb
-                nld = LogMagnitude(_down(math.log(v_lo * (1 - 1e-12))),
-                                   _up(math.log(v_hi * (1 + 1e-12))))
-            else:
-                # ln(-ln dist) = ln s_m + ln ln(base) up to a relatively tiny term
-                pad = abs(ln_s) * 1e-12 + 1e-9
-                nld = LogMagnitude(_down(ln_s + math.log(lnb) - pad),
-                                   _up(ln_s + math.log(lnb) + pad))
-            # ratio (-ln dist)/s_m = ln(base) - (ln s_m + [0, ln 2])/s_m, bounded
-            # directly so no precision is lost dividing log-space magnitudes
-            corr = (ln_s + ln2) * math.exp(-min(ln_s, 700.0)) * 1.01 + 1e-15
-            r_lo = _down((lnb - corr) * (1 - 1e-12))
-            r_hi = _up(lnb * (1 + 1e-12))
-            out.append(ApproximationSample(f"m={m}", q, nld, ratio_bounds=(r_lo, r_hi)))
-            if e * math.log2(base) > 1000:
-                break
-            e = base ** e
-        return out
-
-    return make
+        else:
+            # ln(-ln dist) = ln s_m + ln ln(base) up to a relatively tiny term
+            pad = abs(ln_s) * 1e-12 + 1e-9
+            nld = LogMagnitude(_down(ln_s + math.log(lnb) - pad),
+                               _up(ln_s + math.log(lnb) + pad))
+        # ratio (-ln dist)/s_m = ln(base) - (ln s_m + [0, ln 2])/s_m, bounded
+        # directly so no precision is lost dividing log-space magnitudes
+        corr = (ln_s + ln2) * math.exp(-min(ln_s, 700.0)) * 1.01 + 1e-15
+        r_lo = _down((lnb - corr) * (1 - 1e-12))
+        r_hi = _up(lnb * (1 + 1e-12))
+        yield ApproximationSample(f"m={m}", q, nld, ratio_bounds=(r_lo, r_hi))
+        if e * math.log2(base) > 1000:
+            return
+        e = base ** e
 
 
-def _double_tower_series_samples() -> Callable[[int], List[ApproximationSample]]:
+def _double_tower_series_samples() -> Iterator[ApproximationSample]:
     """Partial sums of sum 1/b_n with b_n = EXP_{2^n}(2^n)."""
-
-    def make(m_max: int) -> List[ApproximationSample]:
-        ln2 = math.log(2)
-        out = []
-        for m in range(1, m_max + 1):
-            b_m = exp_tower(2 ** m, 2 ** m)
-            b_m1 = exp_tower(2 ** (m + 1), 2 ** (m + 1))
-            lm_lo, lm_hi = nat_ln_interval(b_m)
-            ln_lo, ln_hi = nat_ln_interval(b_m1)
-            if ln_hi == _INF or lm_hi == _INF:
-                break
-            # -ln||b_m alpha|| = ln(b_{m+1}/b_m) - [0, ln 2]
-            v_lo = ln_lo - lm_hi - ln2
-            v_hi = ln_hi - lm_lo
-            if v_lo <= 0:
-                break
-            nld = LogMagnitude(_down(math.log(v_lo * (1 - 1e-9))),
-                               _up(math.log(v_hi * (1 + 1e-9))))
-            out.append(ApproximationSample(f"m={m}", b_m, nld))
-        return out
-
-    return make
+    ln2 = math.log(2)
+    for m in count(1):
+        b_m = exp_tower(2 ** m, 2 ** m)
+        b_m1 = exp_tower(2 ** (m + 1), 2 ** (m + 1))
+        lm_lo, lm_hi = nat_ln_interval(b_m)
+        ln_lo, ln_hi = nat_ln_interval(b_m1)
+        if ln_hi == _INF or lm_hi == _INF:
+            return
+        # -ln||b_m alpha|| = ln(b_{m+1}/b_m) - [0, ln 2]
+        v_lo = ln_lo - lm_hi - ln2
+        v_hi = ln_hi - lm_lo
+        if v_lo <= 0:
+            return
+        nld = LogMagnitude(_down(math.log(v_lo * (1 - 1e-9))),
+                           _up(math.log(v_hi * (1 + 1e-9))))
+        yield ApproximationSample(f"m={m}", b_m, nld)
 
 
 def _tower_cf_terms(base: int) -> Callable[[], Iterator[Nat]]:
@@ -937,13 +887,13 @@ def targeted_theta_cf(beta: Fraction) -> ContinuedFraction:
 def presets(base: int = 10) -> dict:
     """Registry of the example constructions, parametrizable by base."""
     reg = {
-        "alpha1": Preset("alpha1", samples=_factorial_series_samples(base)),
+        "alpha1": Preset("alpha1", samples=partial(_factorial_series_samples, base)),
         "alpha2": Preset("alpha2", cf=ContinuedFraction(1, _tower_cf_terms(base), name="alpha2")),
         "alpha3": Preset("alpha3", cf=ContinuedFraction(0, _factorial_cf_terms(base), name="alpha3")),
-        "alpha4": Preset("alpha4", samples=_tower_series_samples(base)),
+        "alpha4": Preset("alpha4", samples=partial(_tower_series_samples, base)),
         "alpha5": Preset("alpha5", cf=targeted_theta_cf(Fraction(2))),
         "alpha6": Preset("alpha6", cf=ContinuedFraction(0, _nested_tower_cf_terms(), name="alpha6")),
-        "alpha7": Preset("alpha7", samples=_double_tower_series_samples()),
+        "alpha7": Preset("alpha7", samples=_double_tower_series_samples),
         "golden": Preset("golden", cf=golden_cf()),
         "sqrt2m1": Preset("sqrt2m1", cf=sqrt2_minus_1_cf()),
         "e": Preset("e", cf=e_cf()),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .diophantine import ContinuedFraction
 from .errors import PreconditionError
@@ -72,10 +72,6 @@ def mechanical_prefix_floors(floors: Sequence[int]) -> Word:
     return tuple(floors[k + 1] - floors[k] for k in range(len(floors) - 1))
 
 
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 # ---------------------------------------------------------------------------
 # Christoffel / central words
 # ---------------------------------------------------------------------------
@@ -97,13 +93,6 @@ def central_word(p: int, q: int) -> Word:
     first and last letters.  A palindrome of length q - 2."""
     w = christoffel(p, q)
     return w[1:-1]
-
-
-def _check_slope(p: int, q: int) -> None:
-    if q < 1 or not (0 < p < q):
-        raise PreconditionError("slope must satisfy 0 < p < q")
-    if math.gcd(p, q) != 1:
-        raise PreconditionError("slope must be in lowest terms")
 
 
 def to_alphabet(w: Sequence[int], b: int) -> Word:
@@ -128,23 +117,16 @@ def bzb_word(b: int, p: int, q: int) -> Word:
         if p != 1:
             raise PreconditionError("slope must be reduced")
         return (b + 1,)
-    _check_slope(p, q)
     z = to_alphabet(central_word(p, q), b)
     return (b,) + z + (b,)
 
 
-def characteristic_prefix(alpha, n: int, floors: Optional[Sequence[int]] = None) -> Word:
+def characteristic_prefix(alpha: Slope, n: int) -> Word:
     """First n letters of the characteristic word of an irrational slope.
 
-    ``alpha`` may be anything accepted by ``mechanical_prefix`` when ``floors``
-    is given as a table of floor(m * alpha) for m = 0..n+1.  The word is the
-    upper mechanical word with intercept 0, shifted one step left (its first
-    letter is always 1 and carries no information).
+    The word is the upper mechanical word with intercept 0, shifted one step
+    left (its first letter is always 1 and carries no information).
     """
-    if floors is not None:
-        if len(floors) < n + 2:
-            raise PreconditionError("floor table too short")
-        return mechanical_prefix_floors(floors)[1:n + 1]
     word = mechanical_prefix(alpha, Fraction(0), n + 1, upper=True)
     return word[1:]
 
@@ -187,10 +169,6 @@ class PeriodicWord:
         return cls(tuple(pre), tuple(per))
 
     @classmethod
-    def constant(cls, letter: int) -> "PeriodicWord":
-        return cls.make((), (letter,))
-
-    @classmethod
     def from_finite(cls, w: Sequence[int]) -> "PeriodicWord":
         """w followed by 0^w."""
         return cls.make(tuple(w), (0,))
@@ -213,16 +191,8 @@ class PeriodicWord:
         r = k % len(self.per)
         return PeriodicWord.make((), self.per[r:] + self.per[:r])
 
-    def letters(self) -> Iterator[int]:
-        i = 0
-        while True:
-            yield self[i]
-            i += 1
-
     def __str__(self) -> str:
-        pre = "".join(_letter_str(x) for x in self.pre)
-        per = "".join(_letter_str(x) for x in self.per)
-        return f"{pre}({per})^w"
+        return f"{word_str(self.pre)}({word_str(self.per)})^w"
 
 
 def _primitive_root(w: Word) -> Word:
@@ -249,13 +219,14 @@ def _letter_str(x: int) -> str:
 WordLike = Union[Sequence[int], PeriodicWord]
 
 
-def lex_compare(u: WordLike, v: WordLike, horizon: int = 10 ** 6) -> int:
+def lex_compare(u: WordLike, v: WordLike) -> int:
     """-1 / 0 / +1 for the lexicographic order of two words.
 
     Finite words are compared as written (prefix order: a proper prefix is
     smaller).  Two PeriodicWords are compared exactly: the order is decided by
-    the first len(pre_u) + len(pre_v) + lcm(|per_u|, |per_v|) letters.  A
-    finite word against a PeriodicWord is padded with 0^w.
+    the first len(pre_u) + len(pre_v) + lcm(|per_u|, |per_v|) letters, at
+    most 10^6 of them.  A finite word against a PeriodicWord is padded with
+    0^w.
     """
     fin_u = not isinstance(u, PeriodicWord)
     fin_v = not isinstance(v, PeriodicWord)
@@ -264,18 +235,14 @@ def lex_compare(u: WordLike, v: WordLike, horizon: int = 10 ** 6) -> int:
         return -1 if tu < tv else (1 if tu > tv else 0)
     pu = PeriodicWord.from_finite(u) if fin_u else u
     pv = PeriodicWord.from_finite(v) if fin_v else v
-    bound = len(pu.pre) + len(pv.pre) + _lcm(len(pu.per), len(pv.per))
-    if bound > horizon:
+    bound = len(pu.pre) + len(pv.pre) + math.lcm(len(pu.per), len(pv.per))
+    if bound > 10 ** 6:
         raise PreconditionError("periods too long for exact comparison")
     for i in range(bound):
         a, b = pu[i], pv[i]
         if a != b:
             return -1 if a < b else 1
     return 0
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +305,7 @@ def common_prefix_radius(alpha: Slope, n: int, side: str) -> Union[Fraction, Enc
     for m in range(1, n + 1):
         if m % q == 0:
             continue
-        frac = m * alpha - _floor_frac(m * alpha)
+        frac = m * alpha % 1
         r = frac / m if side == "below" else (1 - frac) / m
         if best is None or r < best:
             best = r
@@ -393,10 +360,14 @@ def parse_word(s: str) -> Word:
     while i < len(s):
         c = s[i]
         if c == "[":
-            j = s.index("]", i)
-            out.append(int(s[i + 1:j]))
+            j = s.find("]", i)
+            letter = s[i + 1:j]
+            if j < 0 or not (letter.isascii() and letter.isdigit()):
+                raise PreconditionError(f"bad bracketed letter in {s!r}: need [N], "
+                                        "N a nonnegative decimal integer")
+            out.append(int(letter))
             i = j + 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":
             out.append(int(c))
             i += 1
         else:

@@ -170,3 +170,29 @@ def test_beta_root_periodic_finite_word():
     enc = beta_root_periodic(PeriodicWord.make((1, 1), (0,)), TOL).enclosure
     assert enc.width <= TOL
     assert enc.lo ** 2 - enc.lo - 1 < 0 < enc.hi ** 2 - enc.hi - 1
+
+
+@pytest.mark.parametrize("word, verdicts", [((1, 1), ["interior", "zero"]),
+                                            ((2, 0, 1), ["outside", "outside", "zero"])])
+def test_zero_period_handle_is_the_finite_word_handle(word, verdicts):
+    # w 0^w is the finite word w: its handle is bracketed and reduces orbits
+    # on the one annihilator of w, so the orbit hits 0 exactly
+    h = BetaHandle.from_periodic_word(PeriodicWord.from_finite(word), Fraction(1, 2 ** 24))
+    assert greedy_digits(h, 6) == (word, True)
+    assert h.annihilator == finite_annihilator(word)
+    finite = BetaHandle.from_finite_word(word, Fraction(1, 2 ** 24))
+    assert [p.verdict for p in extremal_orbit_check(finite, 6)] == verdicts
+    assert [p.verdict for p in extremal_orbit_check(h, 6)] == verdicts
+
+
+def test_handle_annihilator_is_the_bracketed_polynomial():
+    for h, F in [(BetaHandle.from_finite_word((2, 0, 1), TOL), finite_annihilator((2, 0, 1))),
+                 (BetaHandle.from_periodic_word(PeriodicWord.make((2,), (1,)), TOL),
+                  periodic_annihilator(PeriodicWord.make((2,), (1,)))),
+                 (BetaHandle.from_integer(3), (-3, 1))]:
+        assert h.annihilator == F
+        value = lambda x: sum(c * x ** i for i, c in enumerate(F))  # noqa: E731
+        if h.exact is not None:
+            assert value(h.exact) == 0
+        else:
+            assert value(h.enclosure.lo) < 0 < value(h.enclosure.hi)

@@ -1,13 +1,19 @@
 """End-to-end command-line checks, including schema validation of JSON output."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from staircase import cli, diophantine
 
@@ -202,6 +208,14 @@ def test_exit_code_certification(capsys):
     (["probe", "irrational", "--cf", "0,1,2", "-I", "2"], None, cli.EXIT_PRECONDITION),
     # more convergents (default -N 10) than the finite list has
     (["cf", "convergents", "--cf", "0,2,3"], None, cli.EXIT_PRECONDITION),
+    # an unclosed bracket, or a bracketed letter that is not a decimal integer
+    (["word", "admissible", "[x]"], None, cli.EXIT_PRECONDITION),
+    (["word", "admissible", "[12"], None, cli.EXIT_PRECONDITION),
+    # every estimator window needs N >= 2, series-sample presets included
+    (["classify", "--preset", "alpha1", "-N", "0"], None, cli.EXIT_PRECONDITION),
+    (["measure", "theta", "--preset", "alpha1", "-N", "-1"], None, cli.EXIT_PRECONDITION),
+    (["measure", "mu", "--preset", "golden", "-N", "1"], None, cli.EXIT_PRECONDITION),
+    (["cf", "convergents", "--preset", "golden", "--bit-budget", "-1"], None, cli.EXIT_USAGE),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, code):
     if env_digits is not None:
@@ -215,3 +229,72 @@ def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, c
     lines = err.splitlines()
     prefix = "error: usage: " if code == cli.EXIT_USAGE else "error: precondition: "
     assert len(lines) == 1 and lines[0].startswith(prefix), err
+
+
+# ---------------------------------------------------------------------------
+# Argv fuzzing: the exit-code, stderr and schema contract for every argv
+# ---------------------------------------------------------------------------
+
+
+def _leaves(parser, path=()):
+    """(subcommand path, option strings, required options, number of
+    positionals) per leaf of the parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, path + (name,))
+            return
+    options = [s for a in parser._actions for s in a.option_strings]
+    required = [a.option_strings[0] for a in parser._actions if a.option_strings and a.required]
+    positionals = [a for a in parser._actions if not a.option_strings]
+    yield path, options, required, len(positionals)
+
+
+LEAVES = list(_leaves(cli.build_parser()))
+VALUES = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.integers(0, 12).map(str),
+    st.builds("{}/{}".format, st.integers(-2, 12), st.integers(0, 5)),
+    st.sampled_from(sorted(diophantine.presets()) + ["targeted:2", "nope"]),
+    st.sampled_from(["0,1,fib", "0,2,periodic", "2,1,2,e-pattern", "0,1", "0,", "x,fib"]),
+    st.sampled_from(["2(10)", "[12]1(0[10])", "[x]", "[12", "(", "1)", "[]", "2"]),
+    st.sampled_from(["", "-", "--", "x", ".", "1e-3", "nan", "-1/2", "½", "json", "csv"]),
+)
+
+
+@st.composite
+def argvs(draw):
+    path, options, required, n_positionals = draw(st.sampled_from(LEAVES))
+    argv = list(path) + [draw(VALUES) for _ in range(n_positionals)]
+    for option in required:
+        argv += [option, draw(VALUES)]
+    for _ in range(draw(st.integers(0, 4))):
+        argv.append(draw(st.sampled_from(options)))
+        if draw(st.integers(0, 3)):
+            argv.append(draw(VALUES))
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argvs())
+@example(["word", "admissible", "[x]"])
+@example(["word", "admissible", "[12"])
+def test_any_argv_keeps_the_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop(cli.ENV_DIGITS, None)
+        os.chdir(tmp)  # --out writes here
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3), argv
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), (argv, lines)
+    if code == 0 and out.getvalue().startswith("{"):
+        jsonschema.validate(json.loads(out.getvalue()), SCHEMA)

@@ -200,3 +200,14 @@ def test_floors_upto_log_space_term_is_certification_error():
     cf = ContinuedFraction.from_quotients(0, [2, LogMagnitude(10.0, 11.0)], name="big")
     with pytest.raises(CertificationError, match="q_2 of big is not exactly representable"):
         cf.floors_upto(5)
+
+
+@pytest.mark.parametrize("make", [lambda qs: ContinuedFraction.from_quotients(0, qs),
+                                  lambda qs: ContinuedFraction(0, lambda: iter(qs))])
+def test_estimates_stop_at_the_end_of_a_finite_quotient_list(make):
+    # a list of 5 quotients, with and without a known length, gives the same
+    # window for any N >= 5 as for N = 5
+    qs = [1, 2, 3, 4, 5]
+    for estimate in (mu_estimate, theta_estimate):
+        assert estimate(make(qs), 20) == estimate(make(qs), 5)
+    assert [n for n, _, _ in theta_estimate(make(qs), 20).running] == [1, 2, 3, 4]

@@ -2,8 +2,11 @@
 
 ``golden/commands.txt`` holds the command lines of the README's "Command
 line" section, one per line; ``golden/NN.out`` holds the exact stdout of
-line NN (for ``delta plot --out FILE``, the file it writes).  Refactors and
-kernel rewrites must leave every byte unchanged.
+line NN (for ``delta plot --out FILE``, the file it writes).
+``golden/extra_commands.txt`` and ``golden/xNN.out`` do the same for
+command lines the README does not show: CSV probes, the estimators on the
+Liouville presets, upper mechanical words and bracketed word letters.
+Refactors and kernel rewrites must leave every byte unchanged.
 
 Regenerate the corpus, after a deliberate output change only, with
 
@@ -25,6 +28,7 @@ from staircase import cli
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 COMMANDS = GOLDEN.joinpath("commands.txt").read_text().splitlines()
+EXTRA = GOLDEN.joinpath("extra_commands.txt").read_text().splitlines()
 
 
 def _argv(line: str):
@@ -64,9 +68,18 @@ def test_golden_output(n, tmp_path, monkeypatch):
     assert capture(COMMANDS[n - 1], tmp_path) == expected
 
 
+@pytest.mark.parametrize("n", range(1, len(EXTRA) + 1))
+def test_extra_golden_output(n, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
+    expected = GOLDEN.joinpath(f"x{n:02d}.out").read_text()
+    assert capture(EXTRA[n - 1], tmp_path) == expected
+
+
 if __name__ == "__main__":
     os.environ.pop(cli.ENV_DIGITS, None)
-    for n, line in enumerate(COMMANDS, start=1):
-        with tempfile.TemporaryDirectory() as tmp:
-            GOLDEN.joinpath(f"{n:02d}.out").write_text(capture(line, Path(tmp)))
-        print(f"{n:02d}  {line}", file=sys.stderr)
+    for prefix, lines in (("", COMMANDS), ("x", EXTRA)):
+        for n, line in enumerate(lines, start=1):
+            name = f"{prefix}{n:02d}.out"
+            with tempfile.TemporaryDirectory() as tmp:
+                GOLDEN.joinpath(name).write_text(capture(line, Path(tmp)))
+            print(f"{name}  {line}", file=sys.stderr)
