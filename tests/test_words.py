@@ -146,10 +146,19 @@ def test_common_prefix_radius_rational_sides():
     assert mechanical_prefix(Fraction(2, 5) + Fraction(1, 35), Fraction(0), 7) != w0
 
 
-def test_word_str_parse_roundtrip():
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 150), max_size=12).map(tuple))
+def test_word_str_parse_roundtrip(w):
+    assert parse_word(word_str(w)) == w
     assert parse_word("101") == (1, 0, 1)
     assert parse_word(word_str((3, 12, 1))) == (3, 12, 1)
     assert word_str(PeriodicWord.make((3,), (2, 1))) == str(PeriodicWord.make((3,), (2, 1)))
+
+
+@pytest.mark.parametrize("s", ["[x]", "[12", "[]", "[-1]", "[ 1]", "[\u0661]", "\u00b2", "1a"])
+def test_parse_word_rejects_malformed_letters(s):
+    with pytest.raises(PreconditionError):
+        parse_word(s)
 
 
 def test_mechanical_rejects_bad_input():
