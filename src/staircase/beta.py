@@ -45,29 +45,22 @@ MAX_WORD_LENGTH = 1 << 20
 
 
 def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
-    """Exact sign of sum coeffs[i] * x**i at the dyadic point x = m / 2**k.
-
-    Horner with the denominator cleared: the accumulator ends up equal to
-    P(x) * 2**(k*deg), a plain integer with the same sign as P(x).  Every
-    power of the denominator is a left shift; the only products are by m.
-    The loop is ``_horner_shift``'s, kept inline: calling it would make the
-    roots of short words (up to 40 letters) about 3 % slower.
-    """
-    acc = 0
-    shift = 0
-    for c in reversed(coeffs):
-        acc *= m
-        if c:
-            acc += c << shift
-        shift += k
+    """Exact sign of sum coeffs[i] * x**i at the dyadic point x = m / 2**k."""
+    acc, _ = _horner_shift(0, 0, reversed(coeffs), m, k)
     return (acc > 0) - (acc < 0)
 
 
 def _horner_shift(acc: int, shift: int, descending: Iterable[int], m: int,
                   k: int) -> Tuple[int, int]:
-    """``_poly_sign``'s loop, resumable: continue the accumulator ``acc``
-    over more coefficients, listed by descending power; ``shift`` is k times
-    the number already taken.  Returns the new (acc, shift)."""
+    """Horner at x = m / 2**k with the denominator cleared, resumable.
+
+    Continues the accumulator ``acc`` over more coefficients, listed by
+    descending power; ``shift`` is k times the number already taken.  Over
+    all of P's coefficients from (0, 0), the accumulator ends up equal to
+    P(x) * 2**(k*deg), a plain integer with the same sign as P(x).  Every
+    power of the denominator is a left shift; the only products are by m.
+    Returns the new (acc, shift).
+    """
     for c in descending:
         acc *= m
         if c:
@@ -507,7 +500,9 @@ def _poly_times_x(coeffs: List[int], modulus: IntPoly) -> List[int]:
 
 
 def _poly_sub_const(coeffs: List[int], c: int) -> List[int]:
-    return [coeffs[0] - c] + coeffs[1:] if coeffs else [-c]
+    if not coeffs:
+        return [-c]
+    return [coeffs[0] - c] + coeffs[1:]
 
 
 def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, int]:

@@ -14,11 +14,12 @@ set): the underlying limits are not decidable from finitely many terms.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice
+from itertools import count, islice, repeat
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificationError, PreconditionError
@@ -197,11 +198,7 @@ class ContinuedFraction:
 
     @classmethod
     def constant(cls, a0: int, a: int, name: str = "") -> "ContinuedFraction":
-        def gen():
-            while True:
-                yield a
-
-        return cls(a0, gen, name=name)
+        return cls(a0, partial(repeat, a), name=name)
 
     def clone(self) -> "ContinuedFraction":
         return ContinuedFraction(self.a0, self._make_iter, name=self.name, length=self.length)
@@ -287,12 +284,10 @@ def e_cf() -> ContinuedFraction:
     """Euler's continued fraction e = [2; 1, 2, 1, 1, 4, 1, 1, 6, 1, ...]."""
 
     def gen():
-        m = 1
-        while True:
+        for m in count(1):
             yield 1
             yield 2 * m
             yield 1
-            m += 1
 
     return ContinuedFraction(2, gen, name="e")
 
@@ -492,7 +487,10 @@ def _mu_rows(convs: List[Convergent]):
 def _theta_rows(convs: List[Convergent]):
     for n in range(1, len(convs) - 1):
         qn = convs[n].q
-        d_lo, d_hi = (qn, qn) if isinstance(qn, int) else qn.value_interval()
+        if isinstance(qn, int):
+            d_lo = d_hi = qn
+        else:
+            d_lo, d_hi = qn.value_interval()
         if d_hi == _INF:
             yield f"q_{n} representable only in log space; window ends at n={n - 1}"
             return
@@ -565,7 +563,8 @@ def _mu_sample_rows(samples: Sequence[ApproximationSample]):
         if v_lo == _INF:
             yield i, _down(1.0 + sys.float_info.max / lq_hi), _INF
         else:
-            yield i, _down(1.0 + v_lo / lq_hi), _INF if v_hi == _INF else _up(1.0 + v_hi / lq_lo)
+            hi = _INF if v_hi == _INF else _up(1.0 + v_hi / lq_lo)
+            yield i, _down(1.0 + v_lo / lq_hi), hi
 
 
 def _nat_ratio(num: LogMagnitude, den: Nat) -> Optional[Tuple[float, float]]:
@@ -603,21 +602,25 @@ def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure
     if q > 10 ** 4:
         raise PreconditionError("brute-force scope is q <= 10^4")
 
-    def decide(x: Enclosure) -> Optional[dict]:
-        target_first = (x - Fraction(p, q)).abs()
-        target_second = (x * q - p).abs()
+    def decide(x) -> Optional[dict]:
+        if isinstance(x, Enclosure):
+            mid, less, size = x.mid, _iv_less, Enclosure.abs
+        else:  # rational t: plain Fraction comparisons, no interval products
+            mid, less, size = x, operator.lt, abs
+        target_first = size(x - Fraction(p, q))
+        target_second = size(x * q - p)
         first = True
         second = True
         for b in range(1, q + 1):
-            centre = x.mid * b
+            centre = mid * b
             a0 = centre.numerator // centre.denominator
             for a in (a0 - 1, a0, a0 + 1):
                 if b == q and a == p:
                     continue
                 if Fraction(a, b) == Fraction(p, q):
                     continue
-                cmp1 = _iv_less(target_first, (x - Fraction(a, b)).abs())
-                cmp2 = _iv_less(target_second, (x * b - a).abs())
+                cmp1 = less(target_first, size(x - Fraction(a, b)))
+                cmp2 = less(target_second, size(x * b - a))
                 if cmp1 is None or cmp2 is None:
                     return None
                 first = first and cmp1
@@ -626,7 +629,7 @@ def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure
 
     attempts = 0
     if not isinstance(t, Enclosure):
-        t = Enclosure.exact(t)
+        t = Fraction(t)
     while True:
         res = decide(t)
         if res is not None:
@@ -684,8 +687,11 @@ def classify(target, N: int = 8, thresholds: Thresholds = Thresholds(),
     log_low = math.log(thresholds.theta_low)
     log_high = math.log(thresholds.theta_high)
     tail = theta_est.running[-3:]
-    head_lo = max((t[1] for t in tail), default=0.0)
-    head_hi = max((t[2] for t in tail), default=0.0)
+    if tail:
+        head_lo = max(t[1] for t in tail)
+        head_hi = max(t[2] for t in tail)
+    else:
+        head_lo, head_hi = 0.0, 0.0
     encl = None
     if head_lo > log_high:
         label = "hyper-exponential"
@@ -717,6 +723,8 @@ class Preset:
         """The samples m = 1..m_max of the series, or fewer where they end."""
         if self._samples is None:
             raise PreconditionError(f"preset {self.name} has no series samples")
+        if m_max < 0:
+            raise PreconditionError("m_max must be nonnegative")
         return list(islice(self._samples(), m_max))
 
     def theta_estimate(self, N: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> MeasureEstimate:
@@ -816,26 +824,18 @@ def _double_tower_series_samples() -> Iterator[ApproximationSample]:
         yield ApproximationSample(f"m={m}", b_m, nld)
 
 
-def _tower_cf_terms(base: int) -> Callable[[], Iterator[Nat]]:
-    def gen():
-        n = 1
-        while True:
-            yield exp_tower(base, n)
-            n += 1
-
-    return gen
+def _tower_cf_terms(base: int) -> Iterator[Nat]:
+    """a_n = EXP_n(base)."""
+    for n in count(1):
+        yield exp_tower(base, n)
 
 
-def _factorial_cf_terms(base: int) -> Callable[[], Iterator[Nat]]:
+def _factorial_cf_terms(base: int) -> Iterator[Nat]:
     """a_1 = base, a_{n+1} = a_n! (iterated factorial)."""
-
-    def gen():
-        a: Nat = base
-        while True:
-            yield a
-            a = _exact_or_log_factorial(a)
-
-    return gen
+    a: Nat = base
+    while True:
+        yield a
+        a = _exact_or_log_factorial(a)
 
 
 def _exact_or_log_factorial(a: Nat) -> Nat:
@@ -844,16 +844,10 @@ def _exact_or_log_factorial(a: Nat) -> Nat:
     return log_factorial(a)
 
 
-def _nested_tower_cf_terms() -> Callable[[], Iterator[Nat]]:
+def _nested_tower_cf_terms() -> Iterator[Nat]:
     """a_n = EXP_n(n)."""
-
-    def gen():
-        n = 1
-        while True:
-            yield exp_tower(n, n) if n > 1 else 1
-            n += 1
-
-    return gen
+    for n in count(1):
+        yield exp_tower(n, n)
 
 
 def targeted_theta_cf(beta: Fraction) -> ContinuedFraction:
@@ -888,11 +882,11 @@ def presets(base: int = 10) -> dict:
     """Registry of the example constructions, parametrizable by base."""
     reg = {
         "alpha1": Preset("alpha1", samples=partial(_factorial_series_samples, base)),
-        "alpha2": Preset("alpha2", cf=ContinuedFraction(1, _tower_cf_terms(base), name="alpha2")),
-        "alpha3": Preset("alpha3", cf=ContinuedFraction(0, _factorial_cf_terms(base), name="alpha3")),
+        "alpha2": Preset("alpha2", cf=ContinuedFraction(1, partial(_tower_cf_terms, base), name="alpha2")),
+        "alpha3": Preset("alpha3", cf=ContinuedFraction(0, partial(_factorial_cf_terms, base), name="alpha3")),
         "alpha4": Preset("alpha4", samples=partial(_tower_series_samples, base)),
         "alpha5": Preset("alpha5", cf=targeted_theta_cf(Fraction(2))),
-        "alpha6": Preset("alpha6", cf=ContinuedFraction(0, _nested_tower_cf_terms(), name="alpha6")),
+        "alpha6": Preset("alpha6", cf=ContinuedFraction(0, _nested_tower_cf_terms, name="alpha6")),
         "alpha7": Preset("alpha7", samples=_double_tower_series_samples),
         "golden": Preset("golden", cf=golden_cf()),
         "sqrt2m1": Preset("sqrt2m1", cf=sqrt2_minus_1_cf()),

@@ -28,6 +28,7 @@ from staircase.diophantine import (
     theta_from_samples,
 )
 from staircase.errors import CertificationError, PreconditionError
+from staircase.intervals import Enclosure
 
 
 def test_cf_expand_rational():
@@ -145,6 +146,17 @@ def test_best_approx_check_rational_target():
     assert res["second_kind"]
 
 
+def test_best_approx_check_rational_matches_exact_enclosure():
+    # rational targets compare Fractions directly; the verdicts must be those
+    # of the degenerate enclosure [t, t], ties included
+    for t in (Fraction(5, 8), Fraction(1, 2), Fraction(13, 21), Fraction(7, 3)):
+        for q in range(1, 9):
+            for p in range(3 * q):
+                if math.gcd(p, q) == 1:
+                    assert (best_approx_check(t, p, q)
+                            == best_approx_check(Enclosure.exact(t), p, q))
+
+
 def test_targeted_theta_cf_hits_log_beta():
     for beta in (2, 3, 10):
         cf = targeted_theta_cf(Fraction(beta))
@@ -163,6 +175,14 @@ def test_presets_and_lookup():
     assert p.cf is not None
     with pytest.raises(PreconditionError):
         lookup_preset("nope")
+
+
+def test_preset_samples_window():
+    alpha4 = lookup_preset("alpha4")
+    assert alpha4.samples(0) == []
+    assert [s.label for s in alpha4.samples(2)] == ["m=1", "m=2"]
+    with pytest.raises(PreconditionError):
+        alpha4.samples(-1)
 
 
 def test_classification_structure():
