@@ -7,10 +7,11 @@ Everything here revolves around the strictly decreasing function
 for a digit sequence (a_n) with a_1 >= 1.  Its unique root is enclosed with
 exact integer sign tests, so enclosures are proofs: the root lies in [lo, hi]
 because g(lo) > 0 and g(hi) < 0 are integer facts.  Bracket endpoints are
-dyadic, m / 2^k.  Bisection narrows a bracket step by step; a deep refinement
-jumps to its final cell with a fixed-point Newton guess that sign tests then
-certify.  Both the sign tests and the interval evaluation of orbit
-polynomials run on plain integers with shifts.
+dyadic, m / 2^k.  Bisection narrows a bracket step by step; a longer
+refinement jumps to its final cell with a fixed-point Newton guess that sign
+tests then certify, and a repeated one goes deeper than asked, so that later
+requests are shifts of one certified cell.  Sign tests and the interval
+evaluation of orbit polynomials run on plain integers with shifts.
 """
 
 from __future__ import annotations
@@ -30,13 +31,18 @@ DEFAULT_TOL = Fraction(1, 10 ** 30)
 
 IntPoly = Tuple[int, ...]  # coefficients, ascending powers
 
-# A refinement with more than JUMP_MIN_STEPS bisection steps left past a
-# 2^-JUMP_FROM_BITS cell jumps to its final cell (RefinableRoot._jump), with
-# GUARD_BITS extra bits of Newton precision.  Jumping earlier than this costs
-# roots of high degree more in Newton steps than it saves in sign tests.
-# GUARD_BITS is also the margin the head sign test (_head_sign) aims for.
-JUMP_FROM_BITS = 32
-JUMP_MIN_STEPS = 64
+# A refinement jumps to its final cell 2^-K (RefinableRoot._jump) from the
+# scale 2^-k0, k0 = max(JUMP_FROM_BITS, bitlen(deg) + 2), when more than
+# min(max(JUMP_MIN_STEPS, deg/4), JUMP_MAX_STEPS) steps are left past it.
+# Newton's error constant on F is about deg/beta (F has the factor x^deg), so
+# k0 lies in its quadratic regime; GUARD_BITS are its extra bits, and the
+# margin the head sign test (_head_sign) aims for.  Timed over degrees 2 to
+# 5000 (see CHANGES.md), the jump beats one sign test per step from 6 to 24
+# steps up to degree 64, from about deg/4 up to degree 400, and from at most
+# 128 above, where sign tests are dear.
+JUMP_FROM_BITS = 8
+JUMP_MIN_STEPS = 12
+JUMP_MAX_STEPS = 64
 GUARD_BITS = 16
 
 # The longest digit word a root is built from: series truncations stop here,
@@ -147,6 +153,12 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     return partial(_head_sign, F, prefix_max, k_head)
 
 
+def _jump_start(deg: int, k: int, K: int) -> Optional[int]:
+    """Where a root of degree deg refined from 2^-k to 2^-K jumps, or None."""
+    start = max(k, JUMP_FROM_BITS, deg.bit_length() + 2)
+    return start if K - start > min(max(JUMP_MIN_STEPS, deg // 4), JUMP_MAX_STEPS) else None
+
+
 def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
     """Newton's method on F in fixed point from the guess x/2^p, p < P.
 
@@ -238,9 +250,10 @@ class RefinableRoot:
     F increases through its only root above 1.  Rational roots of a monic
     integer polynomial are integers, and the cell's open interior holds none,
     so no dyadic point in it is a root: refining to scale K always ends on the
-    one cell [j, j+1]/2^K that holds the root, whether reached by bisection or
-    by ``_jump``.  An integer root n is an exact hit, kept with the bracket
-    [n-1, n+1] and never refined.
+    one cell [j, j+1]/2^K that holds the root, whether reached by bisection,
+    by ``_jump`` or as the shift j' >> (K' - K) of a deeper cell [j', j'+1]/2^K'.
+    An integer root n is an exact hit, kept with the bracket [n-1, n+1] and
+    never refined.
 
     The bracket is kept as integers, so refinement builds no ``Fraction``;
     ``lo``, ``hi``, ``exact`` and ``enclosure`` present it as fractions.
@@ -260,7 +273,8 @@ class RefinableRoot:
             n += 1
             s = sign(n, 0)
         self._exact = n if s == 0 else None
-        self._a, self._b, self._k = n - 1, (n + 1 if s == 0 else n), 0
+        # The deepest certified cell [j, j+1]/2^K, presented at scale k <= K.
+        self._j, self._K, self._k = n - 1, 0, 0
 
     @classmethod
     def from_finite_word(cls, digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> "RefinableRoot":
@@ -278,11 +292,11 @@ class RefinableRoot:
 
     @property
     def lo(self) -> Fraction:
-        return Fraction(self._a, 1 << self._k)
+        return Fraction(self._j >> (self._K - self._k), 1 << self._k)
 
     @property
     def hi(self) -> Fraction:
-        return Fraction(self._b, 1 << self._k)
+        return self.lo + Fraction(1 if self._exact is None else 2, 1 << self._k)
 
     @property
     def exact(self) -> Optional[Fraction]:
@@ -293,7 +307,8 @@ class RefinableRoot:
         """The enclosure as integers (a, b, k), meaning [a/2^k, b/2^k]."""
         if self._exact is not None:
             return self._exact, self._exact, 0
-        return self._a, self._b, self._k
+        a = self._j >> (self._K - self._k)
+        return a, a + 1, self._k
 
     @property
     def enclosure(self) -> Enclosure:
@@ -304,9 +319,8 @@ class RefinableRoot:
         tol = Fraction(tol)
         if tol <= 0:
             raise PreconditionError("tolerance must be positive")
-        # The width (b - a)/2^k is at most tol once 2^k >= (b - a)/tol.
-        ratio = -(-(self._b - self._a) * tol.denominator // tol.numerator)
-        self._bisect((ratio - 1).bit_length() - self._k)
+        # The cell's width 2^-K is at most tol once 2^K >= 1/tol.
+        self._bisect((-(-tol.denominator // tol.numerator) - 1).bit_length() - self._k)
         return self.enclosure
 
     def refine_steps(self, steps: int) -> Enclosure:
@@ -314,36 +328,40 @@ class RefinableRoot:
         return self.enclosure
 
     def _bisect(self, steps: int) -> None:
-        """Narrow the bracket to the cell at scale 2^(k + steps) that holds
-        the root: by bisection, with a jump over all but the first
-        JUMP_FROM_BITS steps when more than JUMP_MIN_STEPS would remain."""
+        """Present the cell at scale K = k + steps that holds the root: a
+        shift of the deep cell, deepened first if K is past it.  A first
+        refinement aims at K, a later one at K' = max(K, 2k, k + 64) for the
+        deep scale k (the precision doubling of iRRAM, N. Th. Mueller, CCA
+        2000), by ``_jump`` where ``_jump_start`` allows; bisection goes to K
+        alone, also after a failed jump."""
         if self._exact is not None or steps <= 0:
             return
-        K = self._k + steps
-        if K - max(self._k, JUMP_FROM_BITS) > JUMP_MIN_STEPS:
-            self._halve(JUMP_FROM_BITS - self._k)
-            self._jump(K)
-        self._halve(K - self._k)
+        K, k = self._k + steps, self._K
+        if K > k:
+            target = max(K, 2 * k, k + 64) if k else K
+            start = _jump_start(len(self.annihilator) - 1, k, target)
+            if start is not None:
+                self._halve(start - k)
+                self._jump(target)
+            self._halve(K - self._K)
+        self._k = K
 
     def _halve(self, steps: int) -> None:
-        sign, a, b, k = self._sign, self._a, self._b, self._k
+        """Bisect the deep cell [j, j+1]/2^k ``steps`` times and present it."""
+        sign, j, k = self._sign, self._j, self._K
         for _ in range(steps):
-            m = a + b  # the midpoint, at scale 2^(k+1)
-            if sign(m, k + 1) < 0:
-                a, b = m, b << 1
-            else:
-                a, b = a << 1, m
             k += 1
-        self._a, self._b, self._k = a, b, k
+            j = 2 * j + 1 if sign(2 * j + 1, k) < 0 else 2 * j
+        self._j, self._K, self._k = j, k, k
 
     def _jump(self, K: int) -> None:
-        """Move the bracket to the cell [j, j+1]/2^K holding the root, or
-        leave it for bisection.  Newton from the bracket's midpoint guesses
-        j, which is clamped into the bracket, where F has no other root (it
-        may elsewhere); exact sign tests at j/2^K and
+        """Move the deep cell to the cell [j, j+1]/2^K holding the root and
+        present it, or leave it for bisection.  Newton from the cell's
+        midpoint guesses j, which is clamped into the cell, where F has no
+        other root (it may elsewhere); exact sign tests at j/2^K and
         (j+1)/2^K then certify the cell, after at most one move to a
         neighbouring cell: three sign tests at most."""
-        a, k = self._a, self._k
+        a, k = self._j, self._K
         x = _newton(self.annihilator, 2 * a + 1, k + 1, K + GUARD_BITS)
         if x is None:
             return
@@ -359,7 +377,7 @@ class RefinableRoot:
             j += 1
             if j > last or sign(j + 1, K) < 0:
                 return
-        self._a, self._b, self._k = j, j + 1, K
+        self._j, self._K, self._k = j, K, K
 
 
 # Earlier names: a root as a handle on the base beta, and its bracketing.

@@ -171,7 +171,9 @@ def _cmd_word(args) -> int:
     else:  # admissible
         s = args.digits
         if "(" in s:
-            pre_s, per_s = s.rstrip(")").split("(", 1)
+            if not s.endswith(")"):
+                raise PreconditionError(f"unclosed period in {s!r}: need PRE(PER)")
+            pre_s, per_s = s[:-1].split("(", 1)
             w = words.PeriodicWord.make(words.parse_word(pre_s), words.parse_word(per_s))
         else:
             w = words.parse_word(s)

@@ -4,6 +4,7 @@
 import random
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -259,6 +260,76 @@ def test_newton_guess_at_another_root_is_clamped():
     with mock.patch.object(beta, "_newton", lambda F, x, p, P: newton(F, -3 << (p - 1), p, P)):
         rr = beta_root_finite(digits, Fraction(1, 1 << 200))
     assert rr.bracket == _bisected(F, 1, 200).bracket
+
+
+# ---------------------------------------------------------------------------
+# Repeated refinement: one certified deep cell, presented at each scale
+# ---------------------------------------------------------------------------
+
+refinable_words = st.one_of(jump_words, st.builds(
+    lambda b, q, p: bzb_word(b, p % (q - 1) + 1, q) if gcd(p % (q - 1) + 1, q) == 1 else (b, b),
+    st.integers(1, 3), st.integers(3, 60), st.integers(0, 1 << 16)))
+# (use refine_steps, bits): refine by ``bits`` steps, or to a tolerance
+# ``bits`` bits past (or, for bits < 0, short of) the bracket's width
+refine_rounds = st.lists(st.tuples(st.booleans(), st.integers(-40, 40).filter(bool)),
+                         min_size=1, max_size=8)
+newton_faults = st.one_of(st.just(0), st.just(None), st.integers(-3, 3))
+
+
+def _refine_and_compare(word, rounds, fault):
+    """Run ``rounds`` on a fresh root with ``_newton``'s guess moved by
+    ``fault`` cells (None: no guess), checking each bracket against
+    bisection to the same scale."""
+    F, a1 = _root_of(word)
+    assume(_bracket(F, a1).exact is None)
+    newton = beta._newton
+
+    def faulty(F, x, p, P):
+        if fault is None:
+            return None
+        return newton(F, x, p, P) + (fault << GUARD_BITS)
+
+    reference = _bracket(F, a1)
+    with mock.patch.object(beta, "_newton", faulty):
+        rr = _bracket(F, a1)
+        K = 0
+        for use_steps, bits in rounds:
+            if use_steps:
+                rr.refine_steps(bits)
+                K += max(bits, 0)
+            else:
+                rr.refine(Fraction(1, 1 << max(K + bits, 0)))
+                K = max(K, K + bits)
+            reference._halve(K - reference.bracket[2])
+            assert rr.bracket == reference.bracket
+
+
+@settings(max_examples=40, deadline=None)
+@given(refinable_words, refine_rounds)
+@example(bzb_word(1, 41, 97), [(True, 30), (False, 8), (False, -20), (True, 40), (False, 8)])
+def test_repeated_refinement_ends_on_the_bisection_cells(word, rounds):
+    _refine_and_compare(word, rounds, 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(refinable_words, refine_rounds, newton_faults)
+def test_repeated_refinement_survives_wrong_newton_guesses(word, rounds, fault):
+    """A missing guess, or one some cells off, leaves the brackets on the
+    bisection cells: a jump that fails certifies nothing deeper."""
+    _refine_and_compare(word, rounds, fault)
+
+
+def test_repeated_refinement_sign_test_budget():
+    """8-bit rounds from 2^-30 to 2^-206 are served from deep cells that
+    jumps certify: a few sign tests each, not one per bit (176 in all)."""
+    rr = beta_root_finite(bzb_word(1, 41, 97), Fraction(1, 1 << 30))
+    calls = []
+    sign = rr._sign
+    rr._sign = lambda m, k: calls.append(k) or sign(m, k)
+    for bits in range(38, 207, 8):
+        rr.refine(Fraction(1, 1 << bits))
+    assert rr.bracket[2] == 206
+    assert len(calls) <= 24, len(calls)
 
 
 # ---------------------------------------------------------------------------

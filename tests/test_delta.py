@@ -182,14 +182,15 @@ def test_lipschitz_order_leaves_mpmath_precision_alone():
         iv.prec = saved
 
 
-@pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(17, 12), Fraction(7, 3)])
-@pytest.mark.parametrize("value, annihilator", [(delta_rational, finite_annihilator),
-                                                (delta_right_limit, periodic_annihilator)])
-def test_deep_enclosure_contains_polyroots_root(alpha, value, annihilator):
-    """Differential oracle: at 2^-1000 the enclosure holds the one real root
-    above 1 of the annihilator that mpmath.polyroots finds at 1100 bits, with
+DEEP_CASES = pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(17, 12), Fraction(7, 3)])
+DEEP_VALUES = pytest.mark.parametrize("value, annihilator", [(delta_rational, finite_annihilator),
+                                                             (delta_right_limit, periodic_annihilator)])
+
+
+def _assert_holds_polyroots_root(d, annihilator):
+    """The enclosure, at most 2^-1000 wide, holds the one real root above 1
+    of the annihilator that mpmath.polyroots finds at 1100 bits, with
     polyroots' own error bound."""
-    d = value(alpha, Fraction(1, 1 << 1000))
     assert d.enclosure.width <= Fraction(1, 1 << 1000)
     coeffs = annihilator(d.word)
     with mp.workprec(1100):
@@ -200,3 +201,21 @@ def test_deep_enclosure_contains_polyroots_root(alpha, value, annihilator):
         hi = mp.mpf(d.enclosure.hi.numerator) / d.enclosure.hi.denominator
         assert err < mp.mpf(2) ** -1050 and len(real) == 1
         assert lo <= real[0] - err and real[0] + err <= hi
+
+
+@DEEP_CASES
+@DEEP_VALUES
+def test_deep_enclosure_contains_polyroots_root(alpha, value, annihilator):
+    """Differential oracle: one refinement to 2^-1000."""
+    _assert_holds_polyroots_root(value(alpha, Fraction(1, 1 << 1000)), annihilator)
+
+
+@DEEP_CASES
+@DEEP_VALUES
+def test_deep_enclosure_in_rounds_contains_polyroots_root(alpha, value, annihilator):
+    """Differential oracle on the repeated path: from 2^-40 to 2^-1000 in
+    refinements of 16 bits each, most served from a deeper certified cell."""
+    d = value(alpha, Fraction(1, 1 << 40))
+    for bits in range(56, 1001, 16):
+        d.refine(Fraction(1, 1 << bits))
+    _assert_holds_polyroots_root(d, annihilator)
