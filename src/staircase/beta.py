@@ -31,18 +31,18 @@ DEFAULT_TOL = Fraction(1, 10 ** 30)
 
 IntPoly = Tuple[int, ...]  # coefficients, ascending powers
 
-# A refinement jumps to its final cell 2^-K (RefinableRoot._jump) from the
-# scale 2^-k0, k0 = max(JUMP_FROM_BITS, bitlen(deg) + 2), when more than
-# min(max(JUMP_MIN_STEPS, deg/4), JUMP_MAX_STEPS) steps are left past it.
-# Newton's error constant on F is about deg/beta (F has the factor x^deg), so
-# k0 lies in its quadratic regime; GUARD_BITS are its extra bits, and the
-# margin the head sign test (_head_sign) aims for.  Timed over degrees 2 to
-# 5000 (see CHANGES.md), the jump beats one sign test per step from 6 to 24
-# steps up to degree 64, from about deg/4 up to degree 400, and from at most
-# 128 above, where sign tests are dear.
+# A refinement jumps to its final cell (RefinableRoot._jump) past a cell of
+# scale 2^-max(JUMP_FROM_BITS, d/8) when more than max(JUMP_MIN_STEPS, d/4)
+# steps are left, d = min(deg F, JUMP_HIGH_DEGREE).  A bisection step costs a
+# sign test; a jump, Newton steps over all deg F coefficients and at most
+# three sign tests.  Timed over degrees 2 to 5000 (see CHANGES.md), the jump
+# paid from 6 to 24 steps up to degree 64, from about deg/4 up to degree 400,
+# and from 4 to over 128 steps by word beyond.  Newton's error constant is
+# about deg/beta, so these starts lie in its quadratic regime.  GUARD_BITS
+# are Newton's extra bits and the head sign test's (_head_sign) margin.
 JUMP_FROM_BITS = 8
 JUMP_MIN_STEPS = 12
-JUMP_MAX_STEPS = 64
+JUMP_HIGH_DEGREE = 256
 GUARD_BITS = 16
 
 # The longest digit word a root is built from: series truncations stop here,
@@ -151,12 +151,6 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     if k_head <= 0:
         return partial(_poly_sign, F)
     return partial(_head_sign, F, prefix_max, k_head)
-
-
-def _jump_start(deg: int, k: int, K: int) -> Optional[int]:
-    """Where a root of degree deg refined from 2^-k to 2^-K jumps, or None."""
-    start = max(k, JUMP_FROM_BITS, deg.bit_length() + 2)
-    return start if K - start > min(max(JUMP_MIN_STEPS, deg // 4), JUMP_MAX_STEPS) else None
 
 
 def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
@@ -320,7 +314,8 @@ class RefinableRoot:
         if tol <= 0:
             raise PreconditionError("tolerance must be positive")
         # The cell's width 2^-K is at most tol once 2^K >= 1/tol.
-        self._bisect((-(-tol.denominator // tol.numerator) - 1).bit_length() - self._k)
+        K = (-(-tol.denominator // tol.numerator) - 1).bit_length()
+        self._bisect(K - self._k)
         return self.enclosure
 
     def refine_steps(self, steps: int) -> Enclosure:
@@ -331,16 +326,17 @@ class RefinableRoot:
         """Present the cell at scale K = k + steps that holds the root: a
         shift of the deep cell, deepened first if K is past it.  A first
         refinement aims at K, a later one at K' = max(K, 2k, k + 64) for the
-        deep scale k (the precision doubling of iRRAM, N. Th. Mueller, CCA
-        2000), by ``_jump`` where ``_jump_start`` allows; bisection goes to K
+        deep scale k (the precision doubling of iRRAM, N. Th. Müller, CCA
+        2000), by ``_jump`` where JUMP_FROM_BITS allows; bisection goes to K
         alone, also after a failed jump."""
         if self._exact is not None or steps <= 0:
             return
         K, k = self._k + steps, self._K
         if K > k:
             target = max(K, 2 * k, k + 64) if k else K
-            start = _jump_start(len(self.annihilator) - 1, k, target)
-            if start is not None:
+            d = min(len(self.annihilator) - 1, JUMP_HIGH_DEGREE)
+            start = max(k, JUMP_FROM_BITS, d // 8)
+            if target - start > max(JUMP_MIN_STEPS, d // 4):
                 self._halve(start - k)
                 self._jump(target)
             self._halve(K - self._K)

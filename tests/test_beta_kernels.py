@@ -266,9 +266,9 @@ def test_newton_guess_at_another_root_is_clamped():
 # Repeated refinement: one certified deep cell, presented at each scale
 # ---------------------------------------------------------------------------
 
-refinable_words = st.one_of(jump_words, st.builds(
-    lambda b, q, p: bzb_word(b, p % (q - 1) + 1, q) if gcd(p % (q - 1) + 1, q) == 1 else (b, b),
-    st.integers(1, 3), st.integers(3, 60), st.integers(0, 1 << 16)))
+refinable_words = st.one_of(jump_words, st.integers(3, 60).flatmap(lambda q: st.builds(
+    bzb_word, st.integers(1, 3), st.sampled_from([p for p in range(1, q) if gcd(p, q) == 1]),
+    st.just(q))))
 # (use refine_steps, bits): refine by ``bits`` steps, or to a tolerance
 # ``bits`` bits past (or, for bits < 0, short of) the bracket's width
 refine_rounds = st.lists(st.tuples(st.booleans(), st.integers(-40, 40).filter(bool)),
@@ -302,6 +302,8 @@ def _refine_and_compare(word, rounds, fault):
                 K = max(K, K + bits)
             reference._halve(K - reference.bracket[2])
             assert rr.bracket == reference.bracket
+            a, b, k = rr.bracket
+            assert (k, b) == (K, a + 1) and _poly_sign(F, a, k) < 0 < _poly_sign(F, b, k)
 
 
 @settings(max_examples=40, deadline=None)
