@@ -327,8 +327,8 @@ class RefinableRoot:
         shift of the deep cell, deepened first if K is past it.  A first
         refinement aims at K, a later one at K' = max(K, 2k, k + 64) for the
         deep scale k (the precision doubling of iRRAM, N. Th. Müller, CCA
-        2000), by ``_jump`` where JUMP_FROM_BITS allows; bisection goes to K
-        alone, also after a failed jump."""
+        2000), by ``_jump`` where the rule at JUMP_FROM_BITS allows; else to K
+        alone by bisection, as after a failed jump."""
         if self._exact is not None or steps <= 0:
             return
         K, k = self._k + steps, self._K
@@ -343,7 +343,7 @@ class RefinableRoot:
         self._k = K
 
     def _halve(self, steps: int) -> None:
-        """Bisect the deep cell [j, j+1]/2^k ``steps`` times and present it."""
+        """Bisect the deep cell ``steps`` times and present it."""
         sign, j, k = self._sign, self._j, self._K
         for _ in range(steps):
             k += 1

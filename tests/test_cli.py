@@ -211,15 +211,15 @@ def test_exit_code_certification(capsys):
     # an unclosed bracket, or a bracketed letter that is not a decimal integer
     (["word", "admissible", "[x]"], None, cli.EXIT_PRECONDITION),
     (["word", "admissible", "[12"], None, cli.EXIT_PRECONDITION),
-    # a period with its ")" missing, doubled or before the "("
-    (["word", "admissible", "1(2"], None, cli.EXIT_PRECONDITION),
-    (["word", "admissible", "1(2))"], None, cli.EXIT_PRECONDITION),
-    (["word", "admissible", "1)(2)"], None, cli.EXIT_PRECONDITION),
     # every estimator window needs N >= 2, series-sample presets included
     (["classify", "--preset", "alpha1", "-N", "0"], None, cli.EXIT_PRECONDITION),
     (["measure", "theta", "--preset", "alpha1", "-N", "-1"], None, cli.EXIT_PRECONDITION),
     (["measure", "mu", "--preset", "golden", "-N", "1"], None, cli.EXIT_PRECONDITION),
     (["cf", "convergents", "--preset", "golden", "--bit-budget", "-1"], None, cli.EXIT_USAGE),
+    # a period with its ")" missing, doubled or before the "("
+    (["word", "admissible", "1(2"], None, cli.EXIT_PRECONDITION),
+    (["word", "admissible", "1(2))"], None, cli.EXIT_PRECONDITION),
+    (["word", "admissible", "1)(2)"], None, cli.EXIT_PRECONDITION),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, code):
     if env_digits is not None:
