@@ -273,13 +273,17 @@ refinable_words = st.one_of(jump_words, st.integers(3, 60).flatmap(lambda q: st.
 # ``bits`` bits past (or, for bits < 0, short of) the bracket's width
 refine_rounds = st.lists(st.tuples(st.booleans(), st.integers(-40, 40).filter(bool)),
                          min_size=1, max_size=8)
-newton_faults = st.one_of(st.just(0), st.just(None), st.integers(-3, 3))
+# cells by which Newton's guess is moved, or None for no guess
+newton_faults = st.one_of(st.just(0), st.none(), st.integers(-3, 3))
 
 
-def _refine_and_compare(word, rounds, fault):
-    """Run ``rounds`` on a fresh root with ``_newton``'s guess moved by
-    ``fault`` cells (None: no guess), checking each bracket against
-    bisection to the same scale."""
+@settings(max_examples=60, deadline=None)
+@given(refinable_words, refine_rounds, newton_faults)
+@example(bzb_word(1, 41, 97), [(True, 30), (False, 8), (False, -20), (True, 40), (False, 8)], 0)
+def test_repeated_refinement_ends_on_the_bisection_cells(word, rounds, fault):
+    """After each round the bracket is bisection's cell at the same scale,
+    also when Newton's guess is missing or some cells off: a jump that fails
+    certifies nothing deeper."""
     F, a1 = _root_of(word)
     assume(_bracket(F, a1).exact is None)
     newton = beta._newton
@@ -304,21 +308,6 @@ def _refine_and_compare(word, rounds, fault):
             assert rr.bracket == reference.bracket
             a, b, k = rr.bracket
             assert (k, b) == (K, a + 1) and _poly_sign(F, a, k) < 0 < _poly_sign(F, b, k)
-
-
-@settings(max_examples=40, deadline=None)
-@given(refinable_words, refine_rounds)
-@example(bzb_word(1, 41, 97), [(True, 30), (False, 8), (False, -20), (True, 40), (False, 8)])
-def test_repeated_refinement_ends_on_the_bisection_cells(word, rounds):
-    _refine_and_compare(word, rounds, 0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(refinable_words, refine_rounds, newton_faults)
-def test_repeated_refinement_survives_wrong_newton_guesses(word, rounds, fault):
-    """A missing guess, or one some cells off, leaves the brackets on the
-    bisection cells: a jump that fails certifies nothing deeper."""
-    _refine_and_compare(word, rounds, fault)
 
 
 def test_repeated_refinement_sign_test_budget():
