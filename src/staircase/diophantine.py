@@ -479,7 +479,7 @@ def _mu_rows(convs: List[Convergent]):
         if la_lo <= 0.0:
             continue  # q_n < 2: the ratio is not meaningful yet
         if lb_hi == _INF:
-            yield f"ln q_{n + 1} beyond float range; window ends at n={n}"
+            yield f"ln q_{n + 1} beyond float range; window ends at n={n - 1}"
             return
         yield n, _down(1.0 + lb_lo / la_hi), _up(1.0 + lb_hi / la_lo)
 

@@ -231,3 +231,11 @@ def test_estimates_stop_at_the_end_of_a_finite_quotient_list(make):
     for estimate in (mu_estimate, theta_estimate):
         assert estimate(make(qs), 20) == estimate(make(qs), 5)
     assert [n for n, _, _ in theta_estimate(make(qs), 20).running] == [1, 2, 3, 4]
+
+
+def test_window_notes_name_the_last_row_kept():
+    # alpha5's q_6 overflows float logs: both estimators stop early, and each
+    # note names the last n of its running values
+    alpha5 = lookup_preset("alpha5")
+    for est in (alpha5.mu_estimate(8), alpha5.theta_estimate(8)):
+        assert est.window_note.endswith(f"window ends at n={est.running[-1][0]}"), est
