@@ -156,13 +156,14 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
 def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
     """Newton's method on F in fixed point from the guess x/2^p, p < P.
 
-    The precision about doubles from step to step up to P bits; steps at P
-    bits then repeat, at most four more, until one moves x by at most
+    The precision about doubles from step to step up to P bits, from 16 bits
+    at the least (where halving plus 8 stops falling); steps at P bits then
+    repeat, at most four more, until one moves x by at most
     2^(GUARD_BITS - P).  Returns the final x at scale 2^P, or None where F'
     is not positive.  The result is only a guess: no error bound is claimed.
     """
     schedule = [P]
-    while schedule[-1] > 2 * p:
+    while schedule[-1] > 2 * p and schedule[-1] // 2 + 8 < schedule[-1]:
         schedule.append(schedule[-1] // 2 + 8)
     schedule.reverse()
     for q in schedule + [P] * 4:

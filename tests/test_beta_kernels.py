@@ -212,6 +212,17 @@ def test_newton_jump_lands_on_the_bisection_cell(word, K):
     assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
 
 
+@pytest.mark.parametrize("word", [(1, 1), (2, 0, 1, 1), bzb_word(2, 5, 13)])
+def test_jump_from_a_coarse_cell_returns(word):
+    """Below a 2^-8 start Newton's precision schedule bottoms out at 16 bits,
+    so a jump from a 2^-4 cell ends, on the bisection cell."""
+    F, a1 = _root_of(word)
+    rr = _bracket(F, a1)
+    rr._halve(4)
+    rr._jump(100)
+    assert rr.bracket == _bisected(F, a1, 100).bracket
+
+
 @pytest.mark.parametrize("cells_off", [-1, 1])
 @pytest.mark.parametrize("word", [(1, 1), (2, 0, 1, 1), bzb_word(2, 5, 13)])
 def test_jump_steps_to_the_neighbour_cell(word, cells_off):
