@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .beta import MAX_WORD_LENGTH, BetaHandle, SeriesRoot
 from .diophantine import ContinuedFraction
-from .errors import CertificationError, PreconditionError
+from .errors import PreconditionError
 from .intervals import Enclosure, decimal_str, enclosure_strings, refine_until
 from .words import PeriodicWord, Word, bzb_word, central_word, to_alphabet
 
@@ -160,38 +160,24 @@ class StaircaseDigitStream:
 
     a_1 = b = floor(alpha) + 1 and a_{n+1} = (b - 1) + c(n), where c is the
     characteristic word of the fractional part theta: c(n) = floor((n+1)theta)
-    - floor(n theta).  Floors come from an exact convergent table, extended
-    on demand.
+    - floor(n theta).  As b - 1 = floor(alpha), a_n = floor(n alpha) -
+    floor((n-1) alpha) for n >= 2, read off alpha's own exact floor table,
+    extended on demand.
     """
 
     def __init__(self, cf: ContinuedFraction):
         self.cf = cf
         self.b = cf.a0 + 1
-        self._frac_cf = ContinuedFraction(0, lambda: _tail_terms(cf), name=cf.name)
         self._floors: List[int] = [0]
-
-    def _ensure_floors(self, n: int) -> None:
-        if len(self._floors) <= n:
-            self._floors = self._frac_cf.floors_upto(max(n, 2 * len(self._floors)))
 
     def digit(self, n: int) -> int:
         if n < 1:
             raise PreconditionError("digit index starts at 1")
         if n == 1:
             return self.b
-        k = n - 1
-        self._ensure_floors(k + 1)
-        return self.b - 1 + self._floors[k + 1] - self._floors[k]
-
-
-def _tail_terms(cf: ContinuedFraction) -> Iterator[int]:
-    n = 1
-    while True:
-        t = cf.term(n)
-        if not isinstance(t, int):
-            raise CertificationError("slope terms must be exact integers here")
-        yield t
-        n += 1
+        if len(self._floors) <= n:
+            self._floors = self.cf.floors_upto(max(n, 2 * len(self._floors)))
+        return self._floors[n] - self._floors[n - 1]
 
 
 def delta_irrational(cf: ContinuedFraction, tol: Fraction = IRRATIONAL_TOL) -> DeltaValue:
