@@ -11,7 +11,6 @@ lower bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
@@ -21,7 +20,7 @@ from .delta import (DeltaValue, delta_irrational, delta_rational,
                     delta_right_limit, _split_slope)
 from .diophantine import ContinuedFraction
 from .errors import CertificationError, PreconditionError
-from .intervals import Enclosure, enclosure_strings, refine_until
+from .intervals import Enclosure, refine_until
 from .words import PeriodicWord, bzb_word, common_prefix_radius
 
 DEFAULT_TOL = Fraction(1, 10 ** 12)
@@ -81,26 +80,6 @@ class QuotientTrace:
         except CertificationError:
             self.verdict = "inconclusive"
         return self.verdict
-
-    def _rows(self, digits: int) -> List[tuple]:
-        """(k, alpha_k_num, alpha_k_den, quotient_lo, quotient_hi) per probe."""
-        return [(p.index, p.slope.numerator, p.slope.denominator,
-                 *enclosure_strings(p.quotient, digits)) for p in self.points]
-
-    def csv_rows(self, digits: int = 30) -> List[List[str]]:
-        """The probe rows as strings, and a verdict footer."""
-        return [list(map(str, row)) for row in self._rows(digits)] + [
-            ["verdict", self.verdict, "", "", ""]]
-
-    def to_json(self, digits: int = 30) -> str:
-        keys = ("k", "alpha_num", "alpha_den", "quotient_lo", "quotient_hi")
-        probes = [dict(zip(keys, row)) for row in self._rows(digits)]
-        if isinstance(self.center, ContinuedFraction):
-            center = self.center.name or "cf"
-        else:
-            center = str(self.center)
-        return json.dumps({"center": center, "probes": probes,
-                           "verdict": self.verdict}, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ import os
 import sys
 from fractions import Fraction
 from itertools import count
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from . import analysis, delta, diophantine, words
 from .diophantine import ContinuedFraction, e_cf
 from .errors import CertificationError, PreconditionError
-from .intervals import enclosure_strings
+from .intervals import decimal_str, enclosure_strings
 
 ENV_DIGITS = "STAIRCASE_DIGITS"
 
@@ -122,13 +122,16 @@ def parse_cf(spec: str, irrational: bool = False) -> ContinuedFraction:
     return ContinuedFraction(a0, gen, name=spec)
 
 
-def _resolve_cf(args, irrational: bool = False) -> ContinuedFraction:
-    if getattr(args, "cf", None):
-        return parse_cf(args.cf, irrational)
+def _target(args, cf: bool = False, irrational: bool = False) -> diophantine.Preset:
+    """The number named by --cf, else by --preset.  With ``cf`` or
+    ``irrational`` it needs a continued fraction, and with ``irrational`` a
+    --cf list needs a generator suffix."""
+    if args.cf:
+        return diophantine.Preset("cf", cf=parse_cf(args.cf, irrational))
     preset = diophantine.lookup_preset(args.preset)
-    if preset.cf is None:
+    if (cf or irrational) and preset.cf is None:
         raise PreconditionError(f"preset {preset.name} has no continued fraction form")
-    return preset.cf.clone()
+    return preset
 
 
 def _emit(payload: dict, out=None) -> None:
@@ -137,7 +140,7 @@ def _emit(payload: dict, out=None) -> None:
     out.write("\n")
 
 
-def _csv_out(header: List[str], rows: List[List[str]], path: Optional[str]) -> None:
+def _csv_out(header: List[str], rows: Iterable[Sequence], path: Optional[str]) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -153,41 +156,38 @@ def _csv_out(header: List[str], rows: List[List[str]], path: Optional[str]) -> N
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each builds its payload and writes it
 # ---------------------------------------------------------------------------
 
 
-def _cmd_word(args) -> int:
-    if args.word_cmd == "christoffel":
-        w = words.christoffel(args.p, args.q, upper=args.upper)
-        print(words.word_str(w))
-    elif args.word_cmd == "central":
-        print(words.word_str(words.central_word(args.p, args.q)))
-    elif args.word_cmd == "mechanical":
-        alpha = parse_fraction(args.alpha)
-        rho = parse_fraction(args.rho)
-        w = words.mechanical_prefix(alpha, rho, args.n, upper=args.upper)
-        print(words.word_str(w))
-    else:  # admissible
-        s = args.digits
-        if "(" in s:
-            if not s.endswith(")"):
-                raise PreconditionError(f"unclosed period in {s!r}: need PRE(PER)")
-            pre_s, per_s = s[:-1].split("(", 1)
-            w = words.PeriodicWord.make(words.parse_word(pre_s), words.parse_word(per_s))
-        else:
-            w = words.parse_word(s)
-        _emit({"word": words.word_str(w),
-               "admissible": words.is_parry_admissible(w)})
-    return EXIT_OK
+def _cmd_christoffel(args) -> None:
+    print(words.word_str(words.christoffel(args.p, args.q, upper=args.upper)))
 
 
-def _delta_payload(value: delta.DeltaValue, digits: int) -> dict:
-    return {"word": words.word_str(value.word), "nature": value.nature,
-            "enclosure": list(value.strings(digits))}
+def _cmd_central(args) -> None:
+    print(words.word_str(words.central_word(args.p, args.q)))
 
 
-def _cmd_delta_eval(args) -> int:
+def _cmd_mechanical(args) -> None:
+    alpha = parse_fraction(args.alpha)
+    rho = parse_fraction(args.rho)
+    print(words.word_str(words.mechanical_prefix(alpha, rho, args.n, upper=args.upper)))
+
+
+def _cmd_admissible(args) -> None:
+    s = args.digits
+    if "(" in s:
+        if not s.endswith(")"):
+            raise PreconditionError(f"unclosed period in {s!r}: need PRE(PER)")
+        pre_s, per_s = s[:-1].split("(", 1)
+        w = words.PeriodicWord.make(words.parse_word(pre_s), words.parse_word(per_s))
+    else:
+        w = words.parse_word(s)
+    _emit({"word": words.word_str(w),
+           "admissible": words.is_parry_admissible(w)})
+
+
+def _cmd_delta_eval(args) -> None:
     tol = args.tol
     if args.alpha is not None:
         alpha = parse_fraction(args.alpha)
@@ -195,42 +195,45 @@ def _cmd_delta_eval(args) -> int:
             value = delta.delta_right_limit(alpha, tol)
         else:
             value = delta.delta_rational(alpha, tol)
-        payload = {"slope": str(alpha), **_delta_payload(value, args.digits)}
+        slope = {"slope": str(alpha)}
     else:
-        cf = _resolve_cf(args, irrational=True)
+        cf = _target(args, irrational=True).cf
         value = delta.delta_irrational(cf, tol)
-        payload = {"slope_cf": cf.name or "cf", **_delta_payload(value, args.digits)}
-    _emit(payload)
-    return EXIT_OK
+        slope = {"slope_cf": cf.name or "cf"}
+    _emit({**slope, "word": words.word_str(value.word), "nature": value.nature,
+           "enclosure": list(enclosure_strings(value.enclosure, args.digits))})
 
 
-def _cmd_delta_plot(args) -> int:
+def _cmd_delta_plot(args) -> None:
     rows = delta.plot_samples(parse_fraction(getattr(args, "from")),
                               parse_fraction(args.to), args.max_den, args.tol)
-    _csv_out(delta.CSV_HEADER, [r.csv_fields(args.digits) for r in rows], args.out)
-    return EXIT_OK
+    d = args.digits
+    header = ["slope_num", "slope_den", "delta_lo", "delta_hi",
+              "right_lo", "right_hi", "jump_lo"]
+    _csv_out(header, [(r.slope.numerator, r.slope.denominator,
+                       *enclosure_strings(r.delta.enclosure, d),
+                       *enclosure_strings(r.right.enclosure, d),
+                       decimal_str(r.jump_lo, d, "floor")) for r in rows], args.out)
 
 
-def _cmd_cf(args) -> int:
-    if args.cf_cmd == "expand":
-        x = parse_fraction(args.alpha)
-        qs = diophantine.cf_expand(x, args.n)
-        _emit({"alpha": str(x), "quotients": qs})
-    else:  # convergents
-        cf = _resolve_cf(args)
-        if cf.length is not None and args.n > cf.length:
-            raise PreconditionError(f"--cf {args.cf} has {cf.length + 1} terms, so its "
-                                    f"convergents stop at n = {cf.length}; pass -N {cf.length} "
-                                    "or less")
-        table = diophantine.convergents(cf, args.n, args.bit_budget)
-        rows = []
-        for c in table:
-            if isinstance(c.q, int) and isinstance(c.p, int):
-                rows.append({"n": c.index, "p": str(c.p), "q": str(c.q)})
-            else:
-                rows.append({"n": c.index, "ln_q": list(diophantine.nat_ln_interval(c.q))})
-        _emit({"cf": cf.name or "cf", "convergents": rows})
-    return EXIT_OK
+def _cmd_cf_expand(args) -> None:
+    x = parse_fraction(args.alpha)
+    _emit({"alpha": str(x), "quotients": diophantine.cf_expand(x, args.n)})
+
+
+def _cmd_cf_convergents(args) -> None:
+    cf = _target(args, cf=True).cf
+    if cf.length is not None and args.n > cf.length:
+        raise PreconditionError(f"--cf {args.cf} has {cf.length + 1} terms, so its "
+                                f"convergents stop at n = {cf.length}; pass -N {cf.length} "
+                                "or less")
+    rows = []
+    for c in diophantine.convergents(cf, args.n, args.bit_budget):
+        if isinstance(c.q, int) and isinstance(c.p, int):
+            rows.append({"n": c.index, "p": str(c.p), "q": str(c.q)})
+        else:
+            rows.append({"n": c.index, "ln_q": list(diophantine.nat_ln_interval(c.q))})
+    _emit({"cf": cf.name or "cf", "convergents": rows})
 
 
 def _measure_payload(est: diophantine.MeasureEstimate) -> dict:
@@ -241,56 +244,59 @@ def _measure_payload(est: diophantine.MeasureEstimate) -> dict:
             "note": est.window_note}
 
 
-def _target(args) -> diophantine.Preset:
-    """The number that measure and classify estimate: --cf, else --preset."""
-    if args.cf:
-        return diophantine.Preset("cf", cf=parse_cf(args.cf))
-    return diophantine.lookup_preset(args.preset)
+def _cmd_measure(args) -> None:
+    target = _target(args)
+    est = getattr(target, f"{args.measure_cmd}_estimate")(args.N, args.bit_budget)
+    _emit({"target": target.name, "N": args.N, **_measure_payload(est)})
 
 
-def _cmd_measure(args) -> int:
-    preset = _target(args)
-    est = preset.mu_estimate(args.N, args.bit_budget) if args.measure_cmd == "mu" \
-        else preset.theta_estimate(args.N, args.bit_budget)
-    _emit({"target": preset.name, "N": args.N, **_measure_payload(est)})
-    return EXIT_OK
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     target = _target(args)
     c = diophantine.classify(target, args.N, bit_budget=args.bit_budget)
-    payload = {"target": target.name, "N": args.N, "label": c.label, "caveat": c.caveat,
-               "theta": _measure_payload(c.theta) if c.theta else None,
-               "mu": _measure_payload(c.mu) if c.mu else None,
-               "theta_enclosure": list(c.theta_enclosure) if c.theta_enclosure else None}
-    _emit(payload)
-    return EXIT_OK
+    _emit({"target": target.name, "N": args.N, "label": c.label, "caveat": c.caveat,
+           "theta": _measure_payload(c.theta) if c.theta else None,
+           "mu": _measure_payload(c.mu) if c.mu else None,
+           "theta_enclosure": list(c.theta_enclosure) if c.theta_enclosure else None})
 
 
-def _cmd_probe(args) -> int:
-    tol = args.tol
-    if args.probe_cmd == "left":
-        trace = analysis.rational_left_quotients(parse_fraction(args.alpha), args.K, tol)
-    elif args.probe_cmd == "right":
-        trace = analysis.rational_right_quotients(parse_fraction(args.alpha), args.K, tol)
-    elif args.probe_cmd == "zero":
-        trace = analysis.zero_plus_quotients(args.K, tol)
-    elif args.probe_cmd == "irrational":
-        trace = analysis.irrational_probe(_resolve_cf(args, irrational=True), args.I, tol)
-    else:  # lowerbound
-        rep = analysis.lowerbound_check(parse_fraction(args.alpha),
-                                        parse_fraction(args.alpha_n), tol)
-        d = args.digits
-        _emit({"N": rep.N, "mirrored": rep.mirrored, "holds": rep.holds,
-               "lhs": list(enclosure_strings(rep.lhs, d)),
-               "rhs": list(enclosure_strings(rep.rhs, d))})
-        return EXIT_OK
+def _write_trace(trace: analysis.QuotientTrace, args) -> None:
+    """A probe trace: JSON, or CSV rows with a verdict footer."""
+    rows = [(p.index, p.slope.numerator, p.slope.denominator,
+             *enclosure_strings(p.quotient, args.digits)) for p in trace.points]
     if args.output == "csv":
         header = ["k", "alpha_k_num", "alpha_k_den", "quotient_lo", "quotient_hi"]
-        _csv_out(header, trace.csv_rows(args.digits), args.out)
-    else:
-        print(trace.to_json(args.digits))
-    return EXIT_OK
+        _csv_out(header, rows + [("verdict", trace.verdict, "", "", "")], args.out)
+        return
+    keys = ("k", "alpha_num", "alpha_den", "quotient_lo", "quotient_hi")
+    center = trace.center
+    if isinstance(center, ContinuedFraction):
+        center = center.name or "cf"
+    _emit({"center": str(center),
+           "probes": [dict(zip(keys, row)) for row in rows],
+           "verdict": trace.verdict})
+
+
+def _cmd_probe_side(args) -> None:
+    quotients = getattr(analysis, f"rational_{args.probe_cmd}_quotients")
+    _write_trace(quotients(parse_fraction(args.alpha), args.K, args.tol), args)
+
+
+def _cmd_probe_zero(args) -> None:
+    _write_trace(analysis.zero_plus_quotients(args.K, args.tol), args)
+
+
+def _cmd_probe_irrational(args) -> None:
+    cf = _target(args, irrational=True).cf
+    _write_trace(analysis.irrational_probe(cf, args.I, args.tol), args)
+
+
+def _cmd_lowerbound(args) -> None:
+    rep = analysis.lowerbound_check(parse_fraction(args.alpha),
+                                    parse_fraction(args.alpha_n), args.tol)
+    d = args.digits
+    _emit({"N": rep.N, "mirrored": rep.mirrored, "holds": rep.holds,
+           "lhs": list(enclosure_strings(rep.lhs, d)),
+           "rhs": list(enclosure_strings(rep.rhs, d))})
 
 
 # ---------------------------------------------------------------------------
@@ -324,75 +330,76 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     leaves: List[argparse.ArgumentParser] = []
 
-    def leaf(group, name):
+    def leaf(group, name, handler):
+        """A subcommand that runs ``handler``; its global options come last."""
         p = group.add_parser(name)
+        p.set_defaults(handler=handler)
         leaves.append(p)
         return p
 
     word = sub.add_parser("word").add_subparsers(dest="word_cmd", required=True)
-    for name in ("christoffel", "central"):
-        p = leaf(word, name)
+    for name, handler in (("christoffel", _cmd_christoffel), ("central", _cmd_central)):
+        p = leaf(word, name, handler)
         p.add_argument("p", type=int)
         p.add_argument("q", type=int)
         if name == "christoffel":
             p.add_argument("--upper", action="store_true")
-    p = leaf(word, "mechanical")
+    p = leaf(word, "mechanical", _cmd_mechanical)
     p.add_argument("alpha")
     p.add_argument("rho")
     p.add_argument("n", type=int)
     p.add_argument("--upper", action="store_true")
-    p = leaf(word, "admissible")
+    p = leaf(word, "admissible", _cmd_admissible)
     p.add_argument("digits")
 
     dlt = sub.add_parser("delta").add_subparsers(dest="delta_cmd", required=True)
-    p = leaf(dlt, "eval")
+    p = leaf(dlt, "eval", _cmd_delta_eval)
     p.add_argument("--alpha")
     p.add_argument("--cf")
     p.add_argument("--preset")
     p.add_argument("--right-limit", action="store_true")
-    p = leaf(dlt, "plot")
+    p = leaf(dlt, "plot", _cmd_delta_plot)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--max-den", type=int, required=True)
     p.add_argument("--out", default=None)
 
     cf = sub.add_parser("cf").add_subparsers(dest="cf_cmd", required=True)
-    p = leaf(cf, "expand")
+    p = leaf(cf, "expand", _cmd_cf_expand)
     p.add_argument("--alpha", required=True)
     p.add_argument("-N", dest="n", type=int, default=20)
-    p = leaf(cf, "convergents")
+    p = leaf(cf, "convergents", _cmd_cf_convergents)
     p.add_argument("--cf")
     p.add_argument("--preset")
     p.add_argument("-N", dest="n", type=int, default=10)
 
     meas = sub.add_parser("measure").add_subparsers(dest="measure_cmd", required=True)
     for name in ("mu", "theta"):
-        p = leaf(meas, name)
+        p = leaf(meas, name, _cmd_measure)
         p.add_argument("--cf")
         p.add_argument("--preset")
         p.add_argument("-N", type=int, default=8)
 
-    p = sub.add_parser("classify")
-    leaves.append(p)
+    p = leaf(sub, "classify", _cmd_classify)
     p.add_argument("--cf")
     p.add_argument("--preset")
     p.add_argument("-N", type=int, default=8)
 
     probe = sub.add_parser("probe").add_subparsers(dest="probe_cmd", required=True)
     for name in ("left", "right"):
-        p = leaf(probe, name)
+        p = leaf(probe, name, _cmd_probe_side)
         p.add_argument("--alpha", required=True)
         p.add_argument("-K", type=int, default=6)
         p.add_argument("--out", default=None)
-    p = leaf(probe, "zero")
+    p = leaf(probe, "zero", _cmd_probe_zero)
     p.add_argument("-K", type=int, default=8)
     p.add_argument("--out", default=None)
-    p = leaf(probe, "irrational")
+    p = leaf(probe, "irrational", _cmd_probe_irrational)
     p.add_argument("--cf")
     p.add_argument("--preset")
     p.add_argument("-I", type=int, default=8)
     p.add_argument("--out", default=None)
-    p = leaf(probe, "lowerbound")
+    p = leaf(probe, "lowerbound", _cmd_lowerbound)
     p.add_argument("--alpha", required=True)
     p.add_argument("--alpha-n", dest="alpha_n", required=True)
 
@@ -401,31 +408,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-_HANDLERS = {
-    "word": _cmd_word,
-    "cf": _cmd_cf,
-    "measure": _cmd_measure,
-    "classify": _cmd_classify,
-    "probe": _cmd_probe,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.tol <= 0:
             raise PreconditionError("tolerance must be positive")
-        if args.cmd == "delta":
-            handler = _cmd_delta_eval if args.delta_cmd == "eval" else _cmd_delta_plot
-        else:
-            handler = _HANDLERS[args.cmd]
         # Every subcommand with --preset reads its number from --cf or --preset
         # (or, for delta eval, --alpha).
         if hasattr(args, "preset") and not (args.cf or args.preset or getattr(args, "alpha", None)):
             raise PreconditionError("need --alpha, --cf, or --preset" if hasattr(args, "alpha")
                                     else "need --cf or --preset")
-        return handler(args)
+        args.handler(args)
+        return EXIT_OK
     except SystemExit:
         raise
     except PreconditionError as exc:

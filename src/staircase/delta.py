@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple, Union
 from .beta import MAX_WORD_LENGTH, BetaHandle, SeriesRoot
 from .diophantine import ContinuedFraction
 from .errors import PreconditionError
-from .intervals import Enclosure, decimal_str, enclosure_strings, refine_until
+from .intervals import Enclosure, decimal_str, refine_until
 from .words import PeriodicWord, Word, bzb_word, central_word, to_alphabet
 
 RATIONAL_TOL = Fraction(1, 10 ** 30)
@@ -59,9 +59,6 @@ class DeltaValue:
         if source is not None and self.enclosure.width > tol:
             self.enclosure = source.refine(Fraction(tol))
         return self.enclosure
-
-    def strings(self, digits: int = 30) -> Tuple[str, str]:
-        return enclosure_strings(self.enclosure, digits)
 
 
 def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaValue:
@@ -207,16 +204,6 @@ class PlotRow:
     delta: DeltaValue
     right: DeltaValue
     jump_lo: Fraction
-
-    def csv_fields(self, digits: int = 30) -> List[str]:
-        d_lo, d_hi = self.delta.strings(digits)
-        r_lo, r_hi = self.right.strings(digits)
-        return [str(self.slope.numerator), str(self.slope.denominator),
-                d_lo, d_hi, r_lo, r_hi, decimal_str(self.jump_lo, digits, "floor")]
-
-
-CSV_HEADER = ["slope_num", "slope_den", "delta_lo", "delta_hi",
-              "right_lo", "right_hi", "jump_lo"]
 
 
 def farey_slopes(lo: Fraction, hi: Fraction, max_den: int) -> List[Fraction]:

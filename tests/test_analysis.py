@@ -87,15 +87,6 @@ def test_zero_plus_trace_increases():
     assert all(b > a for a, b in zip(los, los[1:]))
 
 
-def test_trace_csv_and_json_shapes():
-    trace = zero_plus_quotients(3)
-    rows = trace.csv_rows()
-    assert rows[-1][0] == "verdict"
-    assert len(rows) == 3 + 1
-    js = trace.to_json()
-    assert "toward_infinity" in js
-
-
 def test_irrational_probe_golden_shrinks():
     cf = ContinuedFraction.constant(0, 1, name="golden")
     trace = irrational_probe(cf, 6)

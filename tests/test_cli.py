@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -151,6 +152,16 @@ def test_probe_left_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "k,alpha_k_num,alpha_k_den,quotient_lo,quotient_hi"
     assert lines[-1].startswith("verdict,toward_zero")
+
+
+def test_trace_csv_and_json_shapes(capsys):
+    code, out, _ = run(capsys, ["probe", "zero", "-K", "3", "--output", "csv"])
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]  # the rows past the header
+    assert rows[-1][0] == "verdict"
+    assert len(rows) == 3 + 1
+    _, js, _ = run(capsys, ["probe", "zero", "-K", "3"])
+    assert "toward_infinity" in js
 
 
 def test_probe_lowerbound_json(capsys):
