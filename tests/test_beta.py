@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from staircase.beta import (
     BetaHandle,
@@ -20,7 +22,8 @@ from staircase.beta import (
     quasi_greedy_of_finite,
 )
 from staircase.errors import PreconditionError
-from staircase.words import PeriodicWord, is_parry_admissible
+from staircase.intervals import refine_until
+from staircase.words import PeriodicWord, is_parry_admissible, lex_compare
 
 TOL = Fraction(1, 10 ** 15)
 
@@ -196,3 +199,48 @@ def test_handle_annihilator_is_the_bracketed_polynomial():
             assert value(h.exact) == 0
         else:
             assert value(h.enclosure.lo) < 0 < value(h.enclosure.hi)
+
+
+# Parry (1960): admissible words are the greedy expansions of 1, ordered as
+# their bases.  Purely periodic words are left out: is_parry_admissible does
+# not compare such a word with itself, so it accepts (10)^w, whose root is
+# the golden ratio, the root of 11.  Finite words end in a nonzero letter, so
+# their order as written is their order padded with 0^w.
+admissible_words = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=10).map(tuple).filter(
+        lambda w: w[0] >= 1 and w[-1] and w != (1,)),
+    st.builds(PeriodicWord.make, st.lists(st.integers(0, 3), min_size=1, max_size=5),
+              st.lists(st.integers(0, 3), min_size=1, max_size=4)).filter(
+        lambda w: w.pre and w[0] >= 1 and w != PeriodicWord.from_finite((1,))),
+    # sparse words 1 0^j 1 0^k, read as 1 0^j 1 0^w
+    st.builds(lambda j, k: PeriodicWord.from_finite((1,) + (0,) * j + (1,) + (0,) * k),
+              st.integers(0, 60), st.integers(0, 4)),
+).filter(is_parry_admissible)
+
+
+def _root(w):
+    if isinstance(w, PeriodicWord):
+        return beta_root_periodic(w, Fraction(1, 2 ** 8))
+    return beta_root_finite(w, Fraction(1, 2 ** 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(admissible_words, admissible_words)
+@example((2, 1), PeriodicWord.make((2,), (0, 1)))  # 21 0^w against 2 (01)^w
+@example((1, 1), PeriodicWord.from_finite((1, 0, 0, 1)))
+def test_parry_order_is_root_order(u, v):
+    assert is_parry_admissible(u) and is_parry_admissible(v)
+    order = lex_compare(u, v)
+    assume(order != 0)
+    ru, rv = _root(u), _root(v)
+
+    def separated():
+        a, b = ru.enclosure, rv.enclosure
+        if a.hi < b.lo:
+            return -1
+        if b.hi < a.lo:
+            return 1
+        return None
+
+    assert refine_until(separated, (ru, rv), Fraction(1, 2 ** 8), 2 ** 16, 64,
+                        "order of two roots") == order
