@@ -3,7 +3,9 @@
 Every subcommand prints deterministic, machine-readable output: JSON by
 default (validating against the shipped ``schema.json``), CSV where tabular.
 Enclosures always print as two decimal strings — a lower and an upper bound —
-so the certification is visible in the output itself.
+so the certification is visible in the output itself.  The library returns
+values only: this module builds every payload and row, and writes them
+through ``_emit`` (JSON) and ``_csv_out`` (CSV).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
 3 certification failure (budget exhausted / undecidable).
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import count
 from typing import Iterable, List, Optional, Sequence
 
@@ -244,9 +247,9 @@ def _measure_payload(est: diophantine.MeasureEstimate) -> dict:
             "note": est.window_note}
 
 
-def _cmd_measure(args) -> None:
+def _cmd_measure(estimate, args) -> None:
     target = _target(args)
-    est = getattr(target, f"{args.measure_cmd}_estimate")(args.N, args.bit_budget)
+    est = estimate(target, args.N, args.bit_budget)
     _emit({"target": target.name, "N": args.N, **_measure_payload(est)})
 
 
@@ -276,8 +279,7 @@ def _write_trace(trace: analysis.QuotientTrace, args) -> None:
            "verdict": trace.verdict})
 
 
-def _cmd_probe_side(args) -> None:
-    quotients = getattr(analysis, f"rational_{args.probe_cmd}_quotients")
+def _cmd_probe_side(quotients, args) -> None:
     _write_trace(quotients(parse_fraction(args.alpha), args.K, args.tol), args)
 
 
@@ -374,8 +376,9 @@ def build_parser() -> _Parser:
     p.add_argument("-N", dest="n", type=int, default=10)
 
     meas = sub.add_parser("measure").add_subparsers(dest="measure_cmd", required=True)
-    for name in ("mu", "theta"):
-        p = leaf(meas, name, _cmd_measure)
+    for name, estimate in (("mu", diophantine.Preset.mu_estimate),
+                           ("theta", diophantine.Preset.theta_estimate)):
+        p = leaf(meas, name, partial(_cmd_measure, estimate))
         p.add_argument("--cf")
         p.add_argument("--preset")
         p.add_argument("-N", type=int, default=8)
@@ -386,8 +389,9 @@ def build_parser() -> _Parser:
     p.add_argument("-N", type=int, default=8)
 
     probe = sub.add_parser("probe").add_subparsers(dest="probe_cmd", required=True)
-    for name in ("left", "right"):
-        p = leaf(probe, name, _cmd_probe_side)
+    for name, quotients in (("left", analysis.rational_left_quotients),
+                            ("right", analysis.rational_right_quotients)):
+        p = leaf(probe, name, partial(_cmd_probe_side, quotients))
         p.add_argument("--alpha", required=True)
         p.add_argument("-K", type=int, default=6)
         p.add_argument("--out", default=None)
