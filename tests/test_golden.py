@@ -4,8 +4,9 @@
 line" section, one per line; ``golden/NN.out`` holds the exact stdout of
 line NN (for ``delta plot --out FILE``, the file it writes).
 ``golden/extra_commands.txt`` and ``golden/xNN.out`` do the same for
-command lines the README does not show: CSV probes, the estimators on the
-Liouville presets, upper mechanical words and bracketed word letters.
+command lines the README does not show: CSV probes, probes and estimators
+on a ``--cf`` list, the estimators on the Liouville presets, upper
+mechanical and central words and bracketed word letters.
 Refactors and kernel rewrites must leave every byte unchanged.
 
 Regenerate the corpus, after a deliberate output change only, with
