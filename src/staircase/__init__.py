@@ -16,7 +16,7 @@ from .beta import (BetaHandle, extremal_orbit_check, greedy_digits,
                    quasi_greedy_of_finite)
 from .delta import (DeltaValue, JumpValue, delta_irrational, delta_rational,
                     delta_right_limit, jump, lipschitz_order, plot_samples,
-                    right_limit_word)
+                    right_limit_word, sweep)
 from .diophantine import (ContinuedFraction, LogMagnitude, MeasureEstimate,
                           best_approx_check, cf_expand, classify, convergents,
                           lookup_preset, mu_estimate, presets, theta_estimate,

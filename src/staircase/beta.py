@@ -7,11 +7,11 @@ Everything here revolves around the strictly decreasing function
 for a digit sequence (a_n) with a_1 >= 1.  Its unique root is enclosed with
 exact integer sign tests, so enclosures are proofs: the root lies in [lo, hi]
 because g(lo) > 0 and g(hi) < 0 are integer facts.  Bracket endpoints are
-dyadic, m / 2^k.  Bisection narrows a bracket step by step; a longer
-refinement jumps to its final cell with a fixed-point Newton guess that sign
-tests then certify, and a repeated one goes deeper than asked, so that later
-requests are shifts of one certified cell.  Sign tests and the interval
-evaluation of orbit polynomials run on plain integers with shifts.
+dyadic, m / 2^k.  A guessed bracket that sign tests certify may start one;
+bisection narrows it step by step; a longer refinement jumps to its final cell
+with a fixed-point Newton guess that sign tests then certify, and a repeated
+one goes deeper than asked, so that later requests are shifts of one certified
+cell.  Sign tests and orbit polynomial evaluation run on plain integers.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .words import PeriodicWord, Word
 DEFAULT_TOL = Fraction(1, 10 ** 30)
 
 IntPoly = Tuple[int, ...]  # coefficients, ascending powers
+Bracket = Tuple[int, int, int]  # (a, b, k) for [a/2^k, b/2^k]
 
 # A refinement jumps to its final cell (RefinableRoot._jump) past a cell of
 # scale 2^-max(JUMP_FROM_BITS, d/8) when more than max(JUMP_MIN_STEPS, d/4)
@@ -246,7 +247,7 @@ class RefinableRoot:
     integer polynomial are integers, and the cell's open interior holds none,
     so no dyadic point in it is a root: refining to scale K always ends on the
     one cell [j, j+1]/2^K that holds the root, whether reached by bisection,
-    by ``_jump`` or as the shift j' >> (K' - K) of a deeper cell [j', j'+1]/2^K'.
+    by ``_jump``, from a seed or as the shift j' >> (K' - K) of a deeper cell.
     An integer root n is an exact hit, kept with the bracket [n-1, n+1] and
     never refined.
 
@@ -254,12 +255,23 @@ class RefinableRoot:
     ``lo``, ``hi``, ``exact`` and ``enclosure`` present it as fractions.
     """
 
-    def __init__(self, F: IntPoly, a1: int):
+    def __init__(self, F: IntPoly, a1: int, seed: Optional[Bracket] = None):
         """Bracket the root above the leading digit a_1 >= 1 of a series whose
         annihilator is F (the series has the sign of -F there): a unit
-        bracket [n-1, n], or an exact integer root n."""
+        bracket [n-1, n], or an exact integer root n, or one finer cell
+        around a ``seed`` guess (a, b, s), [a/2^s, b/2^s], as below."""
         self.annihilator = F
         self._sign = sign = _sign_kernel(F)
+        self._exact, self._shown = None, (None, None)
+        if seed is not None:
+            # The finest cell [j, j+1]/2^k holding the guess, if in a unit cell
+            # above 1 (no root is dyadic there) and sign tests put the root in.
+            a, b, s = seed
+            k = s - (a ^ (b - 1)).bit_length()
+            j = a >> (s - k)
+            if k >= 0 and j >> k >= 1 and sign(j, k) < 0 < sign(j + 1, k):
+                self._j, self._K, self._k = j, k, 0
+                return
         n = a1
         s = sign(n, 0)
         if s > 0:
@@ -298,7 +310,7 @@ class RefinableRoot:
         return None if self._exact is None else Fraction(self._exact)
 
     @property
-    def bracket(self) -> Tuple[int, int, int]:
+    def bracket(self) -> Bracket:
         """The enclosure as integers (a, b, k), meaning [a/2^k, b/2^k]."""
         if self._exact is not None:
             return self._exact, self._exact, 0
@@ -307,8 +319,11 @@ class RefinableRoot:
 
     @property
     def enclosure(self) -> Enclosure:
-        a, b, k = self.bracket
-        return Enclosure(Fraction(a, 1 << k), Fraction(b, 1 << k))
+        bracket = self.bracket  # as fractions, built once per presented cell
+        if self._shown[0] != bracket:
+            a, b, k = bracket
+            self._shown = bracket, Enclosure(Fraction(a, 1 << k), Fraction(b, 1 << k))
+        return self._shown[1]
 
     def refine(self, tol: Fraction) -> Enclosure:
         tol = Fraction(tol)
@@ -326,15 +341,15 @@ class RefinableRoot:
     def _bisect(self, steps: int) -> None:
         """Present the cell at scale K = k + steps that holds the root: a
         shift of the deep cell, deepened first if K is past it.  A first
-        refinement aims at K, a later one at K' = max(K, 2k, k + 64) for the
-        deep scale k (the precision doubling of iRRAM, N. Th. Müller, CCA
-        2000), by ``_jump`` where the rule at JUMP_FROM_BITS allows; else to K
-        alone by bisection, as after a failed jump."""
+        refinement (from scale 0, seeded or not) aims at K, a later one at
+        K' = max(K, 2k, k + 64) for the deep scale k (the precision doubling
+        of iRRAM, N. Th. Müller, CCA 2000), by ``_jump`` where the rule at
+        JUMP_FROM_BITS allows; else to K alone by bisection, as after a failed jump."""
         if self._exact is not None or steps <= 0:
             return
         K, k = self._k + steps, self._K
         if K > k:
-            target = max(K, 2 * k, k + 64) if k else K
+            target = max(K, 2 * k, k + 64) if self._k else K
             d = min(len(self.annihilator) - 1, JUMP_HIGH_DEGREE)
             start = max(k, JUMP_FROM_BITS, d // 8)
             if target - start > max(JUMP_MIN_STEPS, d // 4):
@@ -381,14 +396,15 @@ class RefinableRoot:
 BetaHandle = _bracket = RefinableRoot
 
 
-def _certified_root(F: IntPoly, a1: int, tol: Fraction) -> RefinableRoot:
-    rr = RefinableRoot(F, a1)
+def _certified_root(F: IntPoly, a1: int, tol: Fraction, seed: Optional[Bracket]) -> RefinableRoot:
+    rr = RefinableRoot(F, a1, seed)
     if rr.exact is None:
         rr.refine(tol)
     return rr
 
 
-def beta_root_finite(digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> RefinableRoot:
+def beta_root_finite(digits: Sequence[int], tol: Fraction = DEFAULT_TOL,
+                     seed: Optional[Bracket] = None) -> RefinableRoot:
     """Certified enclosure of the base beta > 1 with sum a_n beta^(-n) = 1."""
     digits = tuple(digits)
     if not digits or digits[0] < 1:
@@ -397,18 +413,19 @@ def beta_root_finite(digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> Refi
         raise PreconditionError("digits must be nonnegative")
     if digits[0] == 1 and not any(digits[1:]):
         raise PreconditionError("the word 1 0^k has root 1, outside the base range")
-    return _certified_root(finite_annihilator(digits), digits[0], tol)
+    return _certified_root(finite_annihilator(digits), digits[0], tol, seed)
 
 
-def beta_root_periodic(w: PeriodicWord, tol: Fraction = DEFAULT_TOL) -> RefinableRoot:
+def beta_root_periodic(w: PeriodicWord, tol: Fraction = DEFAULT_TOL,
+                       seed: Optional[Bracket] = None) -> RefinableRoot:
     """Certified enclosure of the base beta > 1 for an eventually periodic word."""
     if w[0] < 1:
         raise PreconditionError("leading digit must be >= 1")
     if not any(w.per):
         # A finite word: its periodic annihilator has the spurious factor
         # x - 1, so bracket it (and reduce its orbits) on the finite one.
-        return beta_root_finite(w.pre, tol)
-    return _certified_root(periodic_annihilator(w), w[0], tol)
+        return beta_root_finite(w.pre, tol, seed)
+    return _certified_root(periodic_annihilator(w), w[0], tol, seed)
 
 
 def positive_root_finite(digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> Enclosure:

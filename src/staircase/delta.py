@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .beta import MAX_WORD_LENGTH, BetaHandle, SeriesRoot
+from .beta import (MAX_WORD_LENGTH, BetaHandle, Bracket, SeriesRoot, beta_root_finite,
+                   beta_root_periodic)
 from .diophantine import ContinuedFraction
 from .errors import PreconditionError
 from .intervals import Enclosure, decimal_str, refine_until
@@ -30,9 +31,8 @@ def _split_slope(alpha: Fraction) -> Tuple[int, int, int]:
     alpha = Fraction(alpha)
     if alpha < 0:
         raise PreconditionError("slope must be >= 0")
-    whole = alpha.numerator // alpha.denominator
-    frac = alpha - whole
-    return whole + 1, frac.numerator, frac.denominator
+    whole, p = divmod(alpha.numerator, alpha.denominator)
+    return whole + 1, p, alpha.denominator
 
 
 @dataclass
@@ -61,14 +61,15 @@ class DeltaValue:
         return self.enclosure
 
 
-def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaValue:
+def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
+                   seed: Optional[Bracket] = None) -> DeltaValue:
     """Certified enclosure of Delta at a rational slope.
 
     Delta(0) = 1 and Delta(b) = b + 1 at positive integers, exactly.  At a
     non-integer slope (b-1) + p/q the expansion of 1 is the word b z b built
     from the central word z of p/q on the alphabet {b-1, b}, and beta is the
     algebraic number with sum a_n beta^(-n) = 1.  The word has q letters, at
-    most ``MAX_WORD_LENGTH``.
+    most ``MAX_WORD_LENGTH``.  A ``seed`` is passed on to ``RefinableRoot``.
     """
     alpha = Fraction(alpha)
     b, p, q = _split_slope(alpha)
@@ -78,9 +79,10 @@ def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaValue:
     if p == 0:
         # Integer slope b - 1: the value is the integer b, whose expansion of
         # 1 is the single digit b (the degenerate base 1 at slope 0 included).
-        return DeltaValue(alpha, (b,), "algebraic", Enclosure.exact(Fraction(b)))
+        return DeltaValue(alpha, (b,), "algebraic", Enclosure.exact(Fraction(b)),
+                          handle=BetaHandle.from_integer(b) if b > 1 else None)
     digits = bzb_word(b, p, q)
-    handle = BetaHandle.from_finite_word(digits, tol)
+    handle = beta_root_finite(digits, tol, seed)
     return DeltaValue(alpha, digits, "algebraic", handle.enclosure, handle=handle)
 
 
@@ -92,14 +94,13 @@ def right_limit_word(alpha: Fraction) -> PeriodicWord:
     """
     b, p, q = _split_slope(Fraction(alpha))
     if p == 0:
-        base = Fraction(alpha).numerator  # alpha is the integer b - 1 here
-        return PeriodicWord.make((base + 1,), (base,)) if base >= 1 else \
-            PeriodicWord.make((1,), (0,))
+        return PeriodicWord.make((b,), (b - 1,))
     z = to_alphabet(central_word(p, q), b)
     return PeriodicWord.make((b,), z + (b, b - 1))
 
 
-def delta_right_limit(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaValue:
+def delta_right_limit(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
+                      seed: Optional[Bracket] = None) -> DeltaValue:
     """Certified enclosure of Delta(alpha+), the limit from the right.
 
     At the integer slope b >= 1 this is the quadratic (b + 2 + sqrt(b^2+4b))/2;
@@ -107,13 +108,10 @@ def delta_right_limit(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> DeltaVal
     root of the eventually periodic digit series of :func:`right_limit_word`.
     """
     alpha = Fraction(alpha)
-    if alpha < 0:
-        raise PreconditionError("slope must be >= 0")
-    if alpha == 0:
-        return DeltaValue(alpha, right_limit_word(alpha), "algebraic",
-                          Enclosure.exact(Fraction(1)))
     word = right_limit_word(alpha)
-    handle = BetaHandle.from_periodic_word(word, tol)
+    if alpha == 0:
+        return DeltaValue(alpha, word, "algebraic", Enclosure.exact(Fraction(1)))
+    handle = beta_root_periodic(word, tol, seed)
     return DeltaValue(alpha, word, "algebraic", handle.enclosure, handle=handle)
 
 
@@ -130,11 +128,22 @@ class JumpValue:
 
     def certify_positive(self, max_steps: int = 4000) -> Enclosure:
         """Refine both sides until the jump's lower bound is positive."""
-        tol = max(min(self.left.enclosure.width, self.right.enclosure.width),
-                  Fraction(1, 2 ** 40))
-        return refine_until(lambda: self.enclosure if self.enclosure.lo > 0 else None,
-                            (self.left, self.right), tol, 2 ** 16, max_steps,
-                            f"sign of the jump at {self.slope}")
+        _apart(self.left, self.right, 40, max_steps, f"sign of the jump at {self.slope}")
+        return self.enclosure
+
+
+def _apart(x: DeltaValue, y: DeltaValue, bits: int, rounds: int, what: str) -> None:
+    """Refine x and y until x.hi < y.lo, decided on integer brackets, from the
+    tolerance max(2^-bits, the lesser width) over 2^16 per round."""
+    X, Y = x.handle, y.handle
+
+    def verdict() -> Optional[bool]:
+        (_, xb, xk), (ya, _, yk) = X.bracket, Y.bracket
+        return True if xb << yk < ya << xk else None
+
+    ks = [k if a < b else bits for a, b, k in (X.bracket, Y.bracket)]
+    refine_until(verdict, (X, Y), Fraction(1, 1 << min(bits, max(ks))), 2 ** 16, rounds, what)
+    x.enclosure, y.enclosure = X.enclosure, Y.enclosure
 
 
 def jump(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> JumpValue:
@@ -213,42 +222,53 @@ def farey_slopes(lo: Fraction, hi: Fraction, max_den: int) -> List[Fraction]:
     lo, hi = Fraction(lo), Fraction(hi)
     if not 0 <= lo < hi:
         raise PreconditionError("need 0 <= lo < hi")
-    out = set()
+    # Two such fractions differ by at least 1/n2, so p * n2 // q orders them.
+    n2, out = max_den * max_den, []
     for q in range(1, max_den + 1):
         p_min = (lo * q).numerator // (lo * q).denominator + 1
         p_max = (hi * q).numerator // (hi * q).denominator
-        for p in range(max(p_min, 1), p_max + 1):
-            if math.gcd(p, q) == 1:
-                out.add(Fraction(p, q))
-    return sorted(out)
+        out += [(p * n2 // q, p, q) for p in range(max(p_min, 1), p_max + 1)
+                if math.gcd(p, q) == 1]
+    return [Fraction(p, q) for _, p, q in sorted(out)]
 
 
-def plot_samples(lo: Fraction, hi: Fraction, max_den: int,
-                 tol: Fraction = Fraction(1, 10 ** 8),
-                 certify_order: bool = True, max_rounds: int = 4000) -> List[PlotRow]:
+def sweep(lo: Fraction, hi: Fraction, max_den: int,
+          tol: Fraction = Fraction(1, 10 ** 8),
+          certify_order: bool = True, max_rounds: int = 4000) -> List[PlotRow]:
     """Staircase plot data over every reduced fraction in (lo, hi], den <= max_den.
 
     Every row carries certified enclosures of Delta and its right limit and a
     certified positive lower bound on the jump.  With ``certify_order`` the
     rows are additionally refined until consecutive value enclosures are
     pairwise disjoint, which proves strict monotonicity across the table.
+
+    Slopes go by increasing denominator, after their Farey parents a < c < e
+    where in range.  Delta increases and jumps, so Delta(c) lies in (Delta(a+),
+    Delta(e)) and Delta(c+) in (Delta(c), Delta(e)): these brackets seed c's
+    roots, which certify them by sign tests or fall back, ending on the same cells.
     """
-    rows: List[PlotRow] = []
-    for slope in farey_slopes(lo, hi, max_den):
-        jv = jump(slope, tol)
-        jv.certify_positive()
-        rows.append(PlotRow(slope, jv.left, jv.right, jv.enclosure.lo))
-    if certify_order:
-        for i in range(len(rows) - 1):
-            _separate(rows[i].delta, rows[i + 1].delta, max_rounds)
+    slopes, done = farey_slopes(lo, hi, max_den), {}
+    for c in sorted(slopes, key=lambda x: x.denominator):
+        # The parents are ((pd - 1)/q)/d and ((p(q-d) + 1)/q)/(q-d); at q = 1,
+        # d = 0 and neither key is done yet.
+        p, q, d = c.numerator, c.denominator, pow(c.numerator, -1, c.denominator)
+        a, e = done.get(((p * d - 1) // q, d)), done.get(((p * (q - d) + 1) // q, q - d))
+        left = delta_rational(c, tol, _ends(a.right, e.delta) if a and e else None)
+        right = delta_right_limit(c, tol, _ends(left, e.delta) if e else None)
+        done[p, q] = PlotRow(c, left, right, JumpValue(c, left, right).certify_positive().lo)
+    rows = [done[c.numerator, c.denominator] for c in slopes]
+    for x, y in zip(rows, rows[1:]) if certify_order else ():
+        _apart(x.delta, y.delta, 50, max_rounds, f"order of Delta at {x.slope} and {y.slope}")
     return rows
 
 
-def _separate(a: DeltaValue, b: DeltaValue, max_rounds: int) -> None:
-    tol = max(min(a.enclosure.width, b.enclosure.width), Fraction(1, 2 ** 50))
-    refine_until(lambda: True if a.enclosure.hi < b.enclosure.lo else None,
-                 (a, b), tol, 2 ** 16, max_rounds,
-                 f"order of Delta at {a.slope} and {b.slope}")
+plot_samples = sweep
+
+
+def _ends(x: DeltaValue, y: DeltaValue) -> Bracket:
+    """[x.lo, y.hi] as integers (a, b, s)."""
+    (xa, _, xk), (_, yb, yk) = x.handle.bracket, y.handle.bracket
+    return xa << yk, yb << xk, xk + yk
 
 
 # ---------------------------------------------------------------------------

@@ -898,7 +898,10 @@ def presets(base: int = 10) -> dict:
 def lookup_preset(name: str, base: int = 10) -> Preset:
     """Resolve a preset by name; 'targeted:BETA' builds the targeted family."""
     if name.startswith("targeted:"):
-        beta = Fraction(name.split(":", 1)[1])
+        try:
+            beta = Fraction(name.split(":", 1)[1])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PreconditionError(f"bad preset {name!r}: {exc}") from exc
         return Preset(name, cf=targeted_theta_cf(beta))
     reg = presets(base)
     if name not in reg:

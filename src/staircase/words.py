@@ -260,12 +260,12 @@ def is_parry_admissible(w: WordLike) -> bool:
     if not isinstance(w, PeriodicWord) and len(tuple(w)) == 0:
         raise PreconditionError("the empty word has no admissibility status")
     pw = PeriodicWord.from_finite(w) if not isinstance(w, PeriodicWord) else w
-    n_shifts = len(pw.pre) + len(pw.per)
-    for k in range(1, n_shifts):
+    for k in range(1, len(pw.pre) + len(pw.per) + 1):
         if lex_compare(pw.shift(k), pw) >= 0:
             return False
-    # Every further shift repeats one of the tails already checked (or is the
-    # word itself, for a purely periodic word, which does not count).
+    # Every further shift repeats one of the tails already checked.  The last
+    # one is the period alone, the word itself when it is purely periodic, so
+    # no purely periodic word (such as (10)^w) is admissible.
     return True
 
 

@@ -202,10 +202,10 @@ def test_handle_annihilator_is_the_bracketed_polynomial():
 
 
 # Parry (1960): admissible words are the greedy expansions of 1, ordered as
-# their bases.  Purely periodic words are left out: is_parry_admissible does
-# not compare such a word with itself, so it accepts (10)^w, whose root is
-# the golden ratio, the root of 11.  Finite words end in a nonzero letter, so
-# their order as written is their order padded with 0^w.
+# their bases.  Purely periodic words are not drawn: each equals one of its
+# own shifts, so none is admissible (the (10)^w of the golden ratio is its
+# quasi-greedy expansion; its greedy one is 11).  Finite words end in a
+# nonzero letter, so their order as written is their order padded with 0^w.
 admissible_words = st.one_of(
     st.lists(st.integers(0, 3), min_size=1, max_size=10).map(tuple).filter(
         lambda w: w[0] >= 1 and w[-1] and w != (1,)),

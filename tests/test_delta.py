@@ -5,8 +5,10 @@ from math import isqrt
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from staircase.beta import finite_annihilator, periodic_annihilator
+from staircase.beta import RefinableRoot, finite_annihilator, periodic_annihilator
 from staircase.delta import (
     IRRATIONAL_TOL,
     delta_irrational,
@@ -17,10 +19,11 @@ from staircase.delta import (
     lipschitz_order,
     plot_samples,
     right_limit_word,
+    sweep,
 )
 from staircase.diophantine import ContinuedFraction
 from staircase.errors import CertificationError, PreconditionError
-from staircase.intervals import Enclosure
+from staircase.intervals import Enclosure, refine_until
 from staircase.words import PeriodicWord, bzb_word
 
 TOL = Fraction(1, 10 ** 20)
@@ -147,6 +150,60 @@ def test_plot_samples_rows():
         assert r.delta.enclosure.lo > prev_hi  # strictly separated in order
         assert r.right.enclosure.hi > r.delta.enclosure.lo
         prev_hi = r.delta.enclosure.hi
+
+
+def _refine_apart(x, y, cap):
+    """Refine the values x and y, as fractions, until x.hi < y.lo."""
+    refine_until(lambda: True if x.enclosure.hi < y.enclosure.lo else None, (x, y),
+                 max(min(x.enclosure.width, y.enclosure.width), Fraction(1, 2 ** cap)),
+                 2 ** 16, 4000, "apart")
+
+
+def _reference_rows(lo, hi, max_den, tol):
+    """The plot rows of the unseeded algorithm on fractions: each jump
+    certified on its own, then consecutive values refined until apart."""
+    jumps = [jump(c, tol) for c in farey_slopes(lo, hi, max_den)]
+    for j in jumps:
+        _refine_apart(j.left, j.right, 40)
+    jump_lo = [j.right.enclosure.lo - j.left.enclosure.hi for j in jumps]
+    for a, b in zip(jumps, jumps[1:]):
+        _refine_apart(a.left, b.left, 50)
+    return [(j.slope, j.left.enclosure, j.right.enclosure, g) for j, g in zip(jumps, jump_lo)]
+
+
+slopes_to_3 = st.builds(Fraction, st.integers(0, 36), st.integers(1, 12)).filter(lambda x: x <= 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(slopes_to_3, slopes_to_3, st.integers(1, 12),
+       st.sampled_from([Fraction(1, 10 ** 8), Fraction(1, 2 ** 40), Fraction(1, 2 ** 10)]))
+@example(Fraction(0), Fraction(3), 12, Fraction(1, 16))
+def test_sweep_equals_the_unseeded_reference(x, y, max_den, tol):
+    """Differential oracle: seeding from the Farey neighbours changes no
+    bracket and no jump bound.  Below denominator 13, 1e-8 and 2^-40 decide
+    every jump and order at once; 2^-10 and 1/16 need refinement rounds."""
+    assume(x != y)
+    lo, hi = min(x, y), max(x, y)
+    rows = sweep(lo, hi, max_den, tol)
+    assert [(r.slope, r.delta.enclosure, r.right.enclosure, r.jump_lo) for r in rows] == \
+        _reference_rows(lo, hi, max_den, tol)
+
+
+@pytest.mark.parametrize("F", [finite_annihilator(bzb_word(2, 2, 5)),
+                               periodic_annihilator(right_limit_word(Fraction(7, 5)))])
+def test_a_wrong_seed_falls_back_to_the_unit_cell(F):
+    plain = RefinableRoot(F, 2)
+    plain.refine(Fraction(1, 2 ** 20))
+    a, b, k = plain.bracket
+    good = RefinableRoot(F, 2, (a - 5, b + 5, k))
+    missing = RefinableRoot(F, 2, (b + 64, b + 72, k))  # wholly right of the root
+    spanning = RefinableRoot(F, 2, ((2 << k) - (1 << (k - 1)), b, k))  # holds the integer 2
+    assert good._K > 0
+    unit = RefinableRoot(F, 2)  # the unit cell [2, 3], unrefined
+    for rr in (missing, spanning):
+        assert (rr._j, rr._K, rr._k) == (unit._j, unit._K, unit._k) == (2, 0, 0)
+    for rr in (good, missing, spanning):
+        assert rr.refine(Fraction(1, 2 ** 30)) == plain.refine(Fraction(1, 2 ** 30))
 
 
 def test_lipschitz_order_golden():

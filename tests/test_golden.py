@@ -6,7 +6,8 @@ line NN (for ``delta plot --out FILE``, the file it writes).
 ``golden/extra_commands.txt`` and ``golden/xNN.out`` do the same for
 command lines the README does not show: CSV probes, probes and estimators
 on a ``--cf`` list, the estimators on the Liouville presets, upper
-mechanical and central words and bracketed word letters.
+mechanical and central words, bracketed word letters, and plots whose
+range starts between slopes and crosses integer slopes.
 Refactors and kernel rewrites must leave every byte unchanged.
 
 Regenerate the corpus, after a deliberate output change only, with

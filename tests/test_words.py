@@ -123,6 +123,8 @@ def test_parry_admissibility():
     assert not is_parry_admissible((1, 2))  # shifted suffix exceeds the word
     assert is_parry_admissible(PeriodicWord.make((2,), (1, 0)))
     assert not is_parry_admissible(PeriodicWord.make((1,), (2,)))  # tail exceeds head
+    # (10)^w equals its own shift by two, so it is not strictly greater than it
+    assert not is_parry_admissible(PeriodicWord.make((), (1, 0)))
 
 
 def test_common_prefix_radius_rational_sides():
