@@ -6,8 +6,9 @@ line NN (for ``delta plot --out FILE``, the file it writes).
 ``golden/extra_commands.txt`` and ``golden/xNN.out`` do the same for
 command lines the README does not show: CSV probes, probes and estimators
 on a ``--cf`` list, the estimators on the Liouville presets, upper
-mechanical and central words, bracketed word letters, and plots whose
-range starts between slopes and crosses integer slopes.
+mechanical and central words, bracketed word letters, plots whose range
+starts between slopes and crosses integer slopes, and a sparse root (the
+word 1 0^38 1) refined to 1e-40 and printed to 45 digits.
 Refactors and kernel rewrites must leave every byte unchanged.
 
 Regenerate the corpus, after a deliberate output change only, with
