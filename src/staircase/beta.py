@@ -11,7 +11,8 @@ dyadic, m / 2^k.  A guessed bracket that sign tests certify may start one;
 bisection narrows it step by step; a longer refinement jumps to its final cell
 with a fixed-point Newton guess that sign tests then certify, and a repeated
 one goes deeper than asked, so that later requests are shifts of one certified
-cell.  Sign tests and orbit polynomial evaluation run on plain integers.
+cell.  For a sparse annihilator, sign tests and Newton steps run over its
+nonzero terms only.  Sign tests and orbit polynomial evaluation run on plain integers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
@@ -32,18 +33,31 @@ DEFAULT_TOL = Fraction(1, 10 ** 30)
 IntPoly = Tuple[int, ...]  # coefficients, ascending powers
 Bracket = Tuple[int, int, int]  # (a, b, k) for [a/2^k, b/2^k]
 
-# A refinement jumps to its final cell (RefinableRoot._jump) past a cell of
-# scale 2^-max(JUMP_FROM_BITS, d/8) when more than max(JUMP_MIN_STEPS, d/4)
-# steps are left, d = min(deg F, JUMP_HIGH_DEGREE).  A bisection step costs a
-# sign test; a jump, Newton steps over all deg F coefficients and at most
-# three sign tests.  Timed over degrees 2 to 5000 (see CHANGES.md), the jump
-# paid from 6 to 24 steps up to degree 64, from about deg/4 up to degree 400,
-# and from 4 to over 128 steps by word beyond.  Newton's error constant is
-# about deg/beta, so these starts lie in its quadratic regime.  GUARD_BITS
-# are Newton's extra bits and the head sign test's (_head_sign) margin.
+# A refinement jumps to its final cell (RefinableRoot._jump) when more than
+# some steps are left past a start cell.  One rule reads deg F and the sparse
+# test of _sign_kernel (at most a quarter of F's coefficients nonzero):
+# - Dense F: past 2^-max(JUMP_FROM_BITS, d/8) when more than
+#   max(JUMP_MIN_STEPS, d/4) steps are left, d = min(deg F, JUMP_HIGH_DEGREE).
+#   A bisection step costs a sign test; a jump, Newton steps over all deg F
+#   coefficients and at most three sign tests.  Timed over degrees 2 to 5000
+#   (see CHANGES.md), the jump paid from 6 to 24 steps up to degree 64, from
+#   about deg/4 up to degree 400, and from 4 to over 128 steps by word beyond.
+#   Newton's error constant is about deg/beta, so these starts lie in its
+#   quadratic regime.
+# - Sparse F: Newton's steps run over the nonzero terms, a few products each
+#   at any degree, while a sign test grows with the degree.  With
+#   b = bitlen(deg F), past 2^-(b + SPARSE_FROM_BITS), inside the quadratic
+#   basin (F''/F' is about 2 deg F), when more than SPARSE_JUMP_WORK / b steps
+#   are left.  Over near-one words of degree 12 to 5100 and the words of
+#   slopes 1/q and p/q, q >> p (see CHANGES.md), no jump fell back from
+#   2^-(b-1) on; from the start cell the jump paid from 12 steps at degree 12
+#   to 20, 9 at 40, 6 at 100, 4 at 300 and 3 from degree 1000 on.
+# GUARD_BITS are Newton's extra bits and the head sign tests' margin.
 JUMP_FROM_BITS = 8
 JUMP_MIN_STEPS = 12
 JUMP_HIGH_DEGREE = 256
+SPARSE_FROM_BITS = 2
+SPARSE_JUMP_WORK = 48
 GUARD_BITS = 16
 
 # The longest digit word a root is built from: series truncations stop here,
@@ -76,6 +90,25 @@ def _horner_shift(acc: int, shift: int, descending: Iterable[int], m: int,
     return acc, shift
 
 
+def _head_length(q: int, C: int, k_head: float, m: int, k: int) -> Optional[int]:
+    """The head length N that ``_head_sign`` and ``_sparse_sign`` try first
+    at x = m/2^k, for a polynomial of degree q whose coefficients under the
+    leading one are at most C in size; None for the full test.
+
+    N is where the tail bound holds with GUARD_BITS to spare at 2^-k from a
+    root, by a float estimate of log2 x that only picks N.  The full test
+    runs at the scales k >= k_head, at x <= 1, and where the head would be
+    the whole polynomial, as for the near-one words, whose x is close to 1.
+    """
+    d = m - (1 << k)
+    if k >= k_head or d <= 0:
+        return None
+    # log2 x, and the digits wanted: k + GUARD_BITS + log2 C + log2(x/(x-1))
+    lx = math.log2(m) - k
+    want = k + GUARD_BITS + C.bit_length() + math.log2(m) - math.log2(d)
+    return None if want >= q * lx else math.ceil(want / lx)
+
+
 def _head_sign(F: IntPoly, prefix_max: Sequence[int], k_head: float, m: int, k: int) -> int:
     """``_poly_sign(F, m, k)``, decided from F's leading coefficients when the
     rest cannot change the sign, at scales k < k_head (see ``_sign_kernel``).
@@ -85,21 +118,15 @@ def _head_sign(F: IntPoly, prefix_max: Sequence[int], k_head: float, m: int, k: 
     accumulator is A = m^N H_N(2^k/m), H_N the first N+1 terms of H; the
     others, each at most C = prefix_max[q-N-1] in size, add at most
     C y^(N+1) / (1 - y) to H.  So |A| (m - 2^k) > C 2^(k(N+1)) proves
-    sign F(x) = sign A.  N starts where that holds with GUARD_BITS to spare
-    at 2^-k from a root, by a float estimate of log2 x that only picks N,
-    and doubles while the bound fails; from 2N >= q on, Horner runs to the
-    end, which is the full test.  ``prefix_max[i]`` is max |F[0..i]|.
+    sign F(x) = sign A.  N starts at ``_head_length`` and doubles while the
+    bound fails; from 2N >= q on, Horner runs to the end, which is the full
+    test.  ``prefix_max[i]`` is max |F[0..i]|.
     """
     q = len(F) - 1
+    n = _head_length(q, prefix_max[q - 1], k_head, m, k)
+    if n is None:
+        return _poly_sign(F, m, k)
     d = m - (1 << k)
-    if k >= k_head or d <= 0:
-        return _poly_sign(F, m, k)
-    # log2 x, and the digits wanted: k + GUARD_BITS + log2 C + log2(x/(x-1))
-    lx = math.log2(m) - k
-    want = k + GUARD_BITS + prefix_max[q - 1].bit_length() + math.log2(m) - math.log2(d)
-    if want >= q * lx:
-        return _poly_sign(F, m, k)
-    n = math.ceil(want / lx)
     acc, shift, top = 0, 0, q
     while n < q:
         rest = q - n - 1  # the highest index left out of the head
@@ -112,19 +139,35 @@ def _head_sign(F: IntPoly, prefix_max: Sequence[int], k_head: float, m: int, k: 
     return (acc > 0) - (acc < 0)
 
 
-def _sparse_sign(terms: Sequence[Tuple[int, int]], m: int, k: int) -> int:
+def _sparse_sign(terms: Sequence[Tuple[int, int]], m: int, k: int,
+                 rest_max: Optional[Sequence[int]] = None, k_head: float = 0.0) -> int:
     """``_poly_sign`` over the nonzero terms (i, c_i) of a polynomial, listed
     by descending power: one product by m^gap for each run of zero
-    coefficients in place of one product by m per coefficient."""
+    coefficients in place of one product by m per coefficient.
+
+    Given ``rest_max``, where rest_max[t] is the largest |c| of terms[t:]
+    (and rest_max[-1] = 0), it is ``_head_sign``'s test at scales k < k_head:
+    once the terms down to power i hold a head of N = deg - i >= n powers,
+    |A| (m - 2^k) > C 2^(k(N+1)), C the largest |c| left out, proves the
+    sign; n starts at ``_head_length`` and doubles while the bound fails.
+    """
     if not terms:
         return 0
     deg = prev = terms[0][0]
+    n = None if rest_max is None else _head_length(deg, rest_max[1], k_head, m, k)
+    if n is None:
+        n = deg + 1  # no head short of the whole polynomial
+    d = m - (1 << k)
     acc = 0
-    for i, c in terms:
+    for t, (i, c) in enumerate(terms, start=1):
         if i != prev:
             acc *= m ** (prev - i)
         acc += c << (k * (deg - i))
         prev = i
+        if deg - i >= n:
+            if abs(acc) * d > rest_max[t] << (k * (deg - i + 1)):
+                return (acc > 0) - (acc < 0)
+            n *= 2
     if prev:
         acc *= m ** prev
     return (acc > 0) - (acc < 0)
@@ -133,19 +176,24 @@ def _sparse_sign(terms: Sequence[Tuple[int, int]], m: int, k: int) -> int:
 def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     """The exact sign of F at m/2^k as a function of (m, k): the sparse test
     when at most a quarter of F's coefficients are nonzero (the near-one
-    words 1 0^(n-2) 1 have three), else dense Horner, through ``_head_sign``
-    at the scales where its head can be short.
+    words 1 0^(n-2) 1 have three), else dense Horner, each through its head
+    test at the scales where the head can be short.  The kernel's first
+    argument is F as its test runs over it, for a sparse F the list of its
+    nonzero terms by descending power; ``_newton`` takes the same.
 
     The roots of F lie below C + 1, C = max |F[i]| under the leading one,
-    and the points tested lie near them, so ``_head_sign``'s head has at
-    least (k + GUARD_BITS + log2 C) / log2(C + 1) coefficients.  It is tried
-    for the k where that is under half of F: a longer head saves too little
-    to pay for its estimate on words of a few dozen letters.
+    and the points tested lie near them, so the head has at least
+    (k + GUARD_BITS + log2 C) / log2(C + 1) coefficients.  It is tried for
+    the k where that is under half of F: a longer head saves too little to
+    pay for its estimate on words of a few dozen letters.
     """
+    q = len(F) - 1
     terms = [(i, c) for i, c in enumerate(F) if c]
     if 4 * len(terms) <= len(F):
-        return partial(_sparse_sign, terms[::-1])
-    q = len(F) - 1
+        rest_max = list(accumulate((abs(c) for _, c in terms), max))[::-1] + [0]
+        C = rest_max[1] if terms else 0
+        k_head = q * math.log2(C + 1) / 2 - GUARD_BITS - C.bit_length()
+        return partial(_sparse_sign, terms[::-1], rest_max=rest_max, k_head=k_head)
     prefix_max = list(accumulate(map(abs, F), max))
     C = prefix_max[q - 1] if q else 0
     k_head = q * math.log2(C + 1) / 2 - GUARD_BITS - C.bit_length()
@@ -157,12 +205,15 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
 def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
     """Newton's method on F in fixed point from the guess x/2^p, p < P.
 
+    F is a coefficient tuple, or the descending list of the nonzero terms
+    (i, c_i) of a sparse F that its sign kernel runs over (``_sign_kernel``).
     The precision about doubles from step to step up to P bits, from 16 bits
     at the least (where halving plus 8 stops falling); steps at P bits then
     repeat, at most four more, until one moves x by at most
     2^(GUARD_BITS - P).  Returns the final x at scale 2^P, or None where F'
     is not positive.  The result is only a guess: no error bound is claimed.
     """
+    sparse = isinstance(F[0], tuple)
     schedule = [P]
     while schedule[-1] > 2 * p and schedule[-1] // 2 + 8 < schedule[-1]:
         schedule.append(schedule[-1] // 2 + 8)
@@ -170,12 +221,15 @@ def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
     for q in schedule + [P] * 4:
         x <<= q - p
         p = q
-        f, d = F[-1] << p, 0  # F(x) and F'(x) at scale 2^p, by Horner
-        for c in reversed(F[:-1]):
-            d = (d * x >> p) + f
-            f = f * x >> p
-            if c:
-                f += c << p
+        if sparse:
+            f, d = _sparse_value_and_slope(F, x, p)
+        else:
+            f, d = F[-1] << p, 0  # F(x) and F'(x) at scale 2^p, by Horner
+            for c in reversed(F[:-1]):
+                d = (d * x >> p) + f
+                f = f * x >> p
+                if c:
+                    f += c << p
         if d <= 0:
             return None
         step = (f << p) // d
@@ -183,6 +237,34 @@ def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
         if p == P and abs(step) <= 1 << GUARD_BITS:
             break
     return x
+
+
+def _sparse_value_and_slope(terms: Sequence[Tuple[int, int]], x: int, p: int) -> Tuple[int, int]:
+    """F(x) and F'(x) at scale 2^p over the nonzero terms (i, c_i) of F,
+    listed by descending power: Horner that crosses each run of g - 1 zero
+    coefficients with the fixed-point powers x^(g-1) and x^g, by
+    square-and-multiply, so a step costs O(nnz log deg) products, not deg."""
+    powers = {}  # gap g -> (x^(g-1), x^g) at scale 2^p
+    f = d = 0
+    prev = terms[0][0]
+    for i, c in chain(terms, [(0, 0)]):
+        g = prev - i
+        if g:
+            if g not in powers:
+                e, base, low = g - 1, x, 1 << p
+                while e:
+                    if e & 1:
+                        low = low * base >> p
+                    e >>= 1
+                    if e:
+                        base = base * base >> p
+                powers[g] = low, low * x >> p
+            low, high = powers[g]
+            d = (d * high >> p) + g * (f * low >> p)
+            f = f * high >> p
+        f += c << p
+        prev = i
+    return f, d
 
 
 def digit_series_sign(digits: Sequence[int], x: Fraction) -> int:
@@ -262,6 +344,7 @@ class RefinableRoot:
         around a ``seed`` guess (a, b, s), [a/2^s, b/2^s], as below."""
         self.annihilator = F
         self._sign = sign = _sign_kernel(F)
+        self._poly = sign.args[0]  # F as the kernel runs over it, for _newton
         self._exact, self._shown = None, (None, None)
         if seed is not None:
             # The finest cell [j, j+1]/2^k holding the guess, if in a unit cell
@@ -350,9 +433,15 @@ class RefinableRoot:
         K, k = self._k + steps, self._K
         if K > k:
             target = max(K, 2 * k, k + 64) if self._k else K
-            d = min(len(self.annihilator) - 1, JUMP_HIGH_DEGREE)
-            start = max(k, JUMP_FROM_BITS, d // 8)
-            if target - start > max(JUMP_MIN_STEPS, d // 4):
+            deg = len(self.annihilator) - 1
+            if self._poly is self.annihilator:  # dense: Newton over every coefficient
+                d = min(deg, JUMP_HIGH_DEGREE)
+                start, least = max(JUMP_FROM_BITS, d // 8), max(JUMP_MIN_STEPS, d // 4)
+            else:
+                b = deg.bit_length()
+                start, least = b + SPARSE_FROM_BITS, SPARSE_JUMP_WORK // b
+            start = max(k, start)
+            if target - start > least:
                 self._halve(start - k)
                 self._jump(target)
             self._halve(K - self._K)
@@ -374,7 +463,7 @@ class RefinableRoot:
         (j+1)/2^K then certify the cell, after at most one move to a
         neighbouring cell: three sign tests at most."""
         a, k = self._j, self._K
-        x = _newton(self.annihilator, 2 * a + 1, k + 1, K + GUARD_BITS)
+        x = _newton(self._poly, 2 * a + 1, k + 1, K + GUARD_BITS)
         if x is None:
             return
         first = a << (K - k)

@@ -12,10 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircase import beta
-from staircase.beta import (GUARD_BITS, JUMP_FROM_BITS, RefinableRoot, _bracket, _head_sign,
-                            _horner, _poly_sign, _sign_kernel, _sparse_sign, beta_root_finite,
-                            beta_root_periodic, digit_series_sign,
-                            finite_annihilator, periodic_annihilator)
+from staircase.beta import (GUARD_BITS, JUMP_FROM_BITS, SPARSE_FROM_BITS, RefinableRoot, _bracket,
+                            _head_sign, _horner, _poly_sign, _sign_kernel, _sparse_sign,
+                            beta_root_finite, beta_root_periodic, digit_series_sign,
+                            finite_annihilator, near_one_root, periodic_annihilator)
 from staircase.errors import PreconditionError
 from staircase.intervals import Enclosure, eval_poly
 from staircase.words import PeriodicWord, bzb_word
@@ -273,6 +273,44 @@ def test_newton_guess_at_another_root_is_clamped():
     assert rr.bracket == _bisected(F, 1, 200).bracket
 
 
+@st.composite
+def sparse_words(draw):
+    """A word whose annihilator has at most a quarter nonzero coefficients,
+    of degree up to about 600: 1 0^j 1, 1 0^i 1 0^j 1 or 1 0^i (1 0^j)^w."""
+    i, j = draw(st.integers(0, 300)), draw(st.integers(20, 300))
+    kind = draw(st.sampled_from(["two ones", "three ones", "periodic"]))
+    if kind == "two ones":
+        return (1,) + (0,) * j + (1,)
+    if kind == "three ones":
+        return (1,) + (0,) * i + (1,) + (0,) * j + (1,)
+    return PeriodicWord.make((1,) + (0,) * i, (1,) + (0,) * j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_words(), st.integers(1, 80))
+@example((1,) + (0,) * 598 + (1,), 13)  # a near-one word refined to 1e-8
+def test_sparse_jump_lands_on_the_bisection_cell(word, steps):
+    """From the sparse start cell, 2^-(bitlen(deg F) + SPARSE_FROM_BITS), a
+    Newton jump over the nonzero terms lands on bisection's cell, however
+    few the steps: it does not fall back."""
+    F, a1 = _root_of(word)
+    assert 4 * sum(map(bool, F)) <= len(F)
+    start = (len(F) - 1).bit_length() + SPARSE_FROM_BITS
+    rr = _bracket(F, a1)
+    rr._halve(start)
+    rr._jump(start + steps)
+    assert rr.bracket == _bisected(F, a1, start + steps).bracket
+
+
+def test_sparse_root_sign_test_budget():
+    """near_one_root(3000, 1e-8) bisects to the sparse start cell 2^-14 and
+    jumps the last 13 bits: 18 sign tests, where bisection alone spent 29."""
+    with mock.patch.object(beta, "_sparse_sign", wraps=beta._sparse_sign) as sign:
+        enc = near_one_root(3000, Fraction(1, 10 ** 8))
+    assert enc.width <= Fraction(1, 10 ** 8)
+    assert sign.call_count <= 20, sign.call_count
+
+
 # ---------------------------------------------------------------------------
 # Repeated refinement: one certified deep cell, presented at each scale
 # ---------------------------------------------------------------------------
@@ -372,6 +410,26 @@ def _reference_cell(F, a1, depth):
     return a, b, k
 
 
+@st.composite
+def long_sparse_annihilators(draw):
+    """(F, a_1): the annihilator of a finite or eventually periodic word of
+    65 to 800 letters whose nonzero digits, in {1, ..., top}, lie 4 to 20
+    letters apart, so that F goes to the sparse sign test."""
+    q = draw(st.integers(65, 800))
+    top = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    digits = [0] * q
+    n = 0
+    while n < q:
+        digits[n] = rng.randint(1, top)
+        n += rng.randint(4, 20)
+    if draw(st.booleans()):
+        return finite_annihilator(digits), digits[0]
+    w = PeriodicWord.make((digits[0],), tuple(digits[1:]))
+    assume(any(w.per))
+    return periodic_annihilator(w), w[0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(long_annihilators(), st.integers(0, 48), st.integers(0, 64), st.integers(0, 1 << 70))
 # x = 1 + 2^-20: the estimate of the head length gives up at once
@@ -379,6 +437,20 @@ def _reference_cell(F, a1, depth):
 def test_long_word_sign_matches_reference(root, depth, k, draw_m):
     """Beside the root (the bisection midpoint and the points 1 and 3 cells
     either side of it) and at a random point x = m/2^k in (0, 12)."""
+    _assert_signs_beside_the_root(root, depth, k, draw_m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_sparse_annihilators(), st.integers(0, 48), st.integers(0, 64),
+       st.integers(0, 1 << 70))
+def test_long_sparse_word_sign_matches_reference(root, depth, k, draw_m):
+    """The sparse test, through its head at these scales, at the same points."""
+    F, _ = root
+    assert _sign_kernel(F).func is _sparse_sign
+    _assert_signs_beside_the_root(root, depth, k, draw_m)
+
+
+def _assert_signs_beside_the_root(root, depth, k, draw_m):
     F, a1 = root
     sign = _sign_kernel(F)
     cell = _reference_cell(F, a1, depth)
@@ -433,6 +505,21 @@ def test_tail_bound_takes_the_largest_coefficient_left_out(k):
     for G in range(22, 64):
         D = 1 << (G - 20)
         digits = [1] * 19 + [0] + [1] * (G - 21) + [D] * (G + 10)
+        F = finite_annihilator(digits)
+        assert fraction_poly_sign(F, Fraction(2)) == -1
+        assert _sign_kernel(F)(2 << k, k) == -1
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sparse_tail_bound_takes_the_largest_coefficient_left_out(k):
+    """x = 2 = (2 << k)/2^k and the sparse word with a_1 = 1,
+    a_20 = 2^19 - 1, a_(G-1) = 1 and a_G = D = 2^(G-20): its head through
+    a_(G-1) sums to within 2^-20 of 1 from below, and only the last digit
+    takes the sum past 1.  The head test stops there, and a tail bound over
+    the head's coefficients (at most 2^19) would certify the wrong sign."""
+    for G in range(42, 90):
+        digits = [0] * G
+        digits[0], digits[19], digits[G - 2], digits[G - 1] = 1, (1 << 19) - 1, 1, 1 << (G - 20)
         F = finite_annihilator(digits)
         assert fraction_poly_sign(F, Fraction(2)) == -1
         assert _sign_kernel(F)(2 << k, k) == -1
