@@ -855,12 +855,15 @@ def targeted_theta_cf(beta: Fraction) -> ContinuedFraction:
     beta = Fraction(beta)
     if beta <= 1:
         raise PreconditionError("targeted theta requires beta > 1")
-    ln_beta = math.log(beta)
+    try:
+        ln_beta, log2_beta = math.log(beta), math.log2(beta)
+    except OverflowError as exc:
+        raise PreconditionError("targeted theta requires beta below about 1.8e308") from exc
 
     def gen():
         q_prev2, q_prev = 0, 1
         while True:
-            bits = float(q_prev) * math.log2(float(beta)) if isinstance(q_prev, int) else _INF
+            bits = float(q_prev) * log2_beta if isinstance(q_prev, int) else _INF
             if isinstance(q_prev, int) and bits <= DEFAULT_BIT_BUDGET:
                 power = beta ** q_prev
                 a: Nat = int(power.numerator // (power.denominator * q_prev))

@@ -234,6 +234,9 @@ def test_exit_code_certification(capsys):
     # a targeted preset whose base is not a fraction, or divides by zero
     (["measure", "mu", "--preset", "targeted:x"], None, cli.EXIT_PRECONDITION),
     (["classify", "--preset", "targeted:1/0"], None, cli.EXIT_PRECONDITION),
+    # a targeted preset whose base is past the float range
+    (["classify", "--preset", "targeted:1e400"], None, cli.EXIT_PRECONDITION),
+    (["measure", "mu", "--preset", "targeted:1e400"], None, cli.EXIT_PRECONDITION),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, code):
     if env_digits is not None:
