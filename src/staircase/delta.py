@@ -20,7 +20,7 @@ from .beta import (MAX_WORD_LENGTH, BetaHandle, Bracket, SeriesRoot, beta_root_f
 from .diophantine import ContinuedFraction
 from .errors import PreconditionError
 from .intervals import Enclosure, decimal_str, refine_until
-from .words import PeriodicWord, Word, bzb_word, central_word, to_alphabet
+from .words import PeriodicWord, Word, bzb_word
 
 RATIONAL_TOL = Fraction(1, 10 ** 30)
 IRRATIONAL_TOL = Fraction(1, 10 ** 12)
@@ -86,29 +86,31 @@ def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
     return DeltaValue(alpha, digits, "algebraic", handle.enclosure, handle=handle)
 
 
-def right_limit_word(alpha: Fraction) -> PeriodicWord:
+def right_limit_word(alpha: Fraction, left_word: Optional[Word] = None) -> PeriodicWord:
     """Digit expansion of 1 in base Delta(alpha+), eventually periodic.
 
     Integer slope b: (b+1) b^w.  Non-integer slope (b-1) + p/q: b followed by
     the period (z, b, b-1) where z is the central word of p/q on {b-1, b}.
+    Either way it is the expansion w of 1 in base Delta(alpha) (``bzb_word``)
+    with its first letter as preperiod and the rest, then that letter less
+    one, as period; ``left_word`` is w when the caller has it.
     """
-    b, p, q = _split_slope(Fraction(alpha))
-    if p == 0:
-        return PeriodicWord.make((b,), (b - 1,))
-    z = to_alphabet(central_word(p, q), b)
-    return PeriodicWord.make((b,), z + (b, b - 1))
+    w = left_word or bzb_word(*_split_slope(Fraction(alpha)))
+    return PeriodicWord.make(w[:1], w[1:] + (w[0] - 1,))
 
 
 def delta_right_limit(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
-                      seed: Optional[Bracket] = None) -> DeltaValue:
+                      seed: Optional[Bracket] = None,
+                      left_word: Optional[Word] = None) -> DeltaValue:
     """Certified enclosure of Delta(alpha+), the limit from the right.
 
     At the integer slope b >= 1 this is the quadratic (b + 2 + sqrt(b^2+4b))/2;
     at 0 it equals Delta(0) = 1 (no jump).  At non-integer rationals it is the
-    root of the eventually periodic digit series of :func:`right_limit_word`.
+    root of the eventually periodic digit series of :func:`right_limit_word`,
+    which takes ``left_word``, the expansion at alpha, when given.
     """
     alpha = Fraction(alpha)
-    word = right_limit_word(alpha)
+    word = right_limit_word(alpha, left_word)
     if alpha == 0:
         return DeltaValue(alpha, word, "algebraic", Enclosure.exact(Fraction(1)))
     handle = beta_root_periodic(word, tol, seed)
@@ -254,7 +256,7 @@ def sweep(lo: Fraction, hi: Fraction, max_den: int,
         p, q, d = c.numerator, c.denominator, pow(c.numerator, -1, c.denominator)
         a, e = done.get(((p * d - 1) // q, d)), done.get(((p * (q - d) + 1) // q, q - d))
         left = delta_rational(c, tol, _ends(a.right, e.delta) if a and e else None)
-        right = delta_right_limit(c, tol, _ends(left, e.delta) if e else None)
+        right = delta_right_limit(c, tol, _ends(left, e.delta) if e else None, left.word)
         done[p, q] = PlotRow(c, left, right, JumpValue(c, left, right).certify_positive().lo)
     rows = [done[c.numerator, c.denominator] for c in slopes]
     for x, y in zip(rows, rows[1:]) if certify_order else ():
