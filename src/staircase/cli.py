@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import count
 from typing import Iterable, List, Optional, Sequence
 
@@ -178,7 +178,7 @@ def _cmd_mechanical(args) -> None:
 
 
 def _cmd_admissible(args) -> None:
-    s = args.digits
+    s = args.word
     if "(" in s:
         if not s.endswith(")"):
             raise PreconditionError(f"unclosed period in {s!r}: need PRE(PER)")
@@ -352,7 +352,7 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("--upper", action="store_true")
     p = leaf(word, "admissible", _cmd_admissible)
-    p.add_argument("digits")
+    p.add_argument("word", metavar="digits")  # not dest digits, which --digits sets
 
     dlt = sub.add_parser("delta").add_subparsers(dest="delta_cmd", required=True)
     p = leaf(dlt, "eval", _cmd_delta_eval)
@@ -412,17 +412,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The grammar, built on the first ``main`` call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
+    # The parser outlives this call, so the environment is read on each call.
+    parser.set_defaults(digits=os.environ.get(ENV_DIGITS, "30"))
     try:
         args = parser.parse_args(argv)
         if args.tol <= 0:
             raise PreconditionError("tolerance must be positive")
-        # Every subcommand with --preset reads its number from --cf or --preset
-        # (or, for delta eval, --alpha).
-        if hasattr(args, "preset") and not (args.cf or args.preset or getattr(args, "alpha", None)):
-            raise PreconditionError("need --alpha, --cf, or --preset" if hasattr(args, "alpha")
-                                    else "need --cf or --preset")
+        # Every subcommand with --preset reads its number from exactly one of
+        # --cf and --preset (or, for delta eval, --alpha).
+        if hasattr(args, "preset"):
+            named = [f"--{k}" for k in ("alpha", "cf", "preset") if getattr(args, k, None)]
+            if not named:
+                raise PreconditionError("need --alpha, --cf, or --preset" if hasattr(args, "alpha")
+                                        else "need --cf or --preset")
+            if len(named) > 1:
+                raise PreconditionError(f"{', '.join(named)} each name a number: give only one")
         args.handler(args)
         return EXIT_OK
     except SystemExit:

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -237,6 +239,12 @@ def test_exit_code_certification(capsys):
     # a targeted preset whose base is past the float range
     (["classify", "--preset", "targeted:1e400"], None, cli.EXIT_PRECONDITION),
     (["measure", "mu", "--preset", "targeted:1e400"], None, cli.EXIT_PRECONDITION),
+    # one number named twice
+    (["delta", "eval", "--alpha", "1/2", "--cf", "0,1,fib"], None, cli.EXIT_PRECONDITION),
+    (["measure", "mu", "--cf", "0,1,fib", "--preset", "e", "-N", "4"], None,
+     cli.EXIT_PRECONDITION),
+    (["cf", "convergents", "--cf", "0,1,1,1", "--preset", "e", "-N", "3"], None,
+     cli.EXIT_PRECONDITION),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, code):
     if env_digits is not None:
@@ -250,6 +258,66 @@ def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, c
     lines = err.splitlines()
     prefix = "error: usage: " if code == cli.EXIT_USAGE else "error: precondition: "
     assert len(lines) == 1 and lines[0].startswith(prefix), err
+
+
+def test_no_state_carries_between_main_calls(capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
+    half = ["delta", "eval", "--alpha", "1/2"]
+    _, out, _ = run(capsys, half + ["--digits", "8"])
+    assert '"1.61803398"' in out
+    _, plain, _ = run(capsys, half)
+    assert '"1.618033988749630225356668233871"' in plain
+    _, out, _ = run(capsys, ["--tol", "1/2"] + half)
+    assert out != plain and run(capsys, half)[1] == plain
+    probe = ["probe", "zero", "-K", "3"]
+    assert run(capsys, probe + ["--output", "csv"])[1].startswith("k,")
+    assert run(capsys, probe)[1].startswith("{")
+    assert run(capsys, ["word", "christoffel", "--upper", "2", "5"])[1] == "10100\n"
+    assert run(capsys, ["word", "christoffel", "2", "5"])[1] == "00101\n"
+    # the environment is read on every call
+    for env in ("6", "8", "12"):
+        monkeypatch.setenv(cli.ENV_DIGITS, env)
+        lo, hi = run_json(capsys, half)["enclosure"]
+        assert lo.startswith("1.618033") and len(lo) == len(hi) == 2 + int(env)
+    monkeypatch.setenv(cli.ENV_DIGITS, "x")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(half)
+    err = capsys.readouterr().err.splitlines()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("error: usage: ")
+    monkeypatch.delenv(cli.ENV_DIGITS)
+    assert run(capsys, half)[1] == plain
+
+
+def test_the_grammar_is_built_once_and_not_at_import(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["word", "christoffel", "2", "5"], ["cf", "expand", "--alpha", "17/12"],
+                 ["word", "central", "3", "8"]):
+        assert cli.main(argv) == cli.EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0 and len(built) == 1
+    assert capsys.readouterr().out.endswith(build().format_help())
+    # a fresh interpreter that imports the CLI constructs no parser at all
+    probe = ("import argparse\n"
+             "made = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = lambda *a, **k: made.append(1) or init(*a, **k)\n"
+             "import staircase.cli\n"
+             "print(len(made), staircase.cli._parser.cache_info().currsize)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["0", "0"]
+
+
+def test_admissible_word_is_not_the_digits_option(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_DIGITS, "2")
+    assert run_json(capsys, ["word", "admissible", "2"])["word"] == "2"
+    assert run_json(capsys, ["word", "admissible", "2(10)", "--digits", "5"])["word"] == "2(10)^w"
 
 
 # ---------------------------------------------------------------------------

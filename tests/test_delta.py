@@ -171,6 +171,35 @@ def _reference_rows(lo, hi, max_den, tol):
     return [(j.slope, j.left.enclosure, j.right.enclosure, g) for j, g in zip(jumps, jump_lo)]
 
 
+slopes_to_2 = st.builds(Fraction, st.integers(1, 24), st.integers(1, 12)).filter(lambda x: x <= 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(slopes_to_2, slopes_to_2)
+@example(Fraction(5, 12), Fraction(3, 7))
+def test_delta_increases_across_the_jump(x, y):
+    """Delta(a) < Delta(a+) < Delta(b) for rationals a < b, on certified
+    enclosures refined until they are apart."""
+    assume(x != y)
+    a, b = min(x, y), max(x, y)
+    left, right, after = (delta_rational(a, TOL), delta_right_limit(a, TOL),
+                          delta_rational(b, TOL))
+    _refine_apart(left, right, 80)
+    _refine_apart(right, after, 80)
+    assert left.enclosure.hi < right.enclosure.lo <= right.enclosure.hi < after.enclosure.lo
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(3, 5), Fraction(8, 13),
+                               Fraction(21, 34), Fraction(55, 89)])
+def test_right_limit_below_the_golden_slope(a):
+    """Delta(a+) < Delta(gamma) at the even convergents a < gamma of the golden
+    slope gamma = [0; 1, 1, ...]; see Lothaire, Algebraic Combinatorics on
+    Words, ch. 2, for the Sturmian words behind the digit words."""
+    right, gamma = delta_right_limit(a, TOL), delta_irrational(golden_cf())
+    _refine_apart(right, gamma, 80)
+    assert right.enclosure.hi < gamma.enclosure.lo
+
+
 slopes_to_3 = st.builds(Fraction, st.integers(0, 36), st.integers(1, 12)).filter(lambda x: x <= 3)
 
 
