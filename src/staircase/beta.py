@@ -64,6 +64,9 @@ GUARD_BITS = 16
 # and delta_rational refuses slopes whose word would be longer.
 MAX_WORD_LENGTH = 1 << 20
 
+# The most bisection steps a greedy digit or orbit band verdict may spend.
+REFINE_BUDGET = 20000
+
 
 def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
     """Exact sign of sum coeffs[i] * x**i at the dyadic point x = m / 2**k."""
@@ -648,8 +651,7 @@ def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, in
     return lo, hi, s
 
 
-def _orbit_step(r: List[int], beta: RefinableRoot, refine_budget: int,
-                den: int = 1) -> Tuple[int, List[int]]:
+def _orbit_step(r: List[int], beta: RefinableRoot, den: int = 1) -> Tuple[int, List[int]]:
     """One step of T(x) = beta*x - floor(beta*x) from x = r(beta) / den.
 
     Orbit values are integer polynomials in beta reduced modulo its
@@ -659,14 +661,13 @@ def _orbit_step(r: List[int], beta: RefinableRoot, refine_budget: int,
     """
     F = beta.annihilator
     r = _poly_times_x(r, F)
-    digit = _decide_floor(r, beta, refine_budget, den) if r else 0
+    digit = _decide_floor(r, beta, den) if r else 0
     if digit:
         r = _poly_reduce(_poly_sub_const(r, digit * den), F)
     return digit, r
 
 
-def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1),
-                  refine_budget: int = 20000) -> Tuple[Word, bool]:
+def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1)) -> Tuple[Word, bool]:
     """First n digits of the greedy expansion of x in base beta, x in [0, 1].
 
     Returns (digits, terminated): ``terminated`` is True when the orbit of x
@@ -684,7 +685,7 @@ def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1),
     r: List[int] = [x.numerator] if x else []  # the orbit value is r(beta) / den
     out: List[int] = []
     for _ in range(n):
-        digit, r = _orbit_step(r, beta, refine_budget, x.denominator)
+        digit, r = _orbit_step(r, beta, x.denominator)
         if r or digit:  # beta*x itself 0 gives no digit
             out.append(digit)
         if not r:
@@ -692,7 +693,7 @@ def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1),
     return tuple(out), False
 
 
-def _decide_floor(r: List[int], beta: RefinableRoot, refine_budget: int, den: int = 1) -> int:
+def _decide_floor(r: List[int], beta: RefinableRoot, den: int = 1) -> int:
     """floor of the real number r(beta) / den."""
 
     def floor() -> Optional[int]:
@@ -707,12 +708,12 @@ def _decide_floor(r: List[int], beta: RefinableRoot, refine_budget: int, den: in
             return f_hi
         return None
 
-    return _refine_root_until(floor, beta, refine_budget, "greedy digit")
+    return _refine_root_until(floor, beta, "greedy digit")
 
 
-def _refine_root_until(verdict, root: RefinableRoot, refine_budget: int, what: str):
+def _refine_root_until(verdict, root: RefinableRoot, what: str):
     """``refine_until`` on a beta root in rounds of 32 bisection steps, at most
-    ``refine_budget`` steps in all."""
+    REFINE_BUDGET steps in all."""
     # Most calls decide at once: ask before building the first tolerance.
     decision = verdict()
     if decision is not None:
@@ -720,7 +721,7 @@ def _refine_root_until(verdict, root: RefinableRoot, refine_budget: int, what: s
     # lo and hi ignore an exact hit, so the tolerance stays positive, and each
     # round's tol, the bracket width over 2^32, takes exactly 32 steps.
     return refine_until(verdict, (root,), root.hi - root.lo, 2 ** 32,
-                        -(-refine_budget // 32), what)
+                        -(-REFINE_BUDGET // 32), what)
 
 
 def quasi_greedy_of_finite(digits: Sequence[int]) -> PeriodicWord:
@@ -744,8 +745,7 @@ class OrbitPoint:
     verdict: str  # "interior" | "outside" | "zero" | "boundary-low" | "boundary-high"
 
 
-def extremal_orbit_check(beta: RefinableRoot, k_max: int,
-                         refine_budget: int = 20000) -> List[OrbitPoint]:
+def extremal_orbit_check(beta: RefinableRoot, k_max: int) -> List[OrbitPoint]:
     """Certify, for k = 1..k_max, where T^k(1) sits relative to the band
     (1 - 1/beta, 1), T being x -> beta*x mod 1.
 
@@ -756,18 +756,18 @@ def extremal_orbit_check(beta: RefinableRoot, k_max: int,
     r: List[int] = [1]
     out: List[OrbitPoint] = []
     for k in range(1, k_max + 1):
-        _, r = _orbit_step(r, beta, refine_budget)
+        _, r = _orbit_step(r, beta)
         if not r:
             out.append(OrbitPoint(k, Enclosure.exact(Fraction(0)), "zero"))
             break
-        verdict = _band_verdict(r, beta, refine_budget)
+        verdict = _band_verdict(r, beta)
         lo, hi, s = _horner(r, *beta.bracket)
         out.append(OrbitPoint(k, Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s)),
                               verdict))
     return out
 
 
-def _band_verdict(r: List[int], beta: RefinableRoot, refine_budget: int) -> str:
+def _band_verdict(r: List[int], beta: RefinableRoot) -> str:
     # upper edge: v - 1;  lower edge: beta*(v - 1) + 1  (v > 1 - 1/beta).
     F = beta.annihilator
     upper = _poly_reduce(_poly_sub_const(r, 1), F)
@@ -787,7 +787,7 @@ def _band_verdict(r: List[int], beta: RefinableRoot, refine_budget: int) -> str:
             return "outside"
         return None
 
-    return _refine_root_until(band, beta, refine_budget, "orbit band verdict")
+    return _refine_root_until(band, beta, "orbit band verdict")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class DeltaValue:
     kind of number beta is.
     """
 
-    slope: Fraction
+    slope: Union[Fraction, ContinuedFraction]
     word: Union[Word, PeriodicWord]
     nature: str  # "algebraic" | "labelled_transcendental"
     enclosure: Enclosure
@@ -200,7 +200,7 @@ def delta_irrational(cf: ContinuedFraction, tol: Fraction = IRRATIONAL_TOL) -> D
     root = SeriesRoot(stream.digit, max_digit=stream.b)
     enc = root.refine(tol)
     prefix = tuple(stream.digit(n) for n in range(1, 33))
-    return DeltaValue(Fraction(0), prefix, "labelled_transcendental", enc,
+    return DeltaValue(cf, prefix, "labelled_transcendental", enc,
                       series_root=root, stream=stream)
 
 

@@ -359,71 +359,25 @@ def _log_step(a: Nat, prev: Nat, prev2: Nat) -> LogMagnitude:
 # ---------------------------------------------------------------------------
 
 
-def cf_expand(x, n: int) -> List[int]:
-    """First partial quotients [a0, a1, ...] (up to n+1 of them) of x.
-
-    Rational x is expanded as the exact enclosure [x, x], which is Euclid's
-    algorithm, and may terminate early.  An Enclosure is expanded only as far
-    as both endpoints certify the same quotients.
-    """
+def cf_expand(x: Fraction, n: int) -> List[int]:
+    """First partial quotients [a0, a1, ...] (up to n+1 of them) of the
+    rational x, by Euclid's algorithm; the expansion may terminate early."""
     if n < 0:
         raise PreconditionError("cf_expand needs n >= 0")
-    exact = isinstance(x, (Fraction, int))
-    if not (exact or isinstance(x, Enclosure)):
-        raise PreconditionError("cf_expand needs a Fraction or an Enclosure")
-    out = _cf_interval(Enclosure.exact(x) if exact else x, n)
-    if not out:
-        raise CertificationError("cf_expand: enclosure too wide to decide a0")
-    # Canonical form of a terminated rational expansion: no trailing quotient 1.
-    if exact and len(out) >= 2 and out[-1] == 1 and len(out) <= n:
-        out[-2] += 1
-        out.pop()
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    out: List[int] = []
+    while den and len(out) <= n:
+        a, r = divmod(num, den)
+        out.append(a)
+        num, den = den, r
     return out
 
 
-def _cf_interval(x: Enclosure, n: int) -> List[int]:
-    out = []
-    lo, hi = x.lo, x.hi
-    for _ in range(n + 1):
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo != fhi:
-            return out
-        out.append(flo)
-        lo, hi = lo - flo, hi - flo
-        if lo == 0 or hi == 0:
-            return out
-        lo, hi = 1 / hi, 1 / lo
-    return out
-
-
-def dist_to_integers(x) -> Enclosure:
-    """Enclosure of ||x||, the distance from x to the nearest integer."""
-    if isinstance(x, (Fraction, int)):
-        f = Fraction(x)
-        fl = f.numerator // f.denominator
-        frac = f - fl
-        return Enclosure.exact(min(frac, 1 - frac))
-    if not isinstance(x, Enclosure):
-        raise PreconditionError("dist_to_integers needs a Fraction or an Enclosure")
-
-    def norm(v: Fraction) -> Fraction:
-        frac = v - (v.numerator // v.denominator)
-        return min(frac, 1 - frac)
-
-    lo_v, hi_v = norm(x.lo), norm(x.hi)
-    lo, hi = min(lo_v, hi_v), max(lo_v, hi_v)
-    # If the interval straddles an integer the min is 0; if it straddles a
-    # half-integer the max is exactly 1/2.
-    if x.contains(Fraction(math.ceil(x.lo))):
-        lo = Fraction(0)
-    two = x * 2
-    m = math.ceil(two.lo)
-    if m % 2 == 0:
-        m += 1
-    if two.contains(Fraction(m)):
-        hi = Fraction(1, 2)
-    return Enclosure(lo, hi)
+def dist_to_integers(x: Fraction) -> Enclosure:
+    """Exact enclosure of ||x||, the distance from rational x to the nearest integer."""
+    frac = Fraction(x) % 1
+    return Enclosure.exact(min(frac, 1 - frac))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +544,7 @@ def _nat_ratio(num: LogMagnitude, den: Nat) -> Optional[Tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 
-def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure]] = None) -> dict:
+def best_approx_check(t, p: int, q: int) -> dict:
     """Exhaustively decide whether p/q is a best approximation to t.
 
     First kind: |t - p/q| < |t - a/b| for every a/b != p/q with 0 < b <= q.
@@ -627,17 +581,10 @@ def best_approx_check(t, p: int, q: int, refine: Optional[Callable[[], Enclosure
                 second = second and cmp2
         return {"first_kind": first, "second_kind": second}
 
-    attempts = 0
-    if not isinstance(t, Enclosure):
-        t = Fraction(t)
-    while True:
-        res = decide(t)
-        if res is not None:
-            return res
-        if refine is None or attempts >= 64:
-            raise CertificationError("best_approx_check: comparison undecided at budget")
-        t = refine()
-        attempts += 1
+    res = decide(t if isinstance(t, Enclosure) else Fraction(t))
+    if res is None:
+        raise CertificationError("best_approx_check: enclosure too wide to decide")
+    return res
 
 
 def _iv_less(a: Enclosure, b: Enclosure) -> Optional[bool]:
@@ -669,21 +616,17 @@ class Classification:
     caveat: bool = True
 
 
-def classify(target, N: int = 8, thresholds: Thresholds = Thresholds(),
+def classify(target: Preset, N: int = 8, thresholds: Thresholds = Thresholds(),
              bit_budget: int = DEFAULT_BIT_BUDGET) -> Classification:
-    """Finite-N trisection of a preset (or CF) into the Liouville growth classes.
+    """Finite-N trisection of a preset into the Liouville growth classes.
 
     The decision reads the trend of the last few running log-theta estimates
     against the thresholds (early terms of a slowly-starting construction
     would otherwise dominate the running max); limits are not decidable, so
     the result always carries the finite-N caveat.
     """
-    if isinstance(target, Preset):
-        preset = target
-    else:
-        preset = Preset(getattr(target, "name", None) or "cf", cf=target)
-    theta_est = preset.theta_estimate(N, bit_budget)
-    mu_est = preset.mu_estimate(N, bit_budget)
+    theta_est = target.theta_estimate(N, bit_budget)
+    mu_est = target.mu_estimate(N, bit_budget)
     log_low = math.log(thresholds.theta_low)
     log_high = math.log(thresholds.theta_high)
     tail = theta_est.running[-3:]

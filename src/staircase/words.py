@@ -12,13 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .diophantine import ContinuedFraction
 from .errors import PreconditionError
-from .intervals import Enclosure
 
 Word = Tuple[int, ...]
-
-Slope = Union[Fraction, ContinuedFraction]
 
 
 # ---------------------------------------------------------------------------
@@ -26,25 +22,18 @@ Slope = Union[Fraction, ContinuedFraction]
 # ---------------------------------------------------------------------------
 
 
-def mechanical_prefix(alpha: Slope, rho: Fraction = Fraction(0), n: int = 0,
+def mechanical_prefix(alpha: Fraction, rho: Fraction = Fraction(0), n: int = 0,
                       upper: bool = False) -> Word:
     """First n letters of the mechanical word with slope alpha and intercept rho.
 
     Lower version: s(k) = floor(alpha*(k+1) + rho) - floor(alpha*k + rho),
-    k = 0..n-1; the upper version uses ceilings.  Exact arithmetic throughout:
-    an irrational slope (a ContinuedFraction) is handled through the exact
-    floor table of :meth:`ContinuedFraction.floors_upto`, never through floats.
+    k = 0..n-1; the upper version uses ceilings.  Exact arithmetic throughout.
     """
     if n < 0:
         raise PreconditionError("prefix length must be >= 0")
     rho = Fraction(rho)
     if not 0 <= rho <= 1:
         raise PreconditionError("intercept must lie in [0, 1]")
-    if isinstance(alpha, ContinuedFraction):
-        if rho != 0 and rho != 1:
-            raise PreconditionError(
-                "irrational slope supports only integer intercepts here")
-        return _mechanical_prefix_cf(alpha, n, upper)
     alpha = Fraction(alpha)
     if alpha < 0:
         raise PreconditionError("slope must be >= 0")
@@ -57,14 +46,6 @@ def mechanical_prefix(alpha: Slope, rho: Fraction = Fraction(0), n: int = 0,
     else:
         cuts = [(a * k + r) // d for k in range(n + 1)]
     return mechanical_prefix_floors(cuts)
-
-
-def _mechanical_prefix_cf(alpha: ContinuedFraction, n: int, upper: bool) -> Word:
-    floors = alpha.floors_upto(n)
-    if not upper:
-        return mechanical_prefix_floors(floors)
-    # For irrational alpha, ceil(k*alpha) = floor(k*alpha) + 1 for k >= 1.
-    return mechanical_prefix_floors([0] + [f + 1 for f in floors[1:]])
 
 
 def mechanical_prefix_floors(floors: Sequence[int]) -> Word:
@@ -121,11 +102,12 @@ def bzb_word(b: int, p: int, q: int) -> Word:
     return (b,) + z + (b,)
 
 
-def characteristic_prefix(alpha: Slope, n: int) -> Word:
-    """First n letters of the characteristic word of an irrational slope.
+def characteristic_prefix(alpha: Fraction, n: int) -> Word:
+    """First n letters of the characteristic word of slope alpha.
 
     The word is the upper mechanical word with intercept 0, shifted one step
-    left (its first letter is always 1 and carries no information).
+    left (its first letter is always 1 and carries no information).  A
+    convergent p_k/q_k with q_(k-1) > n + 1 stands in for an irrational slope.
     """
     word = mechanical_prefix(alpha, Fraction(0), n + 1, upper=True)
     return word[1:]
@@ -274,29 +256,19 @@ def is_parry_admissible(w: WordLike) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def common_prefix_radius(alpha: Slope, n: int, side: str) -> Union[Fraction, Enclosure]:
-    """How far a slope may move before some of the first n letters can change.
+def common_prefix_radius(alpha: Fraction, n: int, side: str) -> Fraction:
+    """How far a rational slope may move before some of the first n letters change.
 
-    For rational alpha = p/q, every slope within the returned radius on the
-    stated side ("below" or "above") shares the length-n word prefix, where
-    the radius is the minimum over 1 <= m <= n with q not dividing m of
-    frac(m*alpha)/m (below) or (1 - frac(m*alpha))/m (above).  Integer slopes
-    (where that minimum is vacuous) use the radius 1/n instead.
-
-    For an irrational slope only side="two_sided" is meaningful; the radius
-    min over m of dist(m*alpha, Z)/m is then itself irrational and is
-    returned as a certified Enclosure.
+    Every slope within the returned radius of alpha = p/q on the stated side
+    ("below" or "above") shares the length-n word prefix, where the radius is
+    the minimum over 1 <= m <= n with q not dividing m of frac(m*alpha)/m
+    (below) or (1 - frac(m*alpha))/m (above).  Integer slopes (where that
+    minimum is vacuous) use the radius 1/n instead.
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
-    if isinstance(alpha, ContinuedFraction):
-        if side != "two_sided":
-            raise PreconditionError("irrational slopes take side='two_sided'")
-        return _two_sided_radius_cf(alpha, n)
-    if side == "two_sided":
-        raise PreconditionError("rational slopes take side 'below' or 'above'")
     if side not in ("below", "above"):
-        raise PreconditionError("side must be 'below', 'above' or 'two_sided'")
+        raise PreconditionError("side must be 'below' or 'above'")
     alpha = Fraction(alpha)
     if alpha < 0:
         raise PreconditionError("slope must be >= 0")
@@ -314,32 +286,6 @@ def common_prefix_radius(alpha: Slope, n: int, side: str) -> Union[Fraction, Enc
         # radius is the one that keeps a length-n constant block intact.
         best = Fraction(1, n)
     return best
-
-
-def _two_sided_radius_cf(alpha: ContinuedFraction, n: int) -> Enclosure:
-    # Enclose alpha tightly enough that each m*alpha sits strictly between
-    # the integers given by the exact floor table.
-    floors = alpha.floors_upto(n)
-    i = 2
-    while True:
-        enc = alpha.value_enclosure(i)
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        ok = True
-        for m in range(1, n + 1):
-            me = enc * m
-            if not (floors[m] < me.lo and me.hi < floors[m] + 1):
-                ok = False
-                break
-            frac_lo, frac_hi = me.lo - floors[m], me.hi - floors[m]
-            d_lo = min(frac_lo, 1 - frac_hi)
-            d_hi = min(frac_hi, 1 - frac_lo)
-            r_lo, r_hi = d_lo / m, d_hi / m
-            lo = r_lo if lo is None else min(lo, r_lo)
-            hi = r_hi if hi is None else min(hi, r_hi)
-        if ok:
-            return Enclosure(lo, hi)
-        i += 1
 
 
 # ---------------------------------------------------------------------------

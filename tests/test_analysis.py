@@ -154,3 +154,12 @@ def test_lowerbound_check_across_integer_base():
     # slopes with different integer parts still separate
     r = lowerbound_check(Fraction(3, 2), Fraction(7, 5))
     assert r.holds
+
+
+def test_lowerbound_check_at_an_integer_slope():
+    # 1- in the integer base 3 expands as (2)^w, which leaves 3/2's word
+    # (21)^w at its second digit
+    r = lowerbound_check(Fraction(2), Fraction(3, 2))
+    assert r.N == 2 and r.holds
+    with pytest.raises(PreconditionError, match="slope 0 has no expansion from below"):
+        lowerbound_check(Fraction(0), Fraction(1, 2))

@@ -245,6 +245,15 @@ def test_exit_code_certification(capsys):
      cli.EXIT_PRECONDITION),
     (["cf", "convergents", "--cf", "0,1,1,1", "--preset", "e", "-N", "3"], None,
      cli.EXIT_PRECONDITION),
+    # a --cf spec with no terms, no a0, a bad or zero term, or an empty tail
+    (["delta", "eval", "--cf", ","], None, cli.EXIT_PRECONDITION),
+    (["delta", "eval", "--cf", "fib"], None, cli.EXIT_PRECONDITION),
+    (["delta", "eval", "--cf", "0,a,fib"], None, cli.EXIT_PRECONDITION),
+    (["delta", "eval", "--cf", "0,0,fib"], None, cli.EXIT_PRECONDITION),
+    (["delta", "eval", "--cf", "0,periodic"], None, cli.EXIT_PRECONDITION),
+    # a --out path that is a directory
+    (["delta", "plot", "--from", "0/1", "--to", "1/1", "--max-den", "3", "--out", ".",
+      "--output", "csv"], None, cli.EXIT_PRECONDITION),
 ])
 def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, code):
     if env_digits is not None:

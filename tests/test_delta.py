@@ -112,6 +112,11 @@ def test_delta_irrational_golden_matches_floor_formula():
     assert enc.width <= IRRATIONAL_TOL
 
 
+def test_delta_irrational_keeps_its_slope():
+    cf = golden_cf()
+    assert delta_irrational(cf).slope is cf
+
+
 def test_delta_irrational_value_against_independent_root():
     d = delta_irrational(golden_cf())
     enc = d.refine(Fraction(1, 10 ** 30))

@@ -135,10 +135,32 @@ def test_mu_from_samples_monotone_headline():
 def test_best_approx_check_golden_convergent():
     cf = ContinuedFraction.constant(0, 1)
     enc = cf.value_enclosure(25)
-    res = best_approx_check(enc, 8, 13, refine=lambda: cf.value_enclosure(40))
+    res = best_approx_check(enc, 8, 13)
     assert res["first_kind"] and res["second_kind"]
     res = best_approx_check(enc, 7, 12)
     assert not res["second_kind"]
+
+
+def test_best_approx_check_too_wide_enclosure_is_certification_error():
+    wide = ContinuedFraction.constant(0, 1).value_enclosure(2)  # [1/2, 2/3]
+    with pytest.raises(CertificationError):
+        best_approx_check(wide, 8, 13)
+
+
+def test_cf_expand_is_euclid_and_rebuilds_its_rational():
+    for x in (Fraction(-3, 2), Fraction(1), Fraction(355, 113), Fraction(89, 144)):
+        quotients = cf_expand(x, 50)
+        assert len(quotients) == 1 or quotients[-1] > 1
+        value = Fraction(quotients[-1])
+        for a in reversed(quotients[:-1]):
+            value = a + 1 / value
+        assert value == x
+    assert cf_expand(Fraction(89, 144), 3) == [0, 1, 1, 1]
+
+
+def test_dist_to_integers_of_negative_rationals():
+    assert dist_to_integers(Fraction(-7, 3)).lo == Fraction(1, 3)
+    assert dist_to_integers(Fraction(-1, 2)).hi == Fraction(1, 2)
 
 
 def test_best_approx_check_rational_target():

@@ -81,6 +81,42 @@ def test_abs_contains_and_is_tight(x, y):
     assert a.lo in values and a.hi in values
 
 
+def _interval(x, y):
+    return Enclosure(min(x, y), max(x, y))
+
+
+def _samples(e):
+    return (e.lo, e.mid, e.hi, (2 * e.lo + e.hi) / 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(endpoints, endpoints, endpoints, endpoints)
+def test_arithmetic_contains_every_exact_result(a, b, c, d):
+    x, y = _interval(a, b), _interval(c, d)
+    for u in _samples(x):
+        for v in _samples(y):
+            assert (x + y).contains(u + v) and (x - y).contains(u - v)
+            assert (x * y).contains(u * v)
+            if not y.contains(0):
+                assert (x / y).contains(u / v)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(endpoints, endpoints, st.integers(min_value=0, max_value=6))
+def test_pow_int_contains_every_exact_power(a, b, n):
+    x = _interval(abs(a), abs(b))
+    assert all(x.pow_int(n).contains(u ** n) for u in _samples(x))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 9),
+       st.integers(min_value=0, max_value=12))
+def test_decimal_str_rounds_outward_by_less_than_one_unit(x, digits):
+    unit = Fraction(1, 10 ** digits)
+    down, up = Fraction(decimal_str(x, digits, "floor")), Fraction(decimal_str(x, digits, "ceil"))
+    assert x - unit < down <= x <= up < x + unit
+
+
 class Recorder:
     """A refinable value that records the tolerances it is refined to."""
 
