@@ -59,9 +59,9 @@ class QuotientTrace:
     points: List[QuotientPoint]
     verdict: str = "inconclusive"  # toward_zero | toward_infinity | inconclusive
 
-    def certify(self, window: int = TREND_WINDOW, max_rounds: int = 8) -> str:
-        """Decide the trend over the last ``window`` probes, refining as needed."""
-        pts = self.points[-min(window, len(self.points)):]
+    def certify(self) -> str:
+        """Decide the trend over the last ``TREND_WINDOW`` probes, refining as needed."""
+        pts = self.points[-min(TREND_WINDOW, len(self.points)):]
         if len(pts) < 2:
             self.verdict = "inconclusive"
             return self.verdict
@@ -76,7 +76,7 @@ class QuotientTrace:
 
         tol = min(max(p.quotient.width, Fraction(1, 2 ** 48)) for p in pts)
         try:
-            self.verdict = refine_until(trend, pts, tol, 2 ** 8, max_rounds, "quotient trend")
+            self.verdict = refine_until(trend, pts, tol, 2 ** 8, 8, "quotient trend")
         except CertificationError:
             self.verdict = "inconclusive"
         return self.verdict
@@ -216,8 +216,7 @@ def irrational_probe(alpha0: ContinuedFraction, I: int, tol: Fraction = DEFAULT_
     return trace
 
 
-def _resolve_quotient(point: QuotientPoint, tol: Fraction,
-                      prev: Optional[QuotientPoint], max_rounds: int = 30) -> None:
+def _resolve_quotient(point: QuotientPoint, tol: Fraction, prev: Optional[QuotientPoint]) -> None:
     """Refine a probe until its quotient is ordered against its predecessor.
 
     The true quotients move like beta^(-q_i) — far beyond any fixed tolerance
@@ -233,7 +232,7 @@ def _resolve_quotient(point: QuotientPoint, tol: Fraction,
         return True if q.hi < pq.hi or q.lo > pq.lo else None
 
     try:
-        refine_until(ordered, (point,), tol, 2 ** 10, max_rounds, "probe quotient")
+        refine_until(ordered, (point,), tol, 2 ** 10, 30, "probe quotient")
     except CertificationError:
         pass  # certify() judges the trend from the enclosures reached
 
@@ -271,15 +270,15 @@ def _left_limit_word(alpha: Fraction) -> PeriodicWord:
     return quasi_greedy_of_finite(bzb_word(b, p, q))
 
 
-def _common_prefix_length(u: PeriodicWord, v: PeriodicWord, horizon: int = 10 ** 5) -> int:
-    for i in range(horizon):
+def _common_prefix_length(u: PeriodicWord, v: PeriodicWord) -> int:
+    for i in range(10 ** 5):
         if u[i] != v[i]:
             return i
     raise PreconditionError("words agree beyond the comparison horizon")
 
 
 def lowerbound_check(alpha: Fraction, alpha_N: Fraction,
-                     tol: Fraction = DEFAULT_TOL, max_rounds: int = 64) -> LowerboundReport:
+                     tol: Fraction = DEFAULT_TOL) -> LowerboundReport:
     """Check the explicit lower bound on |Delta(alpha) - Delta(alpha_N)|.
 
     N is read off the slopes themselves: the two expansions of 1 from below
@@ -307,5 +306,4 @@ def lowerbound_check(alpha: Fraction, alpha_N: Fraction,
             return LowerboundReport(N, mirrored, lhs, rhs, False)
         return None
 
-    return refine_until(report, (beta, beta_N), tol, 2 ** 8, max_rounds,
-                        "lower-bound inequality")
+    return refine_until(report, (beta, beta_N), tol, 2 ** 8, 64, "lower-bound inequality")

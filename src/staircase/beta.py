@@ -539,8 +539,7 @@ class SeriesRoot:
     intersected with its predecessor) and shrinks like M * root^(-m).
     """
 
-    def __init__(self, digit: Callable[[int], int], max_digit: int, m0: int = 32,
-                 m_cap: int = MAX_WORD_LENGTH):
+    def __init__(self, digit: Callable[[int], int], max_digit: int, m0: int = 32):
         if max_digit < 1:
             raise PreconditionError("max_digit must be >= 1")
         if digit(1) < 1:
@@ -548,7 +547,6 @@ class SeriesRoot:
         self._digit = digit
         self.max_digit = max_digit
         self._m = m0
-        self._m_cap = m_cap
         self._low: Optional[RefinableRoot] = None
         self._high: Optional[RefinableRoot] = None
         self.history: List[Tuple[int, Enclosure]] = []
@@ -566,10 +564,10 @@ class SeriesRoot:
     def refine(self, tol: Fraction) -> Enclosure:
         while True:
             if self._low is None or self._high is None:
-                if self._m > self._m_cap:
+                if self._m > MAX_WORD_LENGTH:
                     raise CertificationError(
                         f"series root not certified to width {tol} within "
-                        f"truncation cap {self._m_cap}")
+                        f"truncation cap {MAX_WORD_LENGTH}")
                 self._build(tol / 4)
             else:
                 self._low.refine(tol / 4)
@@ -589,14 +587,14 @@ class SeriesRoot:
 
 
 def positive_root_series(digit: Callable[[int], int], max_digit: int,
-                         tol: Fraction = DEFAULT_TOL, m0: int = 32,
-                         m_cap: int = MAX_WORD_LENGTH) -> Tuple[Enclosure, List[Tuple[int, Enclosure]]]:
+                         tol: Fraction = DEFAULT_TOL,
+                         m0: int = 32) -> Tuple[Enclosure, List[Tuple[int, Enclosure]]]:
     """Certified root zeta in (0, 1) of the infinite series sum a_n x^n = 1.
 
     Returns the final enclosure (width <= tol) and the per-truncation history
     of nested zeta enclosures.
     """
-    sr = SeriesRoot(digit, max_digit, m0=m0, m_cap=m_cap)
+    sr = SeriesRoot(digit, max_digit, m0=m0)
     enc = sr.refine(tol).reciprocal()
     return enc, [(m, e.reciprocal()) for m, e in sr.history]
 

@@ -137,10 +137,9 @@ def _target(args, cf: bool = False, irrational: bool = False) -> diophantine.Pre
     return preset
 
 
-def _emit(payload: dict, out=None) -> None:
-    out = out if out is not None else sys.stdout
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")
+def _emit(payload: dict) -> None:
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _csv_out(header: List[str], rows: Iterable[Sequence], path: Optional[str]) -> None:
@@ -230,13 +229,19 @@ def _cmd_cf_convergents(args) -> None:
         raise PreconditionError(f"--cf {args.cf} has {cf.length + 1} terms, so its "
                                 f"convergents stop at n = {cf.length}; pass -N {cf.length} "
                                 "or less")
-    rows = []
-    for c in diophantine.convergents(cf, args.n, args.bit_budget):
-        if isinstance(c.q, int) and isinstance(c.p, int):
-            rows.append({"n": c.index, "p": str(c.p), "q": str(c.q)})
-        else:
-            rows.append({"n": c.index, "ln_q": list(diophantine.nat_ln_interval(c.q))})
+    rows = [_convergent_row(c) for c in diophantine.convergents(cf, args.n, args.bit_budget)]
     _emit({"cf": cf.name or "cf", "convergents": rows})
+
+
+def _convergent_row(c: diophantine.Convergent) -> dict:
+    """p and q as decimal strings; ln q where q is log-space only or an int
+    longer than ``str`` prints (``sys.get_int_max_str_digits``)."""
+    if isinstance(c.q, int):
+        try:
+            return {"n": c.index, "p": str(c.p), "q": str(c.q)}
+        except ValueError:
+            pass
+    return {"n": c.index, "ln_q": list(diophantine.nat_ln_interval(c.q))}
 
 
 def _measure_payload(est: diophantine.MeasureEstimate) -> dict:

@@ -39,25 +39,27 @@ def _split_slope(alpha: Fraction) -> Tuple[int, int, int]:
 class DeltaValue:
     """Delta at (or just to the right of) a slope, with its certificate.
 
-    ``word`` is the digit expansion of 1 in base beta; ``refine`` shrinks the
-    enclosure on demand through ``handle`` (algebraic values) or
-    ``series_root`` (irrational slopes, whose digit ``stream`` is kept too).
-    ``enclosure`` changes only through ``refine``.  ``nature`` records what
-    kind of number beta is.
+    ``word`` is the digit expansion of 1 in base beta.  The value's root is
+    ``handle`` (algebraic values) or ``series_root`` (irrational slopes, whose
+    digit ``stream`` is kept too); ``enclosure`` reads the root, and
+    ``refine`` shrinks it on demand.  ``nature`` records what kind of number
+    beta is.
     """
 
     slope: Union[Fraction, ContinuedFraction]
     word: Union[Word, PeriodicWord]
     nature: str  # "algebraic" | "labelled_transcendental"
-    enclosure: Enclosure
     handle: Optional[BetaHandle] = None
     series_root: Optional[SeriesRoot] = None
     stream: Optional["StaircaseDigitStream"] = None
 
+    @property
+    def enclosure(self) -> Enclosure:
+        return (self.handle or self.series_root).enclosure
+
     def refine(self, tol: Fraction) -> Enclosure:
-        source = self.handle or self.series_root
-        if source is not None and self.enclosure.width > tol:
-            self.enclosure = source.refine(Fraction(tol))
+        if self.enclosure.width > tol:
+            (self.handle or self.series_root).refine(Fraction(tol))
         return self.enclosure
 
 
@@ -77,13 +79,12 @@ def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
         raise PreconditionError(f"slope {alpha} has a digit word of {q} letters, "
                                 f"over the cap of {MAX_WORD_LENGTH}")
     if p == 0:
-        # Integer slope b - 1: the value is the integer b, whose expansion of
-        # 1 is the single digit b (the degenerate base 1 at slope 0 included).
-        return DeltaValue(alpha, (b,), "algebraic", Enclosure.exact(Fraction(b)),
-                          handle=BetaHandle.from_integer(b) if b > 1 else None)
+        # Integer slope b - 1: the value is the integer b, the exact root of
+        # x - b, whose expansion of 1 is the single digit b (the degenerate
+        # base 1 at slope 0 included).
+        return DeltaValue(alpha, (b,), "algebraic", handle=BetaHandle((-b, 1), b))
     digits = bzb_word(b, p, q)
-    handle = beta_root_finite(digits, tol, seed)
-    return DeltaValue(alpha, digits, "algebraic", handle.enclosure, handle=handle)
+    return DeltaValue(alpha, digits, "algebraic", handle=beta_root_finite(digits, tol, seed))
 
 
 def right_limit_word(alpha: Fraction, left_word: Optional[Word] = None) -> PeriodicWord:
@@ -112,9 +113,8 @@ def delta_right_limit(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
     alpha = Fraction(alpha)
     word = right_limit_word(alpha, left_word)
     if alpha == 0:
-        return DeltaValue(alpha, word, "algebraic", Enclosure.exact(Fraction(1)))
-    handle = beta_root_periodic(word, tol, seed)
-    return DeltaValue(alpha, word, "algebraic", handle.enclosure, handle=handle)
+        return DeltaValue(alpha, word, "algebraic", handle=BetaHandle((-1, 1), 1))
+    return DeltaValue(alpha, word, "algebraic", handle=beta_root_periodic(word, tol, seed))
 
 
 @dataclass
@@ -125,12 +125,11 @@ class JumpValue:
 
     @property
     def enclosure(self) -> Enclosure:
-        l, r = self.left.enclosure, self.right.enclosure
-        return Enclosure(r.lo - l.hi, r.hi - l.lo)
+        return self.right.enclosure - self.left.enclosure
 
-    def certify_positive(self, max_steps: int = 4000) -> Enclosure:
+    def certify_positive(self) -> Enclosure:
         """Refine both sides until the jump's lower bound is positive."""
-        _apart(self.left, self.right, 40, max_steps, f"sign of the jump at {self.slope}")
+        _apart(self.left, self.right, 40, 4000, f"sign of the jump at {self.slope}")
         return self.enclosure
 
 
@@ -145,7 +144,6 @@ def _apart(x: DeltaValue, y: DeltaValue, bits: int, rounds: int, what: str) -> N
 
     ks = [k if a < b else bits for a, b, k in (X.bracket, Y.bracket)]
     refine_until(verdict, (X, Y), Fraction(1, 1 << min(bits, max(ks))), 2 ** 16, rounds, what)
-    x.enclosure, y.enclosure = X.enclosure, Y.enclosure
 
 
 def jump(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> JumpValue:
@@ -198,9 +196,9 @@ def delta_irrational(cf: ContinuedFraction, tol: Fraction = IRRATIONAL_TOL) -> D
     """
     stream = StaircaseDigitStream(cf)
     root = SeriesRoot(stream.digit, max_digit=stream.b)
-    enc = root.refine(tol)
+    root.refine(tol)
     prefix = tuple(stream.digit(n) for n in range(1, 33))
-    return DeltaValue(cf, prefix, "labelled_transcendental", enc,
+    return DeltaValue(cf, prefix, "labelled_transcendental",
                       series_root=root, stream=stream)
 
 
@@ -236,7 +234,7 @@ def farey_slopes(lo: Fraction, hi: Fraction, max_den: int) -> List[Fraction]:
 
 def sweep(lo: Fraction, hi: Fraction, max_den: int,
           tol: Fraction = Fraction(1, 10 ** 8),
-          certify_order: bool = True, max_rounds: int = 4000) -> List[PlotRow]:
+          certify_order: bool = True) -> List[PlotRow]:
     """Staircase plot data over every reduced fraction in (lo, hi], den <= max_den.
 
     Every row carries certified enclosures of Delta and its right limit and a
@@ -260,7 +258,7 @@ def sweep(lo: Fraction, hi: Fraction, max_den: int,
         done[p, q] = PlotRow(c, left, right, JumpValue(c, left, right).certify_positive().lo)
     rows = [done[c.numerator, c.denominator] for c in slopes]
     for x, y in zip(rows, rows[1:]) if certify_order else ():
-        _apart(x.delta, y.delta, 50, max_rounds, f"order of Delta at {x.slope} and {y.slope}")
+        _apart(x.delta, y.delta, 50, 4000, f"order of Delta at {x.slope} and {y.slope}")
     return rows
 
 
@@ -285,8 +283,7 @@ def _iv_log(iv, e: Enclosure):
                           decimal_str(e.hi, 60, "ceil")]))
 
 
-def lipschitz_order(delta: DeltaValue, theta: Enclosure,
-                    tol: Fraction = IRRATIONAL_TOL) -> Enclosure:
+def lipschitz_order(delta: DeltaValue, theta: Enclosure) -> Enclosure:
     """Enclosure of log(Delta(alpha)) / log(theta(alpha)).
 
     This is the certified local smoothness exponent of the staircase at an
@@ -297,7 +294,7 @@ def lipschitz_order(delta: DeltaValue, theta: Enclosure,
 
     iv = MPIntervalContext()  # a local context: the global mpmath.iv keeps its precision
     iv.prec = 128
-    enc = delta.refine(tol)
+    enc = delta.refine(IRRATIONAL_TOL)
     if not (theta.lo > 1):
         raise PreconditionError("need theta > 1 certified")
     if not (theta.hi < enc.lo):

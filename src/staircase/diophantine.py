@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import count, islice, repeat
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CertificationError, PreconditionError
 from .intervals import Enclosure
@@ -91,7 +91,10 @@ class LogMagnitude:
 
     def value_interval(self) -> Tuple[float, float]:
         """Float bounds on the value itself; hi may be inf."""
-        lo = _down(math.exp(self.ln_lo)) if self.ln_lo < 700 else sys.float_info.max
+        try:
+            lo = _down(math.exp(self.ln_lo))
+        except OverflowError:
+            lo = sys.float_info.max
         hi = _up(math.exp(self.ln_hi)) if self.ln_hi < 700 else _INF
         return (lo, hi)
 
@@ -109,8 +112,14 @@ def nat_ln_interval(x: Nat) -> Tuple[float, float]:
     return ln_int_interval(x)
 
 
-def nat_bits(x: Nat) -> int:
-    return x.bit_length() if isinstance(x, int) else 1 << 62
+def nat_value_interval(x: Nat) -> Tuple[float, float]:
+    """Float bounds on the value of x; hi may be inf.  An int of at most 1023
+    bits converts to float without overflow and bounds itself."""
+    if isinstance(x, LogMagnitude):
+        return x.value_interval()
+    if x.bit_length() <= 1023:
+        return (x, x)
+    return (2.0 ** 1023, _INF)
 
 
 def log_factorial(x: Nat) -> LogMagnitude:
@@ -118,22 +127,22 @@ def log_factorial(x: Nat) -> LogMagnitude:
 
     Accepts either an exact integer or an already log-space magnitude.
     """
+    vlo, vhi = nat_value_interval(x)
     if isinstance(x, int):
         if x < 1:
             raise PreconditionError("log_factorial needs x >= 1")
         if x <= 2000:
             v = math.lgamma(x + 1)
             return LogMagnitude(_down(v * (1 - 1e-13) - 1e-13), _up(v * (1 + 1e-13) + 1e-13))
-        lnx_lo, lnx_hi = ln_int_interval(x)
-        return LogMagnitude(_down(x * lnx_lo - x), _up((x - 1) * lnx_hi))
-    # x itself known only in log space: ln x! in [v(ln x - 1), v ln x] with
-    # v any bound on the value of x.
-    vlo, vhi = x.value_interval()
-    lo = _down(vlo * (x.ln_lo - 1.0))
-    if vhi == _INF or x.ln_hi == _INF:
-        return LogMagnitude.saturate(max(lo, 0.0))
-    hi = _up(vhi * x.ln_hi)
-    if hi >= LN_SAT:
+        if vhi != _INF:
+            lnx_lo, lnx_hi = ln_int_interval(x)
+            return LogMagnitude(_down(x * lnx_lo - x), _up((x - 1) * lnx_hi))
+    # x in log space or beyond float range: ln x! in [v(ln x - 1), v ln x]
+    # with v any bound on the value of x.
+    ln_lo, ln_hi = nat_ln_interval(x)
+    lo = _down(vlo * (ln_lo - 1.0))
+    hi = _up(vhi * ln_hi)
+    if hi >= LN_SAT:  # inf included
         return LogMagnitude.saturate(max(lo, 0.0))
     return LogMagnitude(lo, hi)
 
@@ -141,10 +150,7 @@ def log_factorial(x: Nat) -> LogMagnitude:
 def log_pow(base: Nat, exponent: Nat) -> LogMagnitude:
     """ln(base**exponent) = exponent * ln(base), as a log magnitude."""
     blo, bhi = nat_ln_interval(base)
-    if isinstance(exponent, int):
-        elo = ehi = float(exponent)
-    else:
-        elo, ehi = exponent.value_interval()
+    elo, ehi = nat_value_interval(exponent)
     lo = _down(elo * blo)
     hi = _up(ehi * bhi) if ehi != _INF else _INF
     if hi >= LN_SAT:  # inf included
@@ -156,11 +162,11 @@ def exp_tower(base: int, height: int) -> Nat:
     """EXP_k(x): the k-fold power tower of x (EXP_0 = 1, EXP_1 = x, ...)."""
     if height < 0:
         raise PreconditionError("tower height must be >= 0")
-    if height == 0:
+    if height == 0 or base == 1:
         return 1
     acc: Nat = base
     for _ in range(height - 1):
-        if isinstance(acc, int) and acc * math.log2(base) <= 4096:
+        if isinstance(acc, int) and acc <= 4096 / math.log2(base):
             acc = base ** acc
         else:
             acc = log_pow(base, acc)
@@ -170,6 +176,12 @@ def exp_tower(base: int, height: int) -> Nat:
 # ---------------------------------------------------------------------------
 # Continued fractions
 # ---------------------------------------------------------------------------
+
+
+class Convergent(NamedTuple):
+    index: int
+    p: Nat
+    q: Nat
 
 
 class ContinuedFraction:
@@ -200,9 +212,6 @@ class ContinuedFraction:
     def constant(cls, a0: int, a: int, name: str = "") -> "ContinuedFraction":
         return cls(a0, partial(repeat, a), name=name)
 
-    def clone(self) -> "ContinuedFraction":
-        return ContinuedFraction(self.a0, self._make_iter, name=self.name, length=self.length)
-
     def term(self, n: int) -> Nat:
         """a_n for n >= 1."""
         if n < 1:
@@ -222,26 +231,33 @@ class ContinuedFraction:
             self._terms.append(t)
         return self._terms[n - 1]
 
+    def convergents(self, bit_budget: float = _INF) -> Iterator[Convergent]:
+        """Convergents p_k/q_k for k = 0, 1, ...: exact integers while
+        bits(a_k) + bits(q_(k-1)) <= bit_budget, then log-space, p and q
+        together and for good: ln q_k = ln a_k + ln q_(k-1) + ln(1 + q_(k-2) /
+        (a_k q_(k-1))), with the correction term enclosed outward."""
+        p, q, pm1, qm1 = self.a0, 1, 1, 0
+        yield Convergent(0, p, q)
+        for k in count(1):
+            a = self.term(k)
+            if isinstance(a, int) and isinstance(q, int) and a.bit_length() + q.bit_length() <= bit_budget:
+                p, pm1 = a * p + pm1, p
+                q, qm1 = a * q + qm1, q
+            else:
+                p, pm1 = _log_step(a, p, pm1), p
+                q, qm1 = _log_step(a, q, qm1), q
+            yield Convergent(k, p, q)
+
+    def _exact(self, c: Convergent) -> Tuple[int, int]:
+        """(p_k, q_k) of an exact convergent; raises on a log-space one."""
+        if not isinstance(c.q, int):
+            raise CertificationError(
+                f"convergent q_{c.index} of {self.name or '<cf>'} is not exactly representable")
+        return c.p, c.q
+
     def exact_convergent(self, i: int) -> Tuple[int, int]:
         """(p_i, q_i) as exact integers; raises if a term is log-space only."""
-        return next(islice(self._exact_convergents(), i, None))
-
-    def _exact_convergents(self) -> Iterator[Tuple[int, int]]:
-        """(p_j, q_j) for j = 0, 1, ..., by the recurrence; raises at the
-        first term that is log-space only."""
-        pm1, qm1 = 1, 0
-        p, q = self.a0, 1
-        n = 0
-        while True:
-            yield p, q
-            n += 1
-            a = self.term(n)
-            if not isinstance(a, int):
-                raise CertificationError(
-                    f"convergent q_{n} of {self.name or '<cf>'} is not exactly representable"
-                )
-            p, pm1 = a * p + pm1, p
-            q, qm1 = a * q + qm1, q
+        return self._exact(next(islice(self.convergents(), i, None)))
 
     def value_enclosure(self, i: int) -> Enclosure:
         """Enclosure of the value from convergents i and i+1 (exact terms only)."""
@@ -261,7 +277,7 @@ class ContinuedFraction:
         """
         if n == 0:
             return [0]
-        convergents = self._exact_convergents()
+        convergents = map(self._exact, self.convergents())
         _, q_prev = next(convergents)
         for p, q in convergents:
             if q_prev > n:
@@ -297,61 +313,28 @@ def e_cf() -> ContinuedFraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Convergent:
-    index: int
-    p: Nat
-    q: Nat
-
-
 def convergents(cf: ContinuedFraction, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> List[Convergent]:
-    """Convergents 0..n.  Exact integers while they fit the bit budget, then
-    log-space: ln q_k = ln a_k + ln q_{k-1} + ln(1 + q_{k-2}/(a_k q_{k-1})),
-    with the correction term enclosed outward.
-    """
+    """Convergents 0..n of ``cf.convergents(bit_budget)``."""
     if n < 0:
         raise PreconditionError("need n >= 0")
-    out = [Convergent(0, cf.a0, 1)]
-    pm1: Nat = 1
-    qm1: Nat = 0
-    p: Nat = cf.a0
-    q: Nat = 1
-    for k in range(1, n + 1):
-        a = cf.term(k)
-        exact = (
-            isinstance(a, int)
-            and isinstance(p, int)
-            and isinstance(q, int)
-            and isinstance(pm1, int)
-            and isinstance(qm1, int)
-            and nat_bits(a) + nat_bits(q) <= bit_budget
-        )
-        if exact:
-            pn: Nat = a * p + pm1
-            qn: Nat = a * q + qm1
-        else:
-            pn = _log_step(a, p, pm1)
-            qn = _log_step(a, q, qm1)
-        pm1, qm1, p, q = p, q, pn, qn
-        out.append(Convergent(k, p, q))
-    return out
+    return list(islice(cf.convergents(bit_budget), n + 1))
 
 
 def _log_step(a: Nat, prev: Nat, prev2: Nat) -> LogMagnitude:
-    """ln(a*prev + prev2) as an interval, given prev >= prev2 >= 0."""
+    """ln(a*prev + prev2) as an interval, given prev >= prev2 >= 0 or prev = 0 < prev2."""
+    if prev == 0:
+        return LogMagnitude(*nat_ln_interval(prev2))
     alo, ahi = nat_ln_interval(a)
-    plo, phi = nat_ln_interval(prev) if not (isinstance(prev, int) and prev == 0) else (-_INF, -_INF)
+    plo, phi = nat_ln_interval(prev)
     base_lo, base_hi = _down(alo + plo), _up(ahi + phi)
-    if isinstance(prev2, int) and prev2 == 0:
-        corr_lo, corr_hi = 0.0, 0.0
-    else:
-        p2lo, p2hi = nat_ln_interval(prev2)
-        # r = prev2 / (a * prev) < 1; correction = ln(1 + r)
-        r_hi = math.exp(min(_up(p2hi - base_lo), 0.0))
-        corr_lo, corr_hi = 0.0, _up(math.log1p(min(r_hi, 1.0)))
-    if base_hi == _INF or base_hi >= LN_SAT:
+    if base_hi >= LN_SAT:  # inf included
         return LogMagnitude.saturate(base_lo)
-    return LogMagnitude(_down(base_lo + corr_lo), _up(base_hi + corr_hi))
+    corr_hi = 0.0
+    if prev2 != 0:
+        # r = prev2 / (a * prev) <= 1, so ln(1 + r) lies in [0, ln(1 + r_hi)]
+        r_hi = math.exp(min(_up(nat_ln_interval(prev2)[1] - base_lo), 0.0))
+        corr_hi = _up(math.log1p(r_hi))
+    return LogMagnitude(_down(base_lo), _up(base_hi + corr_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +423,7 @@ def _mu_rows(convs: List[Convergent]):
 
 def _theta_rows(convs: List[Convergent]):
     for n in range(1, len(convs) - 1):
-        qn = convs[n].q
-        if isinstance(qn, int):
-            d_lo = d_hi = qn
-        else:
-            d_lo, d_hi = qn.value_interval()
+        d_lo, d_hi = nat_value_interval(convs[n].q)
         if d_hi == _INF:
             yield f"q_{n} representable only in log space; window ends at n={n - 1}"
             return
@@ -452,7 +431,7 @@ def _theta_rows(convs: List[Convergent]):
         if lb_hi == _INF:
             yield f"ln q_{n + 1} beyond float range; window ends at n={n - 1}"
             return
-        yield n, _down(lb_lo / float(d_hi)), _up(lb_hi / float(d_lo))
+        yield n, _down(lb_lo / d_hi), _up(lb_hi / d_lo)
 
 
 def _convergents_window(cf: ContinuedFraction, N: int, bit_budget: int) -> List[Convergent]:
@@ -683,7 +662,7 @@ class Preset:
             raise PreconditionError(f"{kind} estimates need N >= 2")
         if self.cf is None:
             return _estimate(kind, sample_rows(self.samples(N)))
-        return _estimate(kind, cf_rows(_convergents_window(self.cf.clone(), N, bit_budget)))
+        return _estimate(kind, cf_rows(_convergents_window(self.cf, N, bit_budget)))
 
 
 def _factorial_series_samples(base: int) -> Iterator[ApproximationSample]:
@@ -802,35 +781,36 @@ def targeted_theta_cf(beta: Fraction) -> ContinuedFraction:
         ln_beta, log2_beta = math.log(beta), math.log2(beta)
     except OverflowError as exc:
         raise PreconditionError("targeted theta requires beta below about 1.8e308") from exc
+    # beta^q has about q log2(beta) bits; beta within 1e-16 of 1 has float log 0.
+    q_exact_max = DEFAULT_BIT_BUDGET / log2_beta if log2_beta else _INF
 
     def gen():
         q_prev2, q_prev = 0, 1
         while True:
-            bits = float(q_prev) * log2_beta if isinstance(q_prev, int) else _INF
-            if isinstance(q_prev, int) and bits <= DEFAULT_BIT_BUDGET:
+            if isinstance(q_prev, int) and q_prev <= q_exact_max:
                 power = beta ** q_prev
                 a: Nat = int(power.numerator // (power.denominator * q_prev))
                 q_next: Nat = a * q_prev + q_prev2
             else:
-                qp_lo, qp_hi = (q_prev, q_prev) if isinstance(q_prev, int) else q_prev.value_interval()
+                qp_lo, qp_hi = nat_value_interval(q_prev)
                 lq_lo, lq_hi = nat_ln_interval(q_prev)
                 lo = _down(qp_lo * ln_beta - lq_hi - 1e-9)
                 hi = _up(qp_hi * ln_beta - lq_lo) if qp_hi != _INF else _INF
                 a = LogMagnitude.saturate(lo) if (hi == _INF or hi >= LN_SAT) else LogMagnitude(lo, hi)
-                q_next = a.mul(q_prev) if isinstance(a, LogMagnitude) else a * q_prev
+                q_next = _log_step(a, q_prev, q_prev2)
             yield a
             q_prev2, q_prev = q_prev, q_next
 
     return ContinuedFraction(0, gen, name=f"targeted:{beta}")
 
 
-def presets(base: int = 10) -> dict:
-    """Registry of the example constructions, parametrizable by base."""
-    reg = {
-        "alpha1": Preset("alpha1", samples=partial(_factorial_series_samples, base)),
-        "alpha2": Preset("alpha2", cf=ContinuedFraction(1, partial(_tower_cf_terms, base), name="alpha2")),
-        "alpha3": Preset("alpha3", cf=ContinuedFraction(0, partial(_factorial_cf_terms, base), name="alpha3")),
-        "alpha4": Preset("alpha4", samples=partial(_tower_series_samples, base)),
+def presets() -> dict:
+    """Registry of the example constructions, in base 10."""
+    return {
+        "alpha1": Preset("alpha1", samples=partial(_factorial_series_samples, 10)),
+        "alpha2": Preset("alpha2", cf=ContinuedFraction(1, partial(_tower_cf_terms, 10), name="alpha2")),
+        "alpha3": Preset("alpha3", cf=ContinuedFraction(0, partial(_factorial_cf_terms, 10), name="alpha3")),
+        "alpha4": Preset("alpha4", samples=partial(_tower_series_samples, 10)),
         "alpha5": Preset("alpha5", cf=targeted_theta_cf(Fraction(2))),
         "alpha6": Preset("alpha6", cf=ContinuedFraction(0, _nested_tower_cf_terms, name="alpha6")),
         "alpha7": Preset("alpha7", samples=_double_tower_series_samples),
@@ -838,10 +818,9 @@ def presets(base: int = 10) -> dict:
         "sqrt2m1": Preset("sqrt2m1", cf=sqrt2_minus_1_cf()),
         "e": Preset("e", cf=e_cf()),
     }
-    return reg
 
 
-def lookup_preset(name: str, base: int = 10) -> Preset:
+def lookup_preset(name: str) -> Preset:
     """Resolve a preset by name; 'targeted:BETA' builds the targeted family."""
     if name.startswith("targeted:"):
         try:
@@ -849,7 +828,7 @@ def lookup_preset(name: str, base: int = 10) -> Preset:
         except (ValueError, ZeroDivisionError) as exc:
             raise PreconditionError(f"bad preset {name!r}: {exc}") from exc
         return Preset(name, cf=targeted_theta_cf(beta))
-    reg = presets(base)
+    reg = presets()
     if name not in reg:
         raise PreconditionError(f"unknown preset: {name}")
     return reg[name]

@@ -129,11 +129,11 @@ def eval_poly(coeffs, x: Enclosure) -> Enclosure:
     return acc
 
 
-def decimal_str(value: Fraction, digits: int, mode: str = "nearest") -> str:
+def decimal_str(value: Fraction, digits: int, mode: str) -> str:
     """Render a fraction as a fixed-point decimal string.
 
     mode 'floor' rounds toward -inf, 'ceil' toward +inf (for printing
-    enclosure endpoints outward), 'nearest' rounds half away from zero.
+    enclosure endpoints outward).
     """
     scale = 10 ** digits
     scaled = value * scale
@@ -141,9 +141,6 @@ def decimal_str(value: Fraction, digits: int, mode: str = "nearest") -> str:
         n = scaled.numerator // scaled.denominator
     elif mode == "ceil":
         n = -((-scaled.numerator) // scaled.denominator)
-    elif mode == "nearest":
-        half = Fraction(1, 2) if scaled >= 0 else Fraction(-1, 2)
-        n = int(scaled + half)
     else:
         raise ValueError(f"unknown rounding mode: {mode}")
     sign = "-" if n < 0 else ""

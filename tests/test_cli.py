@@ -141,6 +141,29 @@ def test_bit_budget_reaches_convergents(capsys, argv):
         assert budgets and set(budgets) == {diophantine.DEFAULT_BIT_BUDGET}
 
 
+@pytest.mark.parametrize("line", [
+    "measure mu --preset targeted:1.5 -N 9",
+    "measure theta --preset golden -N 1600",
+    "measure theta --preset e -N 500",
+    "measure theta --cf 0,1,fib -N 1600",
+    "classify --preset sqrt2m1 -N 900",
+    "cf convergents --preset alpha6 -N 150",
+    "measure mu --preset alpha6 -N 150",
+    "classify --preset alpha6 -N 150",
+    "cf convergents --cf 0,1000000,periodic -N 800",
+])
+def test_numbers_beyond_float_range_keep_the_cli_contract(capsys, line):
+    """Convergent denominators past 2^1023 end a window with a note, and an
+    exact one longer than ``str`` prints (4300 digits) prints as ln_q."""
+    code, out, err = run(capsys, line.split())
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    if line.startswith("cf convergents --cf"):
+        rows = payload["convergents"]
+        assert "q" in rows[700] and "ln_q" in rows[-1]
+
+
 def test_probe_zero_json(capsys):
     payload = run_json(capsys, ["probe", "zero", "-K", "4"])
     assert payload["verdict"] == "toward_infinity"

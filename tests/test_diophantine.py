@@ -1,15 +1,20 @@
 """Continued fractions, log-space magnitudes and irrationality measures."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
 from staircase.diophantine import (
     ApproximationSample,
     ContinuedFraction,
     LogMagnitude,
     Thresholds,
+    _log_step,
     best_approx_check,
     cf_expand,
     classify,
@@ -17,10 +22,14 @@ from staircase.diophantine import (
     dist_to_integers,
     e_cf,
     golden_cf,
+    ln_int_interval,
+    log_factorial,
+    log_pow,
     lookup_preset,
     mu_estimate,
     mu_from_samples,
     nat_ln_interval,
+    nat_value_interval,
     presets,
     sqrt2_minus_1_cf,
     targeted_theta_cf,
@@ -261,3 +270,113 @@ def test_window_notes_name_the_last_row_kept():
     alpha5 = lookup_preset("alpha5")
     for est in (alpha5.mu_estimate(8), alpha5.theta_estimate(8)):
         assert est.window_note.endswith(f"window ends at n={est.running[-1][0]}"), est
+
+
+# ---------------------------------------------------------------------------
+# The log-space layer against mpmath at 200 bits
+# ---------------------------------------------------------------------------
+
+MP = MPContext()  # a local context: the global mpmath precision stays as it is
+MP.prec = 200
+
+
+def _ints(max_bits):
+    """Ints of 1..max_bits bits, every bit length about equally likely."""
+    return st.integers(1, max_bits).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+def _logs(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(
+        lambda t: LogMagnitude(min(t), max(t)))
+
+
+INTS = st.one_of(_ints(64), _ints(20000))
+LOGS = st.one_of(_logs(0.0, 60.0), _logs(690.0, 720.0))
+NATS = st.one_of(INTS, LOGS)
+BOUNDED = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _lns(x):
+    """Logs of values the Nat x may stand for: ln of the int itself, or the
+    ends and the middle of a LogMagnitude's interval."""
+    if isinstance(x, int):
+        return [MP.log(x)]
+    lo, hi = MP.mpf(x.ln_lo), MP.mpf(x.ln_hi)
+    return [lo, hi, (lo + hi) / 2]
+
+
+def _values(x):
+    return [MP.mpf(x)] if isinstance(x, int) else [MP.exp(t) for t in _lns(x)]
+
+
+def _contains(interval, v):
+    lo, hi = interval
+    return MP.mpf(lo) <= v <= MP.mpf(hi)
+
+
+@BOUNDED
+@given(INTS)
+def test_ln_int_interval_contains_ln(n):
+    assert _contains(ln_int_interval(n), MP.log(n))
+
+
+@BOUNDED
+@given(LOGS, NATS)
+def test_log_magnitude_mul_contains_the_ln_of_the_product(m, x):
+    out = m.mul(x).ln_interval()
+    assert all(_contains(out, u + v) for u in _lns(m) for v in _lns(x))
+
+
+@BOUNDED
+@given(NATS, NATS)
+def test_log_pow_contains_exponent_times_ln_base(base, exponent):
+    out = log_pow(base, exponent).ln_interval()
+    assert all(_contains(out, e * b) for b in _lns(base) for e in _values(exponent))
+
+
+@BOUNDED
+@given(st.one_of(st.integers(1, 2000), _ints(1023), INTS, LOGS))
+def test_log_factorial_contains_ln_factorial(x):
+    # every branch: lgamma up to 2000, Stirling bounds on an int in float
+    # range, and the value bounds of a bigger int or a LogMagnitude
+    out = log_factorial(x).ln_interval()
+    assert all(_contains(out, MP.loggamma(v + 1)) for v in _values(x))
+
+
+@BOUNDED
+@given(NATS, NATS, st.integers(0, 1000))
+def test_log_step_contains_ln_of_the_recurrence(a, prev, share):
+    # prev2 <= prev: a share of an int prev, or below a LogMagnitude's interval
+    if isinstance(prev, int):
+        prev2 = prev * share // 1000
+    else:
+        prev2 = LogMagnitude(prev.ln_lo * share / 1000, prev.ln_lo * share / 1000)
+    out = _log_step(a, prev, prev2).ln_interval()
+    for base in (u + v for u in _lns(a) for v in _lns(prev)):
+        # ln(a prev + prev2) = ln(a prev) + ln(1 + prev2 / (a prev))
+        exact = [base] if prev2 == 0 else [base + MP.log1p(MP.exp(w - base)) for w in _lns(prev2)]
+        assert all(_contains(out, v) for v in exact)
+
+
+@BOUNDED
+@given(NATS)
+def test_nat_value_interval_contains_the_value(x):
+    lo, hi = nat_value_interval(x)
+    if isinstance(x, int):
+        assert lo <= x <= hi  # int against float compares exactly
+    else:
+        assert all(_contains((lo, hi), v) for v in _values(x))
+
+
+def test_value_interval_is_a_lower_bound_where_exp_is_finite():
+    lo, _ = LogMagnitude(705.0, 705.0).value_interval()
+    assert lo <= math.exp(705) and MP.mpf(lo) <= MP.exp(705)
+    assert LogMagnitude(720.0, 720.0).value_interval() == (sys.float_info.max, math.inf)
+
+
+def test_log_space_convergents_contain_p_and_q():
+    # every step in log space, p_1 = 1 from p_0 = 0 included
+    fib = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    for c in convergents(golden_cf(), 9, bit_budget=0)[1:]:
+        assert _contains(nat_ln_interval(c.p), MP.log(fib[c.index]))
+        assert _contains(nat_ln_interval(c.q), MP.log(fib[c.index + 1]))

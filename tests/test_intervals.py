@@ -57,7 +57,6 @@ def test_decimal_str_rounding_modes():
     assert decimal_str(x, 4, "floor") == "0.3333"
     assert decimal_str(x, 4, "ceil") == "0.3334"
     assert decimal_str(Fraction(-1, 3), 4, "floor") == "-0.3334"
-    assert decimal_str(Fraction(5, 2), 0, "nearest") == "3"
 
 
 def test_enclosure_strings_bracket_value():
