@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import List, Optional, Union
 
 from .beta import quasi_greedy_of_finite
@@ -196,16 +197,14 @@ def irrational_probe(alpha0: ContinuedFraction, I: int, tol: Fraction = DEFAULT_
     """
     if I < 2:
         raise PreconditionError("need at least 2 probes")
-    for n in range(1, 2 * I + 2):
-        if not isinstance(alpha0.term(n), int):
-            raise PreconditionError(
-                "irrational probes need exact integer convergent denominators")
+    convs = list(islice(alpha0.convergents(), 2 * I + 2))
+    if not all(isinstance(c.q, int) for c in convs):
+        raise PreconditionError(
+            "irrational probes need exact integer convergent denominators")
     center = delta_irrational(alpha0, tol)
     points = []
     for k in range(1, I + 1):
-        i = 2 * k
-        p_i, q_i = alpha0.exact_convergent(i)
-        _, q_next = alpha0.exact_convergent(i + 1)
+        (_, p_i, q_i), (_, _, q_next) = convs[2 * k], convs[2 * k + 1]
         dx = Enclosure(Fraction(1, q_i * (q_i + q_next)), Fraction(1, q_i * q_next))
         probe = Fraction(p_i, q_i)
         point = QuotientPoint(k, probe, dx, center, delta_rational(probe, tol))

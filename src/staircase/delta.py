@@ -17,9 +17,9 @@ from typing import List, Optional, Tuple, Union
 
 from .beta import (MAX_WORD_LENGTH, BetaHandle, Bracket, SeriesRoot, beta_root_finite,
                    beta_root_periodic)
-from .diophantine import ContinuedFraction
+from .diophantine import ContinuedFraction, _down, _up, ln_interval
 from .errors import PreconditionError
-from .intervals import Enclosure, decimal_str, refine_until
+from .intervals import Enclosure, refine_until
 from .words import PeriodicWord, Word, bzb_word
 
 RATIONAL_TOL = Fraction(1, 10 ** 30)
@@ -276,32 +276,20 @@ def _ends(x: DeltaValue, y: DeltaValue) -> Bracket:
 # ---------------------------------------------------------------------------
 
 
-def _iv_log(iv, e: Enclosure):
-    # Endpoint decimal strings are rounded outward (60 digits, far beyond the
-    # 128-bit working precision) so the interval certificate survives.
-    return iv.log(iv.mpf([decimal_str(e.lo, 60, "floor"),
-                          decimal_str(e.hi, 60, "ceil")]))
-
-
 def lipschitz_order(delta: DeltaValue, theta: Enclosure) -> Enclosure:
     """Enclosure of log(Delta(alpha)) / log(theta(alpha)).
 
     This is the certified local smoothness exponent of the staircase at an
     irrational slope whose approximation base theta satisfies
     1 < theta < Delta(alpha); the hypothesis is checked on the enclosures.
+    The logs are ``ln_interval``'s float bounds; theta's lower one must be > 0.
     """
-    from mpmath.ctx_iv import MPIntervalContext
-
-    iv = MPIntervalContext()  # a local context: the global mpmath.iv keeps its precision
-    iv.prec = 128
     enc = delta.refine(IRRATIONAL_TOL)
-    if not (theta.lo > 1):
+    t_lo = ln_interval(theta.lo)[0] if theta.lo > 1 else 0.0
+    if not (t_lo > 0):
         raise PreconditionError("need theta > 1 certified")
     if not (theta.hi < enc.lo):
         raise PreconditionError("hypothesis theta < Delta(alpha) not certified")
-    ratio = _iv_log(iv, enc) / _iv_log(iv, theta)
-    # float() may round in either direction; pad by more than one ulp.
-    pad = Fraction(1, 10 ** 12)
-    lo = Fraction(float(ratio.a)) * (1 - pad) - pad
-    hi = Fraction(float(ratio.b)) * (1 + pad) + pad
-    return Enclosure(lo, hi)
+    lo = _down(ln_interval(enc.lo)[0] / ln_interval(theta.hi)[1])
+    hi = _up(ln_interval(enc.hi)[1] / t_lo)
+    return Enclosure(Fraction(lo), Fraction(hi))

@@ -59,6 +59,20 @@ def ln_int_interval(n: int) -> Tuple[float, float]:
     return (v - slack, v + slack)
 
 
+def ln_interval(x: Fraction) -> Tuple[float, float]:
+    """Outward-rounded [lo, hi] float interval containing ln(x), rational x > 1:
+    log1p of the exact x - 1, or ln(numerator) - ln(denominator) past float range."""
+    x = Fraction(x)
+    if x <= 1:
+        raise PreconditionError("ln_interval needs x > 1")
+    try:
+        v = math.log1p(float(x - 1))
+    except OverflowError:
+        (plo, phi), (qlo, qhi) = ln_int_interval(x.numerator), ln_int_interval(x.denominator)
+        return (_down(plo - qhi), _up(phi - qlo))
+    return (_down(_down(v)), _up(_up(v)))
+
+
 @dataclass(frozen=True)
 class LogMagnitude:
     """A positive real carried only through an interval around its natural log.
@@ -90,9 +104,9 @@ class LogMagnitude:
         return (self.ln_lo, self.ln_hi)
 
     def value_interval(self) -> Tuple[float, float]:
-        """Float bounds on the value itself; hi may be inf."""
+        """Float bounds on the value itself: lo >= 0, hi may be inf."""
         try:
-            lo = _down(math.exp(self.ln_lo))
+            lo = max(_down(math.exp(self.ln_lo)), 0.0)
         except OverflowError:
             lo = sys.float_info.max
         hi = _up(math.exp(self.ln_hi)) if self.ln_hi < 700 else _INF
@@ -425,7 +439,7 @@ def _theta_rows(convs: List[Convergent]):
     for n in range(1, len(convs) - 1):
         d_lo, d_hi = nat_value_interval(convs[n].q)
         if d_hi == _INF:
-            yield f"q_{n} representable only in log space; window ends at n={n - 1}"
+            yield f"q_{n} beyond float range; window ends at n={n - 1}"
             return
         lb_lo, lb_hi = nat_ln_interval(convs[n + 1].q)
         if lb_hi == _INF:
@@ -489,33 +503,18 @@ def _mu_sample_rows(samples: Sequence[ApproximationSample]):
         lq_lo, lq_hi = nat_ln_interval(s.q)
         if lq_lo <= 0.0:
             continue
-        nl_lo, nl_hi = s.neg_log_dist.ln_interval()
-        # value of neg_log_dist divided by ln q
-        v_lo = math.exp(nl_lo) if nl_lo < 700 else _INF
-        v_hi = math.exp(nl_hi) if nl_hi < 700 else _INF
-        if v_lo == _INF:
-            yield i, _down(1.0 + sys.float_info.max / lq_hi), _INF
-        else:
-            hi = _INF if v_hi == _INF else _up(1.0 + v_hi / lq_lo)
-            yield i, _down(1.0 + v_lo / lq_hi), hi
+        v_lo, v_hi = s.neg_log_dist.value_interval()  # -ln||q alpha||
+        yield i, _down(1.0 + v_lo / lq_hi), _up(1.0 + v_hi / lq_lo)
 
 
 def _nat_ratio(num: LogMagnitude, den: Nat) -> Optional[Tuple[float, float]]:
     """Interval of value(num)/value(den) computed in log space."""
     nlo, nhi = num.ln_interval()
     dlo, dhi = nat_ln_interval(den)
-    lo_exp = nlo - dhi
-    hi_exp = nhi - dlo
+    lo_exp, hi_exp = _down(nlo - dhi), _up(nhi - dlo)
     if math.isnan(lo_exp) or math.isnan(hi_exp):
         return None  # inf - inf: both saturated with no structural cancellation
-    if lo_exp < -740:
-        lo = 0.0
-    elif lo_exp > 709:
-        lo = sys.float_info.max
-    else:
-        lo = _down(math.exp(_down(lo_exp)))
-    hi = _INF if hi_exp > 709 else _up(math.exp(_up(hi_exp)))
-    return (lo, hi)
+    return LogMagnitude(lo_exp, hi_exp).value_interval()
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +608,13 @@ def classify(target: Preset, N: int = 8, thresholds: Thresholds = Thresholds(),
     log_low = math.log(thresholds.theta_low)
     log_high = math.log(thresholds.theta_high)
     tail = theta_est.running[-3:]
-    if tail:
-        head_lo = max(t[1] for t in tail)
-        head_hi = max(t[2] for t in tail)
-    else:
-        head_lo, head_hi = 0.0, 0.0
+    head_lo, head_hi = (max((t[i] for t in tail), default=0.0) for i in (1, 2))
     encl = None
     if head_lo > log_high:
         label = "hyper-exponential"
     elif head_lo > log_low:
         label = "exponential"
-        encl = (math.exp(head_lo), math.exp(min(head_hi, 700.0)))
+        encl = LogMagnitude(head_lo, head_hi).value_interval()
     elif mu_est.headline[1] >= thresholds.mu_cutoff:
         label = "hypo-exponential"
     else:

@@ -18,7 +18,7 @@ from staircase.analysis import (
     zero_plus_quotients,
 )
 from staircase.delta import delta_rational
-from staircase.diophantine import ContinuedFraction
+from staircase.diophantine import ContinuedFraction, LogMagnitude
 from staircase.errors import CertificationError, PreconditionError
 
 
@@ -118,6 +118,13 @@ def test_irrational_probe_needs_integer_terms():
     cf = ContinuedFraction.from_quotients(0, [2, 3])  # rational: runs dry
     with pytest.raises(CertificationError):
         irrational_probe(cf, 3)
+
+
+def test_irrational_probe_needs_exact_denominators():
+    # a_3 is known only in log space, so q_3 is too: refused before any root
+    cf = ContinuedFraction.from_quotients(0, [1, 2, LogMagnitude(50.0, 51.0), 1, 1, 1])
+    with pytest.raises(PreconditionError, match="exact integer convergent denominators"):
+        irrational_probe(cf, 2)
 
 
 def test_lowerbound_check_basic_pairs():

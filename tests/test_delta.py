@@ -1,13 +1,18 @@
 """The staircase map: rational values, right limits, jumps, irrational slopes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import staircase
 from staircase.beta import RefinableRoot, finite_annihilator, periodic_annihilator
 from staircase.delta import (
     IRRATIONAL_TOL,
@@ -252,6 +257,40 @@ def test_lipschitz_order_golden():
         lipschitz_order(d, Enclosure(Fraction(2), Fraction(2)))
     with pytest.raises(PreconditionError):
         lipschitz_order(d, Enclosure(Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_lipschitz_order_holds_the_ratio_of_the_endpoint_logs_near_theta_one():
+    # theta = 1 + 2^-60: ln theta has the digits of log1p(2^-60), not 0
+    d = delta_irrational(golden_cf())
+    theta = 1 + Fraction(1, 1 << 60)
+    order = lipschitz_order(d, Enclosure(theta, theta))
+    with mp.workprec(200):
+        ln_theta = mp.log1p(mp.mpf(2) ** -60)
+        lo, hi = (mp.log(mp.mpf(e.numerator) / e.denominator) / ln_theta
+                  for e in (d.enclosure.lo, d.enclosure.hi))
+        assert mp.mpf(order.lo.numerator) / order.lo.denominator <= lo
+        assert hi <= mp.mpf(order.hi.numerator) / order.hi.denominator
+    assert order.hi - order.lo < order.lo * Fraction(1, 10 ** 10)
+
+
+def test_runtime_runs_without_mpmath():
+    # a fresh interpreter in which importing mpmath fails
+    probe = ("import sys\n"
+             "sys.modules['mpmath'] = None\n"
+             "from fractions import Fraction\n"
+             "from staircase import cli\n"
+             "from staircase.delta import delta_irrational, lipschitz_order\n"
+             "from staircase.diophantine import golden_cf\n"
+             "from staircase.intervals import Enclosure\n"
+             "three_halves = Enclosure(Fraction(3, 2), Fraction(3, 2))\n"
+             "print(lipschitz_order(delta_irrational(golden_cf()), three_halves).lo > 1)\n"
+             "for line in ('delta eval --preset golden', 'classify --preset alpha5',\n"
+             "             'measure mu --preset alpha4 -N 4'):\n"
+             "    assert cli.main(line.split()) == 0, line\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(staircase.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.startswith("True\n")
 
 
 def test_negative_slope_rejected():

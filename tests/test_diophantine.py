@@ -5,16 +5,18 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 from staircase.diophantine import (
+    LN_SAT,
     ApproximationSample,
     ContinuedFraction,
     LogMagnitude,
     Thresholds,
     _log_step,
+    _nat_ratio,
     best_approx_check,
     cf_expand,
     classify,
@@ -23,6 +25,7 @@ from staircase.diophantine import (
     e_cf,
     golden_cf,
     ln_int_interval,
+    ln_interval,
     log_factorial,
     log_pow,
     lookup_preset,
@@ -372,6 +375,61 @@ def test_value_interval_is_a_lower_bound_where_exp_is_finite():
     lo, _ = LogMagnitude(705.0, 705.0).value_interval()
     assert lo <= math.exp(705) and MP.mpf(lo) <= MP.exp(705)
     assert LogMagnitude(720.0, 720.0).value_interval() == (sys.float_info.max, math.inf)
+
+
+# ln_interval on (1, 10^400]: 1 + 2^-k, quotients of ints of up to 2000 bits,
+# and values past float range (its ln(numerator) - ln(denominator) branch)
+NEAR_ONE = st.integers(1, 200).map(lambda k: 1 + Fraction(1, 1 << k))
+QUOTIENTS = st.tuples(_ints(2000), _ints(2000)).filter(lambda t: t[0] != t[1]).map(
+    lambda t: Fraction(max(t), min(t)))
+BEYOND_FLOATS = _ints(2000).flatmap(
+    lambda q: st.integers(q + 1, 10 ** 400 * q).map(lambda p: Fraction(p, q)))
+
+
+@BOUNDED
+@given(st.one_of(NEAR_ONE, QUOTIENTS, BEYOND_FLOATS).filter(lambda x: x <= 10 ** 400))
+@example(Fraction(10 ** 400))
+@example(1 + Fraction(1, 1 << 60))
+def test_ln_interval_contains_ln(x):
+    # log1p of the exact x - 1, so an x near 1 keeps its digits at 200 bits
+    exact = MP.log1p(MP.mpf(x.numerator - x.denominator) / x.denominator)
+    assert _contains(ln_interval(x), exact)
+
+
+def test_ln_interval_needs_x_above_one():
+    with pytest.raises(PreconditionError):
+        ln_interval(Fraction(1))
+
+
+SATURATED = st.floats(0.0, LN_SAT).map(LogMagnitude.saturate)
+
+
+@BOUNDED
+@given(st.one_of(LOGS, _logs(-800.0, -700.0), SATURATED), st.one_of(NATS, SATURATED))
+def test_nat_ratio_contains_the_ratio(num, den):
+    lo, hi = _nat_ratio(num, den)
+    assert 0.0 <= lo <= hi
+    assert all(_contains((lo, hi), MP.exp(u - v)) for u in _lns(num) for v in _lns(den))
+
+
+def test_value_interval_is_never_negative():
+    assert LogMagnitude(-800.0, -800.0).value_interval()[0] == 0.0
+
+
+def test_mu_sample_row_holds_the_value_past_exp_700():
+    # ln(-ln||q alpha||) = 705: the value 1 + e^705 / ln 10 is about 6.54e305
+    est = mu_from_samples([ApproximationSample("x", 10, LogMagnitude(705.0, 705.0))])
+    (_, lo, hi), = est.running
+    assert _contains((lo, hi), 1 + MP.exp(705) / MP.log(10))
+
+
+def test_classify_theta_enclosure_holds_exp_of_the_trailing_bounds():
+    c = classify(lookup_preset("alpha5"))
+    tail = c.theta.running[-3:]
+    head_lo, head_hi = max(t[1] for t in tail), max(t[2] for t in tail)
+    assert c.label == "exponential"
+    assert _contains(c.theta_enclosure, MP.exp(head_lo))
+    assert _contains(c.theta_enclosure, MP.exp(head_hi))
 
 
 def test_log_space_convergents_contain_p_and_q():
