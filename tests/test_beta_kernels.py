@@ -12,8 +12,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircase import beta
-from staircase.beta import (GUARD_BITS, JUMP_FROM_BITS, SPARSE_FROM_BITS, RefinableRoot, _bracket,
-                            _head_sign, _horner, _poly_sign, _sign_kernel, _sparse_sign,
+from staircase.beta import (FILTER_WORK, GUARD_BITS, JUMP_FROM_BITS, SPARSE_FROM_BITS,
+                            RefinableRoot, _bracket, _certified_root, _filtered_sign, _head_sign,
+                            _horner, _poly_sign, _sign_kernel, _sparse_sign,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
                             finite_annihilator, near_one_root, periodic_annihilator)
 from staircase.errors import PreconditionError
@@ -523,3 +524,136 @@ def test_sparse_tail_bound_takes_the_largest_coefficient_left_out(k):
         F = finite_annihilator(digits)
         assert fraction_poly_sign(F, Fraction(2)) == -1
         assert _sign_kernel(F)(2 << k, k) == -1
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point filter in front of the deep exact sign tests
+# ---------------------------------------------------------------------------
+
+FILTERED = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+def power_sum_sign(F, m: int, k: int) -> int:
+    """The sign of F at m/2^k, as ``fraction_poly_sign`` gives it, from the
+    power sum of F's nonzero terms over the common denominator
+    2^(k deg F): no Horner and no ``Fraction``, so it stays fast for the
+    sparse words of thousands of letters."""
+    q = len(F) - 1
+    v = sum(c * m ** i << k * (q - i) for i, c in enumerate(F) if c)
+    return (v > 0) - (v < 0)
+
+
+def descending_terms(F):
+    """F's nonzero terms (i, c_i) by descending power, as the sparse kernel
+    and ``_filtered_sign`` take them for any F."""
+    return [(i, c) for i, c in reversed(list(enumerate(F))) if c]
+
+
+def _assert_filter_agrees(F, m, k, reference):
+    """The kernel's verdict is the reference, and the filter's, over the
+    coefficients and over the terms, is too when it gives one (0 means
+    undecided)."""
+    ref = reference(F, m, k)
+    assert _sign_kernel(F)(m, k) == ref
+    assert _filtered_sign(F, m, k) in (0, ref)
+    assert _filtered_sign(descending_terms(F), m, k) in (0, ref)
+
+
+@FILTERED
+@given(st.integers(16, 256), st.integers(1, 9), st.integers(0, 1 << 32), st.integers(0, 1000))
+@example(256, 3, 0, 156)
+@example(40, 1, 1, 1000)
+@example(38, 1, 1, 842)
+def test_filter_agrees_beside_long_dense_roots(q, top, word_seed, k):
+    """At the ends of the root's cell at scale k and at their midpoint,
+    against Fraction Horner: deg F * k from FILTER_WORK, where the filter
+    runs, to 40000, where one Fraction reference takes about 15 ms."""
+    rng = random.Random(word_seed)
+    digits = [rng.randint(0, top) for _ in range(q)]
+    digits[0] = max(digits[0], 1)
+    assume(digits[0] > 1 or any(digits[1:]))
+    k = max(-(-FILTER_WORK // q), min(k, 40000 // q))
+    rr = beta_root_finite(digits, Fraction(1, 1 << k))
+    assume(rr.exact is None)
+    F = finite_annihilator(digits)
+    a, b, _ = rr.bracket
+    x = lambda F, m, k: fraction_poly_sign(F, Fraction(m, 1 << k))  # noqa: E731
+    for m, K in ((a, k), (b, k), (a + b, k + 1)):
+        _assert_filter_agrees(F, m, K, x)
+        assert _poly_sign(F, m, K) == x(F, m, K)
+
+
+@FILTERED
+@given(st.integers(2, 5100), st.integers(1, 64), st.integers(-3, 3))
+@example(5100, 64, 0)
+@example(3000, 85, 1)
+def test_filter_agrees_beside_near_one_roots(n, k, off):
+    """The near-one words 1 0^(n-2) 1 at points 2^-k apart beside the root."""
+    k = max(k, -(-FILTER_WORK // n))
+    F = finite_annihilator((1,) + (0,) * (n - 2) + (1,))
+    enc = near_one_root(n, Fraction(1, 1 << k))
+    a = enc.lo.numerator << (k - enc.lo.denominator.bit_length() + 1)
+    for m in (a + off, a + 1 + off):
+        _assert_filter_agrees(F, m, k, power_sum_sign)
+
+
+@FILTERED
+@given(long_sparse_annihilators(), st.integers(0, 200), st.integers(-3, 3))
+def test_filter_agrees_beside_long_sparse_roots(root, k, off):
+    F, a1 = root
+    assert _sign_kernel(F).func is _sparse_sign
+    k = max(k, -(-FILTER_WORK // (len(F) - 1)))
+    rr = _certified_root(F, a1, Fraction(1, 1 << k), None)
+    assume(rr.exact is None)
+    a, b, _ = rr.bracket
+    for m in (a + off, b + off):
+        _assert_filter_agrees(F, m, k, power_sum_sign)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(12, 40), st.integers(0, 1 << 16), st.integers(0, 4))
+@example(16, 0, 0)
+@example(40, 1, 0)
+def test_filter_defers_where_the_dense_value_is_tiny(k, draw_m, bump):
+    """The greedy words of ``test_sign_of_a_root_beside_a_coarse_point`` at
+    x = m/2^k in [3/2, 4), long enough that x^q dwarfs 2^(k + 40): F(x) is
+    the greedy remainder minus ``bump``, under 5 in size, far inside the
+    filter's error bound, so it is undecided and the exact test runs.  For
+    bump = 0, F(x) >= 0 while the floor products pull the accumulator down."""
+    m = (3 << (k - 1)) + draw_m % (5 << (k - 1))
+    x = Fraction(m, 1 << k)
+    q = max(-(-FILTER_WORK // k), 2 * k + 100)
+    digits = _greedy_digits_of_one(x, q)
+    digits[-1] += bump
+    F = finite_annihilator(digits)
+    assert _filtered_sign(F, m, k) == _filtered_sign(descending_terms(F), m, k) == 0
+    with mock.patch.object(beta, "_horner_shift", wraps=beta._horner_shift) as exact:
+        assert _poly_sign(F, m, k) == fraction_poly_sign(F, x)
+    assert exact.called
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.integers(2, 400), st.integers(0, 1 << 64), st.integers(-1, 1))
+@example(1, 4000, 1, 1)
+@example(24, 3, 0, 0)  # x^2 is exact at the filter's scale, x^3 = x * x^2 is not
+def test_filter_defers_where_the_sparse_value_is_tiny(k, n, draw_m, s):
+    """F = 2^(kn) X^n - m^n + s at its zero's neighbourhood x = m/2^k, so
+    F(x) = s: the power x^n that the filter rounds outward carries the
+    whole cancellation.  With m odd, x^n has kn fractional bits; past the
+    filter's p = k + 32 + bitlen(n), it is undecided."""
+    m = (1 << k) + 1 + 2 * (draw_m % (3 << (k - 1)))  # odd: no power of x is exact
+    terms = [(n, 1 << (k * n)), (0, s - m ** n)]
+    verdict = _filtered_sign(terms, m, k)
+    assert verdict in (0, s)
+    if k * n > k + 32 + n.bit_length():
+        assert verdict == 0
+    assert _sparse_sign(terms, m, k) == s
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 255, 1000, 2047, 3001, 4096, 5100])
+def test_near_one_root_equals_the_root_of_its_word(n):
+    """``near_one_root`` builds x^n - x^(n-1) - 1 itself; the enclosure is
+    the one of the word 1 0^(n-2) 1."""
+    tol = Fraction(1, 10 ** 8)
+    word = (1,) + (0,) * (n - 2) + (1,)
+    assert near_one_root(n, tol) == beta_root_finite(word, tol).enclosure
