@@ -51,12 +51,12 @@ def ln_int_interval(n: int) -> Tuple[float, float]:
     if n.bit_length() <= 900:
         v = math.log(n)
         return (_down(_down(v)), _up(_up(v)))
-    # Huge integer: ln n = ln(mantissa) + shift*ln 2 from the top bits.
-    k = n.bit_length() - 64
-    mant = n >> k
-    v = math.log(mant) + k * math.log(2)
-    slack = 1e-12 * abs(v) + 1e-12
-    return (v - slack, v + slack)
+    # Huge integer: mant = n >> s has 64 bits and mant <= n / 2^s < mant + 1,
+    # so ln n lies in [ln mant, ln(mant + 1)] + s ln 2, each float step outward.
+    s = n.bit_length() - 64
+    (lo, _), (_, hi) = ln_int_interval(n >> s), ln_int_interval((n >> s) + 1)
+    ln2 = math.log(2)
+    return (_down(lo + _down(s * _down(ln2))), _up(hi + _up(s * _up(ln2))))
 
 
 def ln_interval(x: Fraction) -> Tuple[float, float]:

@@ -324,6 +324,16 @@ def test_ln_int_interval_contains_ln(n):
 
 
 @BOUNDED
+@given(INTS)
+@example(10 ** 400)
+@example((1 << 20000) - 1)
+def test_ln_int_interval_is_a_few_ulps_wide(n):
+    # past 900 bits too, where ln n comes from the top 64 bits and the shift
+    lo, hi = ln_int_interval(n)
+    assert hi - lo <= 8 * math.ulp(hi)
+
+
+@BOUNDED
 @given(LOGS, NATS)
 def test_log_magnitude_mul_contains_the_ln_of_the_product(m, x):
     out = m.mul(x).ln_interval()
@@ -393,6 +403,20 @@ BEYOND_FLOATS = _ints(2000).flatmap(
 def test_ln_interval_contains_ln(x):
     # log1p of the exact x - 1, so an x near 1 keeps its digits at 200 bits
     exact = MP.log1p(MP.mpf(x.numerator - x.denominator) / x.denominator)
+    assert _contains(ln_interval(x), exact)
+
+
+# x = p/q past float range with q of up to 20000 bits: ln q's interval is
+# then many ulps of ln x wide, so pairing the wrong ends of ln p's and ln q's
+# intervals shows
+HUGE_DENOMINATORS = _ints(20000).flatmap(
+    lambda q: st.integers(q << 1100, q << 1400).map(lambda p: Fraction(p, q)))
+
+
+@BOUNDED
+@given(HUGE_DENOMINATORS)
+def test_ln_interval_contains_ln_over_huge_denominators(x):
+    exact = MP.log(x.numerator) - MP.log(x.denominator)
     assert _contains(ln_interval(x), exact)
 
 
