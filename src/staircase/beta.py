@@ -12,7 +12,8 @@ bisection narrows it step by step; a longer refinement jumps to its final cell
 with a fixed-point Newton guess that sign tests then certify, and a repeated
 one goes deeper than asked, so that later requests are shifts of one certified
 cell.  For a sparse annihilator, sign tests and Newton steps run over its
-nonzero terms only.  Sign tests and orbit polynomial evaluation run on plain integers.
+nonzero terms only.  Deep sign tests first try a fixed-point Horner that
+bounds its own error, and exact integer arithmetic only where it is undecided.
 """
 
 from __future__ import annotations
@@ -60,12 +61,11 @@ SPARSE_FROM_BITS = 2
 SPARSE_JUMP_WORK = 48
 GUARD_BITS = 16
 
-# Sign tests at scales k with deg F * k >= FILTER_WORK first run the
-# fixed-point filter (_filtered_sign), and exact Horner only where it is
-# undecided.  The exact test's accumulator grows to deg*k bits, the filter's
-# stays near k bits.  Per test, exact -> filter: degree 256 at k = 125,
-# 1029 -> 114 us; degree 38 at k = 842, 688 -> 45 us; the near-one word of
-# degree 3000 at k = 85, 5333 -> 14 us.  Both break even near deg*k = 2000.
+# Full sign tests (not _head_sign's head loop) at deg F * k >= FILTER_WORK try
+# _filtered_sign first: the exact accumulator grows to deg*k bits, the filter's
+# to about k.  Per test beside a root, exact -> filter: degree 256 at k = 125,
+# 844 -> 98 us; degree 100 at k = 20/40/80, 20/36/70 -> 25/35/30 us; near-one
+# degree 1000 at k = 4/8, 7/17 -> 7/7 us, 3000 at k = 85, 4435 -> 11 us.
 FILTER_WORK = 4000
 
 # The longest digit word a root is built from: series truncations stop here,
@@ -78,55 +78,45 @@ REFINE_BUDGET = 20000
 
 def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
     """Exact sign of sum coeffs[i] * x**i at the dyadic point x = m / 2**k."""
-    if (len(coeffs) - 1) * k >= FILTER_WORK:
-        s = _filtered_sign(coeffs, m, k)
-        if s:
-            return s
-    acc, _ = _horner_shift(0, 0, reversed(coeffs), m, k)
+    s = (len(coeffs) - 1) * k >= FILTER_WORK and _filtered_sign(coeffs, m, k)
+    acc = s or _horner_shift(0, 0, reversed(coeffs), m, k)[0]
     return (acc > 0) - (acc < 0)
 
 
 def _filtered_sign(F, m: int, k: int) -> int:
-    """The sign of F at x = m/2^k where fixed-point Horner proves it, else 0.
-
-    F is a coefficient tuple, or a sparse F's descending term list, as for
-    ``_newton``.  Horner runs at p = k + 32 + bitlen(deg F) fractional bits
-    with floor products and a bound e, in ulps, on the accumulator's error.
-    A product by x (exact) maps e to floor(e x) + 2; one by x^g in
-    [lo, hi], raised by outward square-and-multiply, to
-    floor(e hi + |acc| (hi - lo)) + 2.  So |acc| > e proves the sign.
-    """
+    """The sign of F (terms or coefficients, as for ``_newton``) at x = m/2^k
+    where Horner at p = k + 32 + bitlen(deg F) fractional bits proves it, else 0.
+    Products are floored, and e bounds the error in ulps: a product by x maps
+    it to floor(e x) + 2, one by x^g in [lo, hi] to floor(e hi + |acc| (hi - lo)) + 2."""
     sparse = isinstance(F[0], tuple)
     deg = F[0][0] if sparse else len(F) - 1
-    p = k + 32 + deg.bit_length()
-    acc = e = 0
+    p, acc, e = k + 32 + deg.bit_length(), 0, 0
     if not sparse:
         for c in reversed(F):
             acc = (acc * m >> k) + (c << p)
             e = (e * m >> k) + 2
         return (acc > e) - (acc < -e)
-    powers = {}  # gap g -> x^g in [lo, hi] at scale 2^p
-    prev = deg
+    powers, prev, x = {}, deg, m << (p - k)  # powers: gap g -> x^g in [lo, hi]
     for i, c in chain(F, [(0, 0)]):
-        g = prev - i
-        if g:
-            if g not in powers:
-                lo = hi = 1 << p
-                blo = bhi = m << (p - k)
-                n = g
-                while n:
-                    if n & 1:
-                        lo, hi = lo * blo >> p, -(-hi * bhi >> p)
-                    n >>= 1
-                    if n:
-                        blo, bhi = blo * blo >> p, -(-bhi * bhi >> p)
-                powers[g] = lo, hi
-            lo, hi = powers[g]
-            e = (e * hi + abs(acc) * (hi - lo) >> p) + 2
-            acc = acc * lo >> p
-        acc += c << p
-        prev = i
+        g, prev = prev - i, i
+        if g not in powers:
+            powers[g] = _fixed_pow(x, g, p), _fixed_pow(x, g, p, -1)
+        lo, hi = powers[g]
+        e = (e * hi + abs(acc) * (hi - lo) >> p) + 2
+        acc = (acc * lo >> p) + (c << p)
     return (acc > e) - (acc < -e)
+
+
+def _fixed_pow(x: int, n: int, p: int, r: int = 1) -> int:
+    """(x/2^p)^n at scale 2^p by square-and-multiply, rounded down (r = 1) or up."""
+    y = 1 << p
+    while n:
+        if n & 1:
+            y = r * (r * y * x >> p)
+        n >>= 1
+        if n:
+            x = r * (r * x * x >> p)
+    return y
 
 
 def _horner_shift(acc: int, shift: int, descending: Iterable[int], m: int,
@@ -212,13 +202,12 @@ def _sparse_sign(terms: Sequence[Tuple[int, int]], m: int, k: int,
     if not terms:
         return 0
     deg = prev = terms[0][0]
-    if deg * k >= FILTER_WORK:
-        s = _filtered_sign(terms, m, k)
+    n = None if rest_max is None else _head_length(deg, rest_max[1], k_head, m, k)
+    if n is None or n > deg - terms[-2:][0][0]:
+        n = deg + 1  # the full test: no head stops short of the last term
+        s = deg * k >= FILTER_WORK and _filtered_sign(terms, m, k)
         if s:
             return s
-    n = None if rest_max is None else _head_length(deg, rest_max[1], k_head, m, k)
-    if n is None:
-        n = deg + 1  # no head short of the whole polynomial
     d = m - (1 << k)
     acc = 0
     for t, (i, c) in enumerate(terms, start=1):
@@ -313,13 +302,7 @@ def _sparse_value_and_slope(terms: Sequence[Tuple[int, int]], x: int, p: int) ->
         g = prev - i
         if g:
             if g not in powers:
-                e, base, low = g - 1, x, 1 << p
-                while e:
-                    if e & 1:
-                        low = low * base >> p
-                    e >>= 1
-                    if e:
-                        base = base * base >> p
+                low = _fixed_pow(x, g - 1, p)
                 powers[g] = low, low * x >> p
             low, high = powers[g]
             d = (d * high >> p) + g * (f * low >> p)

@@ -55,8 +55,7 @@ def ln_int_interval(n: int) -> Tuple[float, float]:
     # so ln n lies in [ln mant, ln(mant + 1)] + s ln 2, each float step outward.
     s = n.bit_length() - 64
     (lo, _), (_, hi) = ln_int_interval(n >> s), ln_int_interval((n >> s) + 1)
-    ln2 = math.log(2)
-    return (_down(lo + _down(s * _down(ln2))), _up(hi + _up(s * _up(ln2))))
+    return (_down(lo + _down(s * _down(math.log(2)))), _up(hi + _up(s * _up(math.log(2)))))
 
 
 def ln_interval(x: Fraction) -> Tuple[float, float]:

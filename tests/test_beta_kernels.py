@@ -657,3 +657,9 @@ def test_near_one_root_equals_the_root_of_its_word(n):
     tol = Fraction(1, 10 ** 8)
     word = (1,) + (0,) * (n - 2) + (1,)
     assert near_one_root(n, tol) == beta_root_finite(word, tol).enclosure
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_near_one_root_needs_n_at_least_two(n):
+    with pytest.raises(PreconditionError):
+        near_one_root(n)
