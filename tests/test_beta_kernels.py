@@ -533,6 +533,10 @@ def test_sparse_tail_bound_takes_the_largest_coefficient_left_out(k):
 FILTERED = settings(max_examples=10, deadline=None, derandomize=True)
 
 
+def dyadic_fraction_sign(F, m: int, k: int) -> int:
+    return fraction_poly_sign(F, Fraction(m, 1 << k))
+
+
 def power_sum_sign(F, m: int, k: int) -> int:
     """The sign of F at m/2^k, as ``fraction_poly_sign`` gives it, from the
     power sum of F's nonzero terms over the common denominator
@@ -577,10 +581,9 @@ def test_filter_agrees_beside_long_dense_roots(q, top, word_seed, k):
     assume(rr.exact is None)
     F = finite_annihilator(digits)
     a, b, _ = rr.bracket
-    x = lambda F, m, k: fraction_poly_sign(F, Fraction(m, 1 << k))  # noqa: E731
     for m, K in ((a, k), (b, k), (a + b, k + 1)):
-        _assert_filter_agrees(F, m, K, x)
-        assert _poly_sign(F, m, K) == x(F, m, K)
+        _assert_filter_agrees(F, m, K, dyadic_fraction_sign)
+        assert _poly_sign(F, m, K) == dyadic_fraction_sign(F, m, K)
 
 
 @FILTERED
@@ -600,6 +603,7 @@ def test_filter_agrees_beside_near_one_roots(n, k, off):
 @FILTERED
 @given(long_sparse_annihilators(), st.integers(0, 200), st.integers(-3, 3))
 def test_filter_agrees_beside_long_sparse_roots(root, k, off):
+    """The sparse words of 65 to 800 letters at points 2^-k apart beside the root."""
     F, a1 = root
     assert _sign_kernel(F).func is _sparse_sign
     k = max(k, -(-FILTER_WORK // (len(F) - 1)))
