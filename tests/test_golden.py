@@ -8,7 +8,9 @@ command lines the README does not show: CSV probes, probes and estimators
 on a ``--cf`` list, the estimators on the Liouville presets, upper
 mechanical and central words, bracketed word letters, plots whose range
 starts between slopes and crosses integer slopes, and a sparse root (the
-word 1 0^38 1) refined to 1e-40 and printed to 45 digits.
+word 1 0^38 1) refined to 1e-40 and printed to 45 digits, and two series
+roots at irrational slopes (golden to 1e-100, the ``--cf 0,2,periodic``
+slope to 1e-120).
 Refactors and kernel rewrites must leave every byte unchanged.
 
 Regenerate the corpus, after a deliberate output change only, with
