@@ -12,8 +12,10 @@ bisection narrows it step by step; a longer refinement jumps to its final cell
 with a fixed-point Newton guess that sign tests then certify, and a repeated
 one goes deeper than asked, so that later requests are shifts of one certified
 cell.  For a sparse annihilator, sign tests and Newton steps run over its
-nonzero terms only.  Deep sign tests first try a fixed-point Horner that
-bounds its own error, and exact integer arithmetic only where it is undecided.
+nonzero terms only.  Deep sign tests, long dense heads included, first try a
+fixed-point Horner that bounds its own error, and exact integer arithmetic
+only where it is undecided.  A series root lengthens a truncation whose
+coarse pair of roots certifies a gap over the tolerance, unrefined.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
@@ -61,11 +63,12 @@ SPARSE_FROM_BITS = 2
 SPARSE_JUMP_WORK = 48
 GUARD_BITS = 16
 
-# Full sign tests (not _head_sign's head loop) at deg F * k >= FILTER_WORK try
-# _filtered_sign first: the exact accumulator grows to deg*k bits, the filter's
-# to about k.  Per test beside a root, exact -> filter: degree 256 at k = 125,
-# 844 -> 98 us; degree 100 at k = 20/40/80, 20/36/70 -> 25/35/30 us; near-one
-# degree 1000 at k = 4/8, 7/17 -> 7/7 us, 3000 at k = 85, 4435 -> 11 us.
+# Full sign tests at deg F * k >= FILTER_WORK, and _head_sign's dense heads of
+# n coefficients at n * k >= FILTER_WORK (not _sparse_sign's), try _filtered_sign
+# first: the exact accumulator grows to deg*k (or n*k) bits, the filter's to
+# about k.  Per test beside a root, exact -> filter: degree 256 at k = 125, 844
+# -> 98 us; degree 100 at k = 20/40/80, 20/36/70 -> 25/35/30 us; near-one degree
+# 1000 at k = 4/8, 7/17 -> 7/7 us, 3000 at k = 85, 4435 -> 11 us.
 FILTER_WORK = 4000
 
 # The longest digit word a root is built from: series truncations stop here,
@@ -174,6 +177,9 @@ def _head_sign(F: IntPoly, prefix_max: Sequence[int], k_head: float, m: int, k: 
     n = _head_length(q, prefix_max[q - 1], k_head, m, k)
     if n is None:
         return _poly_sign(F, m, k)
+    s = n * k >= FILTER_WORK and _filtered_sign(F, m, k)
+    if s:
+        return s
     d = m - (1 << k)
     acc, shift, top = 0, 0, q
     while n < q:
@@ -239,8 +245,8 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     pay for its estimate on words of a few dozen letters.
     """
     q = len(F) - 1
-    terms = [(i, c) for i, c in enumerate(F) if c]
-    if 4 * len(terms) <= len(F):
+    if 4 * (len(F) - F.count(0)) <= len(F):
+        terms = [(i, F[i]) for i in compress(range(len(F)), F)]
         rest_max = list(accumulate((abs(c) for _, c in terms), max))[::-1] + [0]
         C = rest_max[1] if terms else 0
         k_head = q * math.log2(C + 1) / 2 - GUARD_BITS - C.bit_length()
@@ -579,6 +585,12 @@ class SeriesRoot:
     above it, M = max_digit): more/larger digits push the root up.  The
     per-m history of enclosures is nested by construction (each is
     intersected with its predecessor) and shrinks like M * root^(-m).
+
+    Doubling m about squares the width w, so a new pair is built coarse, to
+    max(tol/4, w^2 2^-GUARD_BITS); m doubles again unrefined where the gap
+    between its roots exceeds tol, else both go to tol/4.  The final m and
+    enclosure are those of refining every pair to tol/4, as the last
+    sandwich lies inside the earlier ones; only earlier history is wider.
     """
 
     def __init__(self, digit: Callable[[int], int], max_digit: int, m0: int = 32):
@@ -610,8 +622,9 @@ class SeriesRoot:
                     raise CertificationError(
                         f"series root not certified to width {tol} within "
                         f"truncation cap {MAX_WORD_LENGTH}")
-                self._build(tol / 4)
-            else:
+                w = self.enclosure.width if self.enclosure is not None else 0
+                self._build(max(tol / 4, w * w / (1 << GUARD_BITS)))
+            if self._high.lo - self._low.hi <= tol:  # else the gap alone exceeds tol
                 self._low.refine(tol / 4)
                 self._high.refine(tol / 4)
             enc = Enclosure(self._low.enclosure.lo, self._high.enclosure.hi)
@@ -622,8 +635,8 @@ class SeriesRoot:
                 self.history.append((self._m, self.enclosure))
             if self.enclosure.width <= tol:
                 return self.enclosure
-            # Both sandwich roots are tight to tol/4, so the remaining width
-            # is truncation gap: lengthen the digit word.
+            # The sandwich roots are tight to tol/4, or their gap exceeds tol,
+            # so the remaining width is truncation gap: lengthen the word.
             self._m *= 2
             self._low = self._high = None
 

@@ -4,7 +4,7 @@
 import random
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import ceil, floor, gcd
 from unittest import mock
 
 import pytest
@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 
 from staircase import beta
 from staircase.beta import (FILTER_WORK, GUARD_BITS, JUMP_FROM_BITS, SPARSE_FROM_BITS,
-                            RefinableRoot, _bracket, _certified_root, _filtered_sign, _head_sign,
-                            _horner, _poly_sign, _sign_kernel, _sparse_sign,
+                            RefinableRoot, _bracket, _certified_root, _filtered_sign,
+                            _head_length, _head_sign, _horner, _poly_sign, _sign_kernel,
+                            _sparse_sign,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
                             finite_annihilator, near_one_root, periodic_annihilator)
+from staircase.delta import StaircaseDigitStream
+from staircase.diophantine import presets
 from staircase.errors import PreconditionError
 from staircase.intervals import Enclosure, eval_poly
 from staircase.words import PeriodicWord, bzb_word
@@ -652,6 +655,73 @@ def test_filter_defers_where_the_sparse_value_is_tiny(k, n, draw_m, s):
     if k * n > k + 32 + n.bit_length():
         assert verdict == 0
     assert _sparse_sign(terms, m, k) == s
+
+
+def _head_filter_scale(F, m: int, k: int) -> int:
+    """The head length n at which ``_head_sign`` tries the filter at m/2^k,
+    asserting that its kernel takes the head path there with n * k >= FILTER_WORK."""
+    sign = _sign_kernel(F)
+    assert sign.func is _head_sign
+    _, prefix_max, k_head = sign.args
+    q = len(F) - 1
+    n = _head_length(q, prefix_max[q - 1], k_head, m, k)
+    assert n is not None and n < q and n * k >= FILTER_WORK
+    return n
+
+
+def _filtered_kernel_sign(F, m: int, k: int):
+    """The kernel's sign of F at m/2^k and whether it called ``_filtered_sign``."""
+    with mock.patch.object(beta, "_filtered_sign", wraps=beta._filtered_sign) as filtered:
+        s = _sign_kernel(F)(m, k)
+    return s, filtered.called
+
+
+@FILTERED
+@given(st.sampled_from(["golden", "sqrt2m1", "e"]), st.booleans(), st.integers(0, 1 << 16),
+       st.integers(-3, 3))
+@example("golden", False, 0, 0)
+@example("e", True, 1 << 16, 3)
+def test_head_filter_agrees_beside_series_truncation_roots(name, periodic, draw_k, off):
+    """The 300-letter truncations of the series roots, a_1..a_300 0^w and
+    a_1..a_300 M^w, beside their roots at the scales k < k_head where the
+    head is long enough for the filter, n * k >= FILTER_WORK, up to
+    deg F * k = 40000 for the Fraction reference."""
+    stream = StaircaseDigitStream(presets()[name].cf)
+    digits = tuple(stream.digit(n) for n in range(1, 301))
+    if periodic:
+        F = periodic_annihilator(PeriodicWord.make(digits, (stream.b,)))
+    else:
+        F = finite_annihilator(digits)
+    q, x = len(F) - 1, beta_root_finite(digits, Fraction(1, 1 << 20)).lo
+    k_head = _sign_kernel(F).args[2]
+    heads = ((k, _head_length(q, max(map(abs, F[:-1])), k_head, floor(x * (1 << k)), k))
+             for k in range(1, min(ceil(k_head) - 1, 40000 // q)))
+    ks = [k for k, n in heads if n is not None and 10 * n * k >= 11 * FILTER_WORK]
+    k = ks[draw_k % len(ks)]
+    a, b, _ = _certified_root(F, digits[0], Fraction(1, 1 << k), None).bracket
+    for m, K in ((a + off, k), (b + off, k), (a + b, k + 1)):
+        if K < k_head:
+            _head_filter_scale(F, m, K)
+            s, filtered = _filtered_kernel_sign(F, m, K)
+            assert s == dyadic_fraction_sign(F, m, K)
+            assert filtered
+
+
+@pytest.mark.parametrize("k", [72, 96, 160])
+def test_head_filter_defers_where_the_value_is_tiny(k):
+    """The greedy word of 1 in base x = m/2^k near 5/2, 300 letters, its last
+    digit raised by 1: F(x) = r - 1 for the greedy remainder r in [0, 1),
+    far inside the filter's error bound.  The filter defers, and the head
+    loop decides -1; a head test that took the filter's 0 would be wrong."""
+    m = (5 << (k - 1)) + 1
+    x = Fraction(m, 1 << k)
+    digits = _greedy_digits_of_one(x, 300)
+    digits[-1] += 1
+    F = finite_annihilator(digits)
+    _head_filter_scale(F, m, k)
+    assert _filtered_sign(F, m, k) == 0
+    assert _filtered_kernel_sign(F, m, k) == (-1, True)
+    assert fraction_poly_sign(F, x) == -1
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 255, 1000, 2047, 3001, 4096, 5100])

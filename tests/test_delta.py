@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import staircase
-from staircase.beta import RefinableRoot, finite_annihilator, periodic_annihilator
+from staircase.beta import (RefinableRoot, beta_root_finite, beta_root_periodic,
+                            finite_annihilator, periodic_annihilator)
 from staircase.delta import (
     IRRATIONAL_TOL,
     delta_irrational,
@@ -26,7 +27,7 @@ from staircase.delta import (
     right_limit_word,
     sweep,
 )
-from staircase.diophantine import ContinuedFraction
+from staircase.diophantine import ContinuedFraction, presets
 from staircase.errors import CertificationError, PreconditionError
 from staircase.intervals import Enclosure, refine_until
 from staircase.words import PeriodicWord, bzb_word
@@ -133,6 +134,36 @@ def test_delta_irrational_value_against_independent_root():
     root = mp.findroot(f, mp.mpf("1.8352"))
     assert mp.mpf(enc.lo.numerator) / enc.lo.denominator <= root
     assert root <= mp.mpf(enc.hi.numerator) / enc.hi.denominator
+
+
+def _fresh_sandwich(stream, m: int, tol: Fraction) -> Enclosure:
+    """[low.lo, high.hi] for new roots of a_1..a_m 0^w and a_1..a_m M^w at tol/4."""
+    digits = tuple(stream.digit(n) for n in range(1, m + 1))
+    low = beta_root_finite(digits, tol / 4)
+    high = beta_root_periodic(PeriodicWord.make(digits, (stream.b,)), tol / 4)
+    return Enclosure(low.lo, high.hi)
+
+
+@pytest.mark.parametrize("digits", [12, 45, 100])
+@pytest.mark.parametrize("name", ["golden", "sqrt2m1", "e"])
+def test_series_root_ends_on_the_fresh_sandwich_of_its_truncation(name, digits):
+    """At tol and again 10 digits deeper, the series root ends where refining
+    every doubled truncation to tol/4 ends: on the first length from 32 whose
+    sandwich has width at most tol, with that sandwich as its enclosure.
+    Coarse pairs of hopeless truncations leave only wider, nested history."""
+    d = delta_irrational(presets()[name].cf, Fraction(1, 10 ** digits))
+    sr = d.series_root
+    for tol in (Fraction(1, 10 ** digits), Fraction(1, 10 ** (digits + 10))):
+        sr.refine(tol)
+        m = 32
+        while (enc := _fresh_sandwich(d.stream, m, tol)).width > tol:
+            m *= 2
+        assert sr._m == m
+        assert sr.enclosure == enc
+        ms = [m for m, _ in sr.history]
+        assert ms == sorted(set(ms)) and ms[-1] == m
+        for (_, a), (_, b) in zip(sr.history, sr.history[1:]):
+            assert a.lo <= b.lo and b.hi <= a.hi
 
 
 def test_delta_irrational_rejects_rational_cf():
