@@ -657,16 +657,15 @@ def test_filter_defers_where_the_sparse_value_is_tiny(k, n, draw_m, s):
     assert _sparse_sign(terms, m, k) == s
 
 
-def _head_filter_scale(F, m: int, k: int) -> int:
-    """The head length n at which ``_head_sign`` tries the filter at m/2^k,
-    asserting that its kernel takes the head path there with n * k >= FILTER_WORK."""
+def _assert_head_path_filters(F, m: int, k: int) -> None:
+    """F's kernel takes the head path at m/2^k, with a head of n < deg F
+    coefficients and n * k >= FILTER_WORK, where ``_head_sign`` filters."""
     sign = _sign_kernel(F)
     assert sign.func is _head_sign
     _, prefix_max, k_head = sign.args
     q = len(F) - 1
     n = _head_length(q, prefix_max[q - 1], k_head, m, k)
     assert n is not None and n < q and n * k >= FILTER_WORK
-    return n
 
 
 def _filtered_kernel_sign(F, m: int, k: int):
@@ -693,18 +692,17 @@ def test_head_filter_agrees_beside_series_truncation_roots(name, periodic, draw_
     else:
         F = finite_annihilator(digits)
     q, x = len(F) - 1, beta_root_finite(digits, Fraction(1, 1 << 20)).lo
-    k_head = _sign_kernel(F).args[2]
-    heads = ((k, _head_length(q, max(map(abs, F[:-1])), k_head, floor(x * (1 << k)), k))
+    _, prefix_max, k_head = _sign_kernel(F).args
+    heads = ((k, _head_length(q, prefix_max[q - 1], k_head, floor(x * (1 << k)), k))
              for k in range(1, min(ceil(k_head) - 1, 40000 // q)))
     ks = [k for k, n in heads if n is not None and 10 * n * k >= 11 * FILTER_WORK]
     k = ks[draw_k % len(ks)]
     a, b, _ = _certified_root(F, digits[0], Fraction(1, 1 << k), None).bracket
     for m, K in ((a + off, k), (b + off, k), (a + b, k + 1)):
-        if K < k_head:
-            _head_filter_scale(F, m, K)
-            s, filtered = _filtered_kernel_sign(F, m, K)
-            assert s == dyadic_fraction_sign(F, m, K)
-            assert filtered
+        _assert_head_path_filters(F, m, K)
+        s, filtered = _filtered_kernel_sign(F, m, K)
+        assert s == dyadic_fraction_sign(F, m, K)
+        assert filtered
 
 
 @pytest.mark.parametrize("k", [72, 96, 160])
@@ -718,7 +716,7 @@ def test_head_filter_defers_where_the_value_is_tiny(k):
     digits = _greedy_digits_of_one(x, 300)
     digits[-1] += 1
     F = finite_annihilator(digits)
-    _head_filter_scale(F, m, k)
+    _assert_head_path_filters(F, m, k)
     assert _filtered_sign(F, m, k) == 0
     assert _filtered_kernel_sign(F, m, k) == (-1, True)
     assert fraction_poly_sign(F, x) == -1

@@ -160,8 +160,8 @@ def test_series_root_ends_on_the_fresh_sandwich_of_its_truncation(name, digits):
             m *= 2
         assert sr._m == m
         assert sr.enclosure == enc
-        ms = [m for m, _ in sr.history]
-        assert ms == sorted(set(ms)) and ms[-1] == m
+        lengths = [n for n, _ in sr.history]
+        assert lengths == sorted(set(lengths)) and lengths[-1] == m
         for (_, a), (_, b) in zip(sr.history, sr.history[1:]):
             assert a.lo <= b.lo and b.hi <= a.hi
 
