@@ -35,6 +35,7 @@ DEFAULT_TOL = Fraction(1, 10 ** 30)
 
 IntPoly = Tuple[int, ...]  # coefficients, ascending powers
 Bracket = Tuple[int, int, int]  # (a, b, k) for [a/2^k, b/2^k]
+Interval = Tuple[Bracket, int, int, int]  # a value's [lo/2^s, hi/2^s] over x in a bracket
 
 # A refinement jumps to its final cell (RefinableRoot._jump) when more than
 # some steps are left past a start cell.  One rule reads deg F and the sparse
@@ -704,20 +705,49 @@ def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, in
     return lo, hi, s
 
 
-def _orbit_step(r: List[int], beta: RefinableRoot, den: int = 1) -> Tuple[int, List[int]]:
+def _times_x(iv: Interval, c: int = 0) -> Interval:
+    """One more ``_horner`` step: the interval of x*r + c from that of r."""
+    (a, b, k), lo, hi, s = iv
+    s += k
+    lo *= a if lo >= 0 else b
+    hi *= b if hi >= 0 else a
+    return (a, b, k), lo + (c << s), hi + (c << s), s
+
+
+def _interval(r: List[int], beta: RefinableRoot, iv: Optional[Interval] = None) -> Interval:
+    """The carried ``iv`` of r(beta) if made over beta's bracket, else ``_horner`` afresh."""
+    bracket = beta.bracket
+    return iv if iv is not None and iv[0] == bracket else (bracket,) + _horner(r, *bracket)
+
+
+def _modulus(beta: RefinableRoot) -> IntPoly:
+    """What orbit values reduce by: the annihilator, or x - n for an integer
+    root n, which may vanish where a polynomial of degree > 1 does not."""
+    return beta.annihilator if beta.exact is None else (-beta.exact.numerator, 1)
+
+
+def _orbit_step(r: List[int], beta: RefinableRoot, den: int,
+                iv: Optional[Interval]) -> Tuple[int, List[int], Optional[Interval]]:
     """One step of T(x) = beta*x - floor(beta*x) from x = r(beta) / den.
 
-    Orbit values are integer polynomials in beta reduced modulo its
-    annihilator, over a fixed denominator; the reduced form of 0 is the empty
-    list.  Returns the digit floor(beta*x) and the reduced T(x); the digit is
-    0 without a floor decision when beta*x reduces to 0.
+    Orbit values are integer polynomials in beta reduced by ``_modulus``,
+    over a fixed denominator; 0 reduces to the empty list.  Returns the digit
+    floor(beta*x) (0 undecided when beta*x reduces to 0), T(x) and its interval.
+    The interval ``iv`` of x is carried in O(1): beta*x is one more Horner
+    step, the digit shifts the last coefficient, and the result is ``_horner``
+    over the new r bit for bit.  It is made afresh where that would differ:
+    where x*r reduces modulo F, and where a refinement moved the bracket.
     """
-    F = beta.annihilator
+    F = _modulus(beta)
+    iv = _times_x(_interval(r, beta, iv)) if iv and len(r) < len(F) - 1 else None
     r = _poly_times_x(r, F)
-    digit = _decide_floor(r, beta, den) if r else 0
+    iv = (iv or _interval(r, beta)) if r else None
+    digit = _decide_floor(r, beta, den, iv) if r else 0
     if digit:
         r = _poly_reduce(_poly_sub_const(r, digit * den), F)
-    return digit, r
+        c = (digit * den) << iv[3]
+        iv = iv[0], iv[1] - c, iv[2] - c, iv[3]
+    return digit, r, iv
 
 
 def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1)) -> Tuple[Word, bool]:
@@ -736,9 +766,9 @@ def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1)) -> Tup
         if not (beta.enclosure.lo > 1):
             raise PreconditionError("greedy expansion needs beta > 1")
     r: List[int] = [x.numerator] if x else []  # the orbit value is r(beta) / den
-    out: List[int] = []
+    out, iv = [], None
     for _ in range(n):
-        digit, r = _orbit_step(r, beta, x.denominator)
+        digit, r, iv = _orbit_step(r, beta, x.denominator, iv)
         if r or digit:  # beta*x itself 0 gives no digit
             out.append(digit)
         if not r:
@@ -746,18 +776,18 @@ def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1)) -> Tup
     return tuple(out), False
 
 
-def _decide_floor(r: List[int], beta: RefinableRoot, den: int = 1) -> int:
-    """floor of the real number r(beta) / den."""
+def _decide_floor(r: List[int], beta: RefinableRoot, den: int, iv: Interval) -> int:
+    """floor of the real number r(beta) / den, ``iv`` its carried interval."""
 
     def floor() -> Optional[int]:
-        lo, hi, s = _horner(r, *beta.bracket)
+        _, lo, hi, s = _interval(r, beta, iv)
         f_lo = (lo >> s) // den
         f_hi = (hi >> s) // den
         if f_lo == f_hi:
             return f_lo
         # Could the value be exactly the integer f_hi?
         if f_hi == f_lo + 1 and not _poly_reduce(_poly_sub_const(r, f_hi * den),
-                                                 beta.annihilator):
+                                                 _modulus(beta)):
             return f_hi
         return None
 
@@ -793,9 +823,16 @@ def quasi_greedy_of_finite(digits: Sequence[int]) -> PeriodicWord:
 
 @dataclass(frozen=True)
 class OrbitPoint:
+    """T^k(1) and its band verdict; ``bounds`` (lo, hi, s) is the carried interval
+    [lo/2^s, hi/2^s] after the verdict, made an ``Enclosure`` when ``value`` is read."""
     k: int
-    value: Enclosure
+    bounds: Tuple[int, int, int]
     verdict: str  # "interior" | "outside" | "zero" | "boundary-low" | "boundary-high"
+
+    @property
+    def value(self) -> Enclosure:
+        lo, hi, s = self.bounds
+        return Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
 
 
 def extremal_orbit_check(beta: RefinableRoot, k_max: int) -> List[OrbitPoint]:
@@ -804,25 +841,26 @@ def extremal_orbit_check(beta: RefinableRoot, k_max: int) -> List[OrbitPoint]:
 
     Each verdict is exact: "zero" and the boundary cases are detected through
     zero reduced polynomials, the strict cases through interval signs.
-    Stops after a "zero" verdict (the orbit is then constant 0).
+    Stops after a "zero" verdict (the orbit is then constant 0).  The interval
+    of T^k(1) is carried (``_orbit_step``), and so are both band edges.
     """
-    r: List[int] = [1]
+    r, iv = [1], None
     out: List[OrbitPoint] = []
     for k in range(1, k_max + 1):
-        _, r = _orbit_step(r, beta)
+        _, r, iv = _orbit_step(r, beta, 1, iv)
         if not r:
-            out.append(OrbitPoint(k, Enclosure.exact(Fraction(0)), "zero"))
+            out.append(OrbitPoint(k, (0, 0, 0), "zero"))
             break
-        verdict = _band_verdict(r, beta)
-        lo, hi, s = _horner(r, *beta.bracket)
-        out.append(OrbitPoint(k, Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s)),
-                              verdict))
+        verdict = _band_verdict(r, beta, iv)
+        iv = _interval(r, beta, iv)
+        out.append(OrbitPoint(k, iv[1:], verdict))
     return out
 
 
-def _band_verdict(r: List[int], beta: RefinableRoot) -> str:
-    # upper edge: v - 1;  lower edge: beta*(v - 1) + 1  (v > 1 - 1/beta).
-    F = beta.annihilator
+def _band_verdict(r: List[int], beta: RefinableRoot, iv: Interval) -> str:
+    # upper edge: v - 1;  lower edge: beta*(v - 1) + 1  (v > 1 - 1/beta).  From v's
+    # interval: a shift of the last coefficient, then one more Horner step unless it reduces.
+    F = _modulus(beta)
     upper = _poly_reduce(_poly_sub_const(r, 1), F)
     lower = _poly_reduce(_poly_sub_const(_poly_times_x(upper, F), -1), F)
     if not upper:
@@ -832,8 +870,10 @@ def _band_verdict(r: List[int], beta: RefinableRoot) -> str:
 
     def band() -> Optional[str]:
         # The enclosures' scales are positive, so their numerators' signs decide.
-        up_lo, up_hi, _ = _horner(upper, *beta.bracket)
-        lo_lo, lo_hi, _ = _horner(lower, *beta.bracket)
+        bracket, lo, hi, s = _interval(r, beta, iv)
+        up = bracket, lo - (1 << s), hi - (1 << s), s
+        _, up_lo, up_hi, _ = up
+        _, lo_lo, lo_hi, _ = _times_x(up, 1) if len(upper) < len(F) - 1 else _interval(lower, beta)
         if up_hi < 0 and lo_lo > 0:
             return "interior"
         if up_lo > 0 or lo_hi < 0:

@@ -1,6 +1,7 @@
 """Certified roots of digit series and greedy expansions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,8 +22,9 @@ from staircase.beta import (
     positive_root_series,
     quasi_greedy_of_finite,
 )
+from staircase.delta import delta_rational
 from staircase.errors import PreconditionError
-from staircase.intervals import refine_until
+from staircase.intervals import Enclosure, refine_until
 from staircase.words import PeriodicWord, is_parry_admissible, lex_compare
 
 TOL = Fraction(1, 10 ** 15)
@@ -186,6 +188,34 @@ def test_zero_period_handle_is_the_finite_word_handle(word, verdicts):
     finite = BetaHandle.from_finite_word(word, Fraction(1, 2 ** 24))
     assert [p.verdict for p in extremal_orbit_check(finite, 6)] == verdicts
     assert [p.verdict for p in extremal_orbit_check(h, 6)] == verdicts
+
+
+@pytest.mark.parametrize("word, n", [((1, 2), 2), ((2, 3), 3)])
+def test_orbit_of_an_integer_root_reaches_zero(word, n):
+    # x^2 - x - 2 = (x - 2)(x + 1) and x^2 - 2x - 3 = (x - 3)(x + 1): the
+    # orbit value beta - n vanishes at the root n but not modulo F, so
+    # orbits reduce modulo x - n, and F stays the bracketed polynomial
+    h = BetaHandle.from_finite_word(word)
+    assert h.exact == n and h.annihilator == finite_annihilator(word)
+    assert greedy_digits(h, 5) == greedy_digits(BetaHandle.from_integer(n), 5) == ((n,), True)
+    assert greedy_digits(h, 5, Fraction(1, n)) == ((1,), True)
+    [point] = extremal_orbit_check(h, 4)
+    assert (point.k, point.value, point.verdict) == (1, Enclosure.exact(Fraction(0)), "zero")
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(51, 200), st.integers(0, 1 << 16), st.integers(1, 3))
+@example(200, 0, 3)
+def test_greedy_round_trips_of_long_words(q, draw_p, b):
+    """Beyond the q <= 50 of acceptance criterion 1: the b z b word of
+    (b - 1) + p/q is the greedy expansion of 1 in its base, and every orbit
+    point before T^q(1) = 0 is strictly inside the band."""
+    p = next(p for p in range(1 + draw_p % (q - 1), q) if gcd(p, q) == 1)
+    d = delta_rational(Fraction(b - 1) + Fraction(p, q), tol=Fraction(1, 2 ** 24))
+    assert greedy_digits(d.handle, q + 2) == (d.word, True)
+    points = extremal_orbit_check(d.handle, q + 1)
+    assert [pt.verdict for pt in points] == ["interior"] * (q - 1) + ["zero"]
+    assert points[-1].k == q
 
 
 def test_handle_annihilator_is_the_bracketed_polynomial():

@@ -3,6 +3,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import ceil, floor, gcd
 from unittest import mock
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 from staircase import beta
 from staircase.beta import (FILTER_WORK, GUARD_BITS, JUMP_FROM_BITS, SPARSE_FROM_BITS,
                             RefinableRoot, _bracket, _certified_root, _filtered_sign,
-                            _head_length, _head_sign, _horner, _poly_sign, _sign_kernel,
-                            _sparse_sign,
+                            _head_length, _head_sign, _horner, _poly_reduce, _poly_sign,
+                            _poly_sub_const, _poly_times_x, _refine_root_until,
+                            _sign_kernel, _sparse_sign,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
-                            finite_annihilator, near_one_root, periodic_annihilator)
+                            extremal_orbit_check, finite_annihilator, greedy_digits,
+                            near_one_root, periodic_annihilator)
 from staircase.delta import StaircaseDigitStream
 from staircase.diophantine import presets
 from staircase.errors import PreconditionError
@@ -735,3 +738,112 @@ def test_near_one_root_equals_the_root_of_its_word(n):
 def test_near_one_root_needs_n_at_least_two(n):
     with pytest.raises(PreconditionError):
         near_one_root(n)
+
+
+# ---------------------------------------------------------------------------
+# The orbit layer against a reference that runs ``_horner`` afresh
+# ---------------------------------------------------------------------------
+
+
+def _reference_modulus(root):
+    return root.annihilator if root.exact is None else (-int(root.exact), 1)
+
+
+def _reference_step(r, root, den):
+    """One orbit step with ``_horner`` over the whole reduced r at every use."""
+    F = _reference_modulus(root)
+    r = _poly_times_x(r, F)
+    if not r:
+        return 0, r
+
+    def floor():
+        lo, hi, s = _horner(r, *root.bracket)
+        f_lo, f_hi = (lo >> s) // den, (hi >> s) // den
+        if f_lo == f_hi:
+            return f_lo
+        if f_hi == f_lo + 1 and not _poly_reduce(_poly_sub_const(r, f_hi * den), F):
+            return f_hi
+        return None
+
+    digit = _refine_root_until(floor, root, "greedy digit")
+    if digit:
+        r = _poly_reduce(_poly_sub_const(r, digit * den), F)
+    return digit, r
+
+
+def _reference_greedy(root, n, x):
+    if not root.enclosure.lo > 1:
+        root.refine(Fraction(1, 16))
+    r, out = ([x.numerator] if x else []), []
+    for _ in range(n):
+        digit, r = _reference_step(r, root, x.denominator)
+        if r or digit:
+            out.append(digit)
+        if not r:
+            return tuple(out), True
+    return tuple(out), False
+
+
+def _reference_band(root, k_max):
+    """(k, value, verdict) of each point of ``extremal_orbit_check``."""
+    F = _reference_modulus(root)
+    r, out = [1], []
+    for k in range(1, k_max + 1):
+        _, r = _reference_step(r, root, 1)
+        if not r:
+            out.append((k, Enclosure.exact(Fraction(0)), "zero"))
+            break
+        upper = _poly_reduce(_poly_sub_const(r, 1), F)
+        lower = _poly_reduce(_poly_sub_const(_poly_times_x(upper, F), -1), F)
+
+        def band():
+            up_lo, up_hi, _ = _horner(upper, *root.bracket)
+            lo_lo, lo_hi, _ = _horner(lower, *root.bracket)
+            if up_hi < 0 and lo_lo > 0:
+                return "interior"
+            if up_lo > 0 or lo_hi < 0:
+                return "outside"
+            return None
+
+        verdict = ("boundary-high" if not upper else "boundary-low" if not lower
+                   else _refine_root_until(band, root, "orbit band verdict"))
+        lo, hi, s = _horner(r, *root.bracket)
+        out.append((k, Enclosure(Fraction(lo, 1 << s), Fraction(hi, 1 << s)), verdict))
+    return out
+
+
+def _orbit_cases():
+    """(make_root, n, x): b z b words and their right limits at q <= 24,
+    starts x = p/(q+1), and a few short words, two of them with an integer
+    root; roots at 2^-8, which refine mid-orbit, and at 2^-24."""
+    rng = random.Random(20261019)
+    for bits in (8, 24):
+        tol = Fraction(1, 1 << bits)
+        for _ in range(12):
+            q = rng.randrange(3, 25)
+            p = rng.choice([p for p in range(1, q) if gcd(p, q) == 1])
+            b = rng.randrange(1, 4)
+            word = bzb_word(b, p, q)
+            w = PeriodicWord.make(word[:1], word[1:] + (word[0] - 1,))
+            yield partial(beta_root_finite, word, tol), q + 2, Fraction(1)
+            yield partial(beta_root_periodic, w, tol), len(w.pre) + 3 * len(w.per), Fraction(1)
+            yield partial(beta_root_finite, word, tol), q + 2, Fraction(p, q + 1)
+        for word in [(1, 2), (2, 3), (2, 0, 1), (1, 0, 0, 1), (3, 1, 2)]:
+            yield partial(beta_root_finite, word, tol), 8, Fraction(1)
+
+
+def test_orbit_layer_matches_a_fresh_horner_reference():
+    """Carried intervals are bit for bit the fresh ones: the same digits,
+    verdicts, orbit values and root brackets, through reductions modulo F
+    (right limits, orbits past deg F) and through refinements mid-orbit."""
+    moved = 0
+    for make_root, n, x in _orbit_cases():
+        root, reference = make_root(), make_root()
+        start = root.bracket
+        assert greedy_digits(root, n, x) == _reference_greedy(reference, n, x), (n, x)
+        assert root.bracket == reference.bracket
+        points = [(p.k, p.value, p.verdict) for p in extremal_orbit_check(root, n)]
+        assert points == _reference_band(reference, n), n
+        assert root.bracket == reference.bracket
+        moved += root.bracket != start
+    assert moved >= 10  # refinements moved the bracket in many orbits
