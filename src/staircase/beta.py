@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, compress
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, compress
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
 from .intervals import Enclosure, refine_until
@@ -65,7 +65,7 @@ SPARSE_JUMP_WORK = 48
 GUARD_BITS = 16
 
 # Full sign tests at deg F * k >= FILTER_WORK, and _head_sign's dense heads of
-# n coefficients at n * k >= FILTER_WORK (not _sparse_sign's), try _filtered_sign
+# n coefficients at n * k >= FILTER_WORK (not sparse heads), try _filtered_sign
 # first: the exact accumulator grows to deg*k (or n*k) bits, the filter's to
 # about k.  Per test beside a root, exact -> filter: degree 256 at k = 125, 844
 # -> 98 us; degree 100 at k = 20/40/80, 20/36/70 -> 25/35/30 us; near-one degree
@@ -80,11 +80,17 @@ MAX_WORD_LENGTH = 1 << 20
 REFINE_BUDGET = 20000
 
 
-def _poly_sign(coeffs: Sequence[int], m: int, k: int) -> int:
-    """Exact sign of sum coeffs[i] * x**i at the dyadic point x = m / 2**k."""
-    s = (len(coeffs) - 1) * k >= FILTER_WORK and _filtered_sign(coeffs, m, k)
-    acc = s or _horner_shift(0, 0, reversed(coeffs), m, k)[0]
+def _poly_sign(F, m: int, k: int) -> int:
+    """Exact sign of F at the dyadic point x = m / 2**k, F a coefficient
+    sequence or the descending list of its nonzero terms (as for ``_newton``)."""
+    s = _degree(F) * k >= FILTER_WORK and _filtered_sign(F, m, k)
+    acc = s or _exact(F, m, k)
     return (acc > 0) - (acc < 0)
+
+
+def _degree(F) -> int:
+    """deg F, as ``_exact`` scales it: the top power of a list of terms."""
+    return F[0][0] if F and isinstance(F[0], tuple) else len(F) - 1
 
 
 def _filtered_sign(F, m: int, k: int) -> int:
@@ -123,32 +129,39 @@ def _fixed_pow(x: int, n: int, p: int, r: int = 1) -> int:
     return y
 
 
-def _horner_shift(acc: int, shift: int, descending: Iterable[int], m: int,
-                  k: int) -> Tuple[int, int]:
-    """Horner at x = m / 2**k with the denominator cleared, resumable.
-
-    Continues the accumulator ``acc`` over more coefficients, listed by
-    descending power; ``shift`` is k times the number already taken.  Over
-    all of P's coefficients from (0, 0), the accumulator ends up equal to
-    P(x) * 2**(k*deg), a plain integer with the same sign as P(x).  Every
-    power of the denominator is a left shift; the only products are by m.
-    Returns the new (acc, shift).
-    """
-    for c in descending:
+def _exact(F, m: int, k: int, low: int = 0) -> int:
+    """2^(k(q-low)) * sum_{i >= low} F_i x^(i-low) at x = m / 2**k, q = deg F:
+    an integer with the sign of that sum, by Horner with the denominator
+    cleared, so every power of it is a left shift.  Over a coefficient
+    sequence, one product by m per coefficient; over the descending nonzero
+    terms (i, F_i), one product by m^gap per run of zero coefficients."""
+    acc = 0
+    if F and isinstance(F[0], tuple):
+        q = prev = F[0][0]
+        for i, c in F:
+            if i < low:
+                break
+            if i != prev:
+                acc *= m ** (prev - i)
+            acc += c << (k * (q - i))
+            prev = i
+        return acc * m ** (prev - low)
+    shift = 0
+    for c in reversed(F[low:]):
         acc *= m
         if c:
             acc += c << shift
         shift += k
-    return acc, shift
+    return acc
 
 
 def _head_length(q: int, C: int, k_head: float, m: int, k: int) -> Optional[int]:
-    """The head length N that ``_head_sign`` and ``_sparse_sign`` try first
-    at x = m/2^k, for a polynomial of degree q whose coefficients under the
-    leading one are at most C in size; None for the full test.
+    """The head length n that ``_head_sign`` tries at x = m/2^k, for a
+    polynomial of degree q whose coefficients under the leading one are at
+    most C in size; None for the full test.
 
-    N is where the tail bound holds with GUARD_BITS to spare at 2^-k from a
-    root, by a float estimate of log2 x that only picks N.  The full test
+    n is where the tail bound holds with GUARD_BITS to spare at 2^-k from a
+    root, by a float estimate of log2 x that only picks n.  The full test
     runs at the scales k >= k_head, at x <= 1, and where the head would be
     the whole polynomial, as for the near-one words, whose x is close to 1.
     """
@@ -157,87 +170,41 @@ def _head_length(q: int, C: int, k_head: float, m: int, k: int) -> Optional[int]
         return None
     # log2 x, and the digits wanted: k + GUARD_BITS + log2 C + log2(x/(x-1))
     lx = math.log2(m) - k
-    want = k + GUARD_BITS + C.bit_length() + math.log2(m) - math.log2(d)
-    return None if want >= q * lx else math.ceil(want / lx)
+    n = math.ceil((k + GUARD_BITS + C.bit_length() + math.log2(m) - math.log2(d)) / lx)
+    return None if n >= q else n
 
 
-def _head_sign(F: IntPoly, prefix_max: Sequence[int], k_head: float, m: int, k: int) -> int:
-    """``_poly_sign(F, m, k)``, decided from F's leading coefficients when the
-    rest cannot change the sign, at scales k < k_head (see ``_sign_kernel``).
+def _head_sign(F, C: int, k_head: float, m: int, k: int) -> int:
+    """``_poly_sign(F, m, k)``, decided from F's top n + 1 coefficients when
+    the rest cannot change the sign, at scales k < k_head (see ``_sign_kernel``).
 
-    With x = m/2^k > 1 and q = deg F, F(x) = x^q H(1/x) for
-    H(y) = sum_n F[q-n] y^n.  After the top N+1 coefficients, Horner's
-    accumulator is A = m^N H_N(2^k/m), H_N the first N+1 terms of H; the
-    others, each at most C = prefix_max[q-N-1] in size, add at most
-    C y^(N+1) / (1 - y) to H.  So |A| (m - 2^k) > C 2^(k(N+1)) proves
-    sign F(x) = sign A.  N starts at ``_head_length`` and doubles while the
-    bound fails; from 2N >= q on, Horner runs to the end, which is the full
-    test.  ``prefix_max[i]`` is max |F[0..i]|.
+    With x = m/2^k > 1 and q = deg F, F(x) = x^(q-n) G(x) + R(x), where G
+    holds the top coefficients and R the others, each at most C in size,
+    so |R(x)| < C x^(q-n) / (x - 1).  A = ``_exact(F, m, k, q - n)`` is
+    2^(kn) G(x), so |A| (m - 2^k) > C 2^(k(n+1)) proves sign F(x) = sign A;
+    else the full exact test runs.  n is ``_head_length``'s; a dense head
+    with n * k >= FILTER_WORK tries ``_filtered_sign`` first.
     """
-    q = len(F) - 1
-    n = _head_length(q, prefix_max[q - 1], k_head, m, k)
+    q = _degree(F)
+    n = _head_length(q, C, k_head, m, k)
     if n is None:
         return _poly_sign(F, m, k)
-    s = n * k >= FILTER_WORK and _filtered_sign(F, m, k)
+    s = n * k >= FILTER_WORK and not isinstance(F[0], tuple) and _filtered_sign(F, m, k)
     if s:
         return s
-    d = m - (1 << k)
-    acc, shift, top = 0, 0, q
-    while n < q:
-        rest = q - n - 1  # the highest index left out of the head
-        acc, shift = _horner_shift(acc, shift, F[top:rest:-1], m, k)
-        top = rest
-        if abs(acc) * d > prefix_max[rest] << shift:
-            return (acc > 0) - (acc < 0)
-        n *= 2
-    acc, _ = _horner_shift(acc, shift, F[top::-1], m, k)
-    return (acc > 0) - (acc < 0)
-
-
-def _sparse_sign(terms: Sequence[Tuple[int, int]], m: int, k: int,
-                 rest_max: Optional[Sequence[int]] = None, k_head: float = 0.0) -> int:
-    """``_poly_sign`` over the nonzero terms (i, c_i) of a polynomial, listed
-    by descending power: one product by m^gap for each run of zero
-    coefficients in place of one product by m per coefficient.
-
-    Given ``rest_max``, where rest_max[t] is the largest |c| of terms[t:]
-    (and rest_max[-1] = 0), it is ``_head_sign``'s test at scales k < k_head:
-    once the terms down to power i hold a head of N = deg - i >= n powers,
-    |A| (m - 2^k) > C 2^(k(N+1)), C the largest |c| left out, proves the
-    sign; n starts at ``_head_length`` and doubles while the bound fails.
-    """
-    if not terms:
-        return 0
-    deg = prev = terms[0][0]
-    n = None if rest_max is None else _head_length(deg, rest_max[1], k_head, m, k)
-    if n is None or n > deg - terms[-2:][0][0]:
-        n = deg + 1  # the full test: no head stops short of the last term
-        s = deg * k >= FILTER_WORK and _filtered_sign(terms, m, k)
-        if s:
-            return s
-    d = m - (1 << k)
-    acc = 0
-    for t, (i, c) in enumerate(terms, start=1):
-        if i != prev:
-            acc *= m ** (prev - i)
-        acc += c << (k * (deg - i))
-        prev = i
-        if deg - i >= n:
-            if abs(acc) * d > rest_max[t] << (k * (deg - i + 1)):
-                return (acc > 0) - (acc < 0)
-            n *= 2
-    if prev:
-        acc *= m ** prev
+    acc = _exact(F, m, k, q - n)
+    if abs(acc) * (m - (1 << k)) <= C << (k * (n + 1)):
+        acc = _exact(F, m, k)
     return (acc > 0) - (acc < 0)
 
 
 def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
-    """The exact sign of F at m/2^k as a function of (m, k): the sparse test
-    when at most a quarter of F's coefficients are nonzero (the near-one
-    words 1 0^(n-2) 1 have three), else dense Horner, each through its head
+    """The exact sign of F at m/2^k as a function of (m, k), through the head
     test at the scales where the head can be short.  The kernel's first
-    argument is F as its test runs over it, for a sparse F the list of its
-    nonzero terms by descending power; ``_newton`` takes the same.
+    argument is F as its test runs over it: when at most a quarter of F's
+    coefficients are nonzero (the near-one words 1 0^(n-2) 1 have three),
+    the list of its nonzero terms by descending power; ``_newton`` takes
+    the same.
 
     The roots of F lie below C + 1, C = max |F[i]| under the leading one,
     and the points tested lie near them, so the head has at least
@@ -246,18 +213,11 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     pay for its estimate on words of a few dozen letters.
     """
     q = len(F) - 1
-    if 4 * (len(F) - F.count(0)) <= len(F):
-        terms = [(i, F[i]) for i in compress(range(len(F)), F)]
-        rest_max = list(accumulate((abs(c) for _, c in terms), max))[::-1] + [0]
-        C = rest_max[1] if terms else 0
-        k_head = q * math.log2(C + 1) / 2 - GUARD_BITS - C.bit_length()
-        return partial(_sparse_sign, terms[::-1], rest_max=rest_max, k_head=k_head)
-    prefix_max = list(accumulate(map(abs, F), max))
-    C = prefix_max[q - 1] if q else 0
+    C = max(map(abs, F[:-1]), default=0)
     k_head = q * math.log2(C + 1) / 2 - GUARD_BITS - C.bit_length()
-    if k_head <= 0:
-        return partial(_poly_sign, F)
-    return partial(_head_sign, F, prefix_max, k_head)
+    if 4 * (len(F) - F.count(0)) <= len(F):
+        F = [(i, F[i]) for i in compress(range(len(F)), F)][::-1]
+    return partial(_head_sign, F, C, k_head) if k_head > 0 else partial(_poly_sign, F)
 
 
 def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
@@ -612,13 +572,16 @@ class SeriesRoot:
         digits = tuple(self._digit(n) for n in range(1, m + 1))
         if any(d < 0 or d > self.max_digit for d in digits):
             raise PreconditionError("stream digit outside [0, max_digit]")
+        if digits[0] == 1 and not any(digits[1:]):  # 1 0^(m-1) has root 1: lengthen it
+            self._m *= 2
+            return
         self._low = beta_root_finite(digits, tol)
         high_word = PeriodicWord.make(digits, (self.max_digit,))
         self._high = beta_root_periodic(high_word, tol)
 
     def refine(self, tol: Fraction) -> Enclosure:
         while True:
-            if self._low is None or self._high is None:
+            while self._low is None or self._high is None:
                 if self._m > MAX_WORD_LENGTH:
                     raise CertificationError(
                         f"series root not certified to width {tol} within "

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple, Union
 from .beta import (MAX_WORD_LENGTH, BetaHandle, Bracket, SeriesRoot, beta_root_finite,
                    beta_root_periodic)
 from .diophantine import ContinuedFraction, _down, _up, ln_interval
-from .errors import PreconditionError
+from .errors import CertificationError, PreconditionError
 from .intervals import Enclosure, refine_until
 from .words import PeriodicWord, Word, bzb_word
 
@@ -194,6 +194,9 @@ def delta_irrational(cf: ContinuedFraction, tol: Fraction = IRRATIONAL_TOL) -> D
     finite prefix view only (the stream itself is kept on the result as
     ``stream``).
     """
+    if cf.length is not None:
+        raise CertificationError(f"a continued fraction of {cf.length} partial "
+                                 "quotients is rational, not an irrational slope")
     stream = StaircaseDigitStream(cf)
     root = SeriesRoot(stream.digit, max_digit=stream.b)
     root.refine(tol)

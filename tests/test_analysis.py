@@ -115,9 +115,10 @@ def test_irrational_probe_explosive_tail():
 
 
 def test_irrational_probe_needs_integer_terms():
-    cf = ContinuedFraction.from_quotients(0, [2, 3])  # rational: runs dry
-    with pytest.raises(CertificationError):
-        irrational_probe(cf, 3)
+    for qs in ([2, 3], [2, 3, 4, 5, 6, 7]):  # rational: the first runs dry
+        cf = ContinuedFraction.from_quotients(0, qs)
+        with pytest.raises(CertificationError):
+            irrational_probe(cf, 3)
 
 
 def test_irrational_probe_needs_exact_denominators():

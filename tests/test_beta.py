@@ -101,6 +101,15 @@ def test_positive_root_series_interface():
     assert hist and all(0 < e.lo < e.hi < 1 for _, e in hist)
 
 
+def test_series_root_lengthens_a_truncation_of_root_one():
+    # x + x^40 = 1: the first truncation 1 0^31 has root 1, outside the base
+    # range, so the series root starts from a longer one
+    enc, hist = positive_root_series(lambda n: 1 if n in (1, 40) else 0, 1, TOL)
+    assert enc.width <= TOL
+    assert enc.lo + enc.lo ** 40 < 1 < enc.hi + enc.hi ** 40
+    assert hist[0][0] > 40
+
+
 def test_greedy_digits_roundtrip_finite():
     digits = (2, 0, 1)
     h = BetaHandle.from_finite_word(digits, TOL)

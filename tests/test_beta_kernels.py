@@ -4,7 +4,6 @@
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 from math import ceil, floor, gcd
 from unittest import mock
 
@@ -17,7 +16,7 @@ from staircase.beta import (FILTER_WORK, GUARD_BITS, JUMP_FROM_BITS, SPARSE_FROM
                             RefinableRoot, _bracket, _certified_root, _filtered_sign,
                             _head_length, _head_sign, _horner, _poly_reduce, _poly_sign,
                             _poly_sub_const, _poly_times_x, _refine_root_until,
-                            _sign_kernel, _sparse_sign,
+                            _sign_kernel,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
                             extremal_orbit_check, finite_annihilator, greedy_digits,
                             near_one_root, periodic_annihilator)
@@ -175,7 +174,7 @@ def test_sparse_sign_matches_reference(terms, pad, m, k):
     for i, c in terms.items():
         coeffs[i] = c
     expected = fraction_poly_sign(coeffs, Fraction(m, 1 << k))
-    assert _sparse_sign(sorted(terms.items(), reverse=True), m, k) == expected
+    assert _poly_sign(sorted(terms.items(), reverse=True), m, k) == expected
     assert _sign_kernel(tuple(coeffs))(m, k) == expected
 
 
@@ -312,7 +311,7 @@ def test_sparse_jump_lands_on_the_bisection_cell(word, steps):
 def test_sparse_root_sign_test_budget():
     """near_one_root(3000, 1e-8) bisects to the sparse start cell 2^-14 and
     jumps the last 13 bits: 18 sign tests, where bisection alone spent 29."""
-    with mock.patch.object(beta, "_sparse_sign", wraps=beta._sparse_sign) as sign:
+    with mock.patch.object(beta, "_head_sign", wraps=beta._head_sign) as sign:
         enc = near_one_root(3000, Fraction(1, 10 ** 8))
     assert enc.width <= Fraction(1, 10 ** 8)
     assert sign.call_count <= 20, sign.call_count
@@ -453,7 +452,7 @@ def test_long_word_sign_matches_reference(root, depth, k, draw_m):
 def test_long_sparse_word_sign_matches_reference(root, depth, k, draw_m):
     """The sparse test, through its head at these scales, at the same points."""
     F, _ = root
-    assert _sign_kernel(F).func is _sparse_sign
+    assert isinstance(_sign_kernel(F).args[0][0], tuple)  # the term list
     _assert_signs_beside_the_root(root, depth, k, draw_m)
 
 
@@ -468,6 +467,24 @@ def _assert_signs_beside_the_root(root, depth, k, draw_m):
         assert sign(m, d + 1) == fraction_poly_sign(F, Fraction(m, 1 << (d + 1)))
     m = 1 + draw_m % (12 << k)
     assert sign(m, k) == fraction_poly_sign(F, Fraction(m, 1 << k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(long_annihilators(), long_sparse_annihilators()), st.integers(0, 48))
+def test_head_sign_over_coefficients_and_terms_matches_reference(root, depth):
+    """``_head_sign`` over F's coefficient tuple and over its descending
+    list of nonzero terms, beside the root at scales k < k_head, where the
+    head test runs."""
+    F, a1 = root
+    _, C, k_head = _sign_kernel(F).args
+    cell = _reference_cell(F, a1, min(depth, ceil(k_head) - 2))
+    assume(cell is not None)
+    a, b, d = cell
+    for off in (0, -1, 1, -3, 3):
+        m = a + b + off
+        expected = fraction_poly_sign(F, Fraction(m, 1 << (d + 1)))
+        for G in (F, descending_terms(F)):
+            assert _head_sign(G, C, k_head, m, d + 1) == expected
 
 
 def _greedy_digits_of_one(x: Fraction, q: int):
@@ -499,8 +516,8 @@ def test_sign_of_a_root_beside_a_coarse_point(k, q, bump, draw_m):
     F = finite_annihilator(digits)
     assert fraction_poly_sign(F, x) == -1
     assert _sign_kernel(F)(m, k) == -1
-    prefix_max = list(accumulate(map(abs, F), max))
-    assert _head_sign(F, prefix_max, float("inf"), m, k) == -1
+    C = max(map(abs, F[:-1]))
+    assert _head_sign(F, C, float("inf"), m, k) == -1
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -611,7 +628,7 @@ def test_filter_agrees_beside_near_one_roots(n, k, off):
 def test_filter_agrees_beside_long_sparse_roots(root, k, off):
     """The sparse words of 65 to 800 letters at points 2^-k apart beside the root."""
     F, a1 = root
-    assert _sign_kernel(F).func is _sparse_sign
+    assert isinstance(_sign_kernel(F).args[0][0], tuple)  # the term list
     k = max(k, -(-FILTER_WORK // (len(F) - 1)))
     rr = _certified_root(F, a1, Fraction(1, 1 << k), None)
     assume(rr.exact is None)
@@ -637,7 +654,7 @@ def test_filter_defers_where_the_dense_value_is_tiny(k, draw_m, bump):
     digits[-1] += bump
     F = finite_annihilator(digits)
     assert _filtered_sign(F, m, k) == _filtered_sign(descending_terms(F), m, k) == 0
-    with mock.patch.object(beta, "_horner_shift", wraps=beta._horner_shift) as exact:
+    with mock.patch.object(beta, "_exact", wraps=beta._exact) as exact:
         assert _poly_sign(F, m, k) == fraction_poly_sign(F, x)
     assert exact.called
 
@@ -657,7 +674,7 @@ def test_filter_defers_where_the_sparse_value_is_tiny(k, n, draw_m, s):
     assert verdict in (0, s)
     if k * n > k + 32 + n.bit_length():
         assert verdict == 0
-    assert _sparse_sign(terms, m, k) == s
+    assert _poly_sign(terms, m, k) == s
 
 
 def _assert_head_path_filters(F, m: int, k: int) -> None:
@@ -665,9 +682,9 @@ def _assert_head_path_filters(F, m: int, k: int) -> None:
     coefficients and n * k >= FILTER_WORK, where ``_head_sign`` filters."""
     sign = _sign_kernel(F)
     assert sign.func is _head_sign
-    _, prefix_max, k_head = sign.args
+    _, C, k_head = sign.args
     q = len(F) - 1
-    n = _head_length(q, prefix_max[q - 1], k_head, m, k)
+    n = _head_length(q, C, k_head, m, k)
     assert n is not None and n < q and n * k >= FILTER_WORK
 
 
@@ -695,8 +712,8 @@ def test_head_filter_agrees_beside_series_truncation_roots(name, periodic, draw_
     else:
         F = finite_annihilator(digits)
     q, x = len(F) - 1, beta_root_finite(digits, Fraction(1, 1 << 20)).lo
-    _, prefix_max, k_head = _sign_kernel(F).args
-    heads = ((k, _head_length(q, prefix_max[q - 1], k_head, floor(x * (1 << k)), k))
+    _, C, k_head = _sign_kernel(F).args
+    heads = ((k, _head_length(q, C, k_head, floor(x * (1 << k)), k))
              for k in range(1, min(ceil(k_head) - 1, 40000 // q)))
     ks = [k for k, n in heads if n is not None and 10 * n * k >= 11 * FILTER_WORK]
     k = ks[draw_k % len(ks)]

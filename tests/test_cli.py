@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staircase import cli, diophantine
+from staircase.delta import delta_rational, delta_right_limit
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schema.json").read_text())
@@ -198,6 +200,20 @@ def test_probe_lowerbound_json(capsys):
 def test_probe_irrational_json(capsys):
     payload = run_json(capsys, ["probe", "irrational", "--preset", "golden", "-I", "3"])
     assert payload["verdict"] == "toward_zero"
+
+
+def test_delta_eval_of_a_slope_under_one_thirty_second(capsys):
+    """theta = [0; 40, 1, 1, ...] = 1/40.618...: its digit stream starts
+    1 0^39 1, so the series root's first truncation, 1 0^31, has root 1 and
+    must be lengthened.  Delta is increasing, so Delta(theta) lies between
+    Delta(1/41+) and Delta(1/40)."""
+    tol, digits = Fraction(1, 10 ** 12), 40
+    payload = run_json(capsys, ["--tol", "1e-12", "delta", "eval", "--cf", "0,40,fib",
+                                "--digits", str(digits)])
+    lo, hi = map(Fraction, payload["enclosure"])
+    assert hi - lo <= tol + Fraction(2, 10 ** digits)  # printed outward
+    assert delta_right_limit(Fraction(1, 41)).enclosure.lo < lo
+    assert hi < delta_rational(Fraction(1, 40)).enclosure.hi
 
 
 def test_determinism_byte_identical(capsys):

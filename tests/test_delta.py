@@ -167,10 +167,12 @@ def test_series_root_ends_on_the_fresh_sandwich_of_its_truncation(name, digits):
 
 
 def test_delta_irrational_rejects_rational_cf():
-    cf = ContinuedFraction.from_quotients(0, [2, 3])
-    with pytest.raises(CertificationError):
-        d = delta_irrational(cf)
-        d.refine(Fraction(1, 10 ** 40))
+    # [0; 2, 3] runs dry within the first truncation; [0; 2, 3, 4, 5, 6, 7] = 3015/6961 does not
+    for qs in ([2, 3], [2, 3, 4, 5, 6, 7]):
+        cf = ContinuedFraction.from_quotients(0, qs)
+        with pytest.raises(CertificationError):
+            d = delta_irrational(cf)
+            d.refine(Fraction(1, 10 ** 40))
 
 
 def test_delta_sandwiched_between_neighbours():
