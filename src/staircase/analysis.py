@@ -49,10 +49,6 @@ class QuotientPoint:
         diff = self.probe_value.enclosure - self.center_value.enclosure
         return diff.abs() / self.dx
 
-    def refine(self, tol: Fraction) -> None:
-        self.center_value.refine(tol)
-        self.probe_value.refine(tol)
-
 
 @dataclass
 class QuotientTrace:
@@ -76,8 +72,9 @@ class QuotientTrace:
             return None
 
         tol = min(max(p.quotient.width, Fraction(1, 2 ** 48)) for p in pts)
+        values = [v for p in pts for v in (p.center_value, p.probe_value)]
         try:
-            self.verdict = refine_until(trend, pts, tol, 2 ** 8, 8, "quotient trend")
+            self.verdict = refine_until(trend, values, tol, 2 ** 8, 8, "quotient trend")
         except CertificationError:
             self.verdict = "inconclusive"
         return self.verdict
@@ -231,7 +228,8 @@ def _resolve_quotient(point: QuotientPoint, tol: Fraction, prev: Optional[Quotie
         return True if q.hi < pq.hi or q.lo > pq.lo else None
 
     try:
-        refine_until(ordered, (point,), tol, 2 ** 10, 30, "probe quotient")
+        refine_until(ordered, (point.center_value, point.probe_value), tol, 2 ** 10, 30,
+                     "probe quotient")
     except CertificationError:
         pass  # certify() judges the trend from the enclosures reached
 

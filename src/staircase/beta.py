@@ -342,11 +342,10 @@ class RefinableRoot:
     so no dyadic point in it is a root: refining to scale K always ends on the
     one cell [j, j+1]/2^K that holds the root, whether reached by bisection,
     by ``_jump``, from a seed or as the shift j' >> (K' - K) of a deeper cell.
-    An integer root n is an exact hit, kept with the bracket [n-1, n+1] and
-    never refined.
+    An integer root n is an exact hit, presented as [n, n] and never refined.
 
     The bracket is kept as integers, so refinement builds no ``Fraction``;
-    ``lo``, ``hi``, ``exact`` and ``enclosure`` present it as fractions.
+    ``exact`` and ``enclosure`` present it as fractions.
     """
 
     def __init__(self, F: IntPoly, a1: int, seed: Optional[Bracket] = None):
@@ -393,14 +392,6 @@ class RefinableRoot:
         return cls((-b, 1), b)
 
     @property
-    def lo(self) -> Fraction:
-        return Fraction(self._j >> (self._K - self._k), 1 << self._k)
-
-    @property
-    def hi(self) -> Fraction:
-        return self.lo + Fraction(1 if self._exact is None else 2, 1 << self._k)
-
-    @property
     def exact(self) -> Optional[Fraction]:
         return None if self._exact is None else Fraction(self._exact)
 
@@ -427,10 +418,6 @@ class RefinableRoot:
         # The cell's width 2^-K is at most tol once 2^K >= 1/tol.
         K = (-(-tol.denominator // tol.numerator) - 1).bit_length()
         self._bisect(K - self._k)
-        return self.enclosure
-
-    def refine_steps(self, steps: int) -> Enclosure:
-        self._bisect(steps)
         return self.enclosure
 
     def _bisect(self, steps: int) -> None:
@@ -588,7 +575,7 @@ class SeriesRoot:
                         f"truncation cap {MAX_WORD_LENGTH}")
                 w = self.enclosure.width if self.enclosure is not None else 0
                 self._build(max(tol / 4, w * w / (1 << GUARD_BITS)))
-            if self._high.lo - self._low.hi <= tol:  # else the gap alone exceeds tol
+            if self._high.enclosure.lo - self._low.enclosure.hi <= tol:  # else the gap is over tol
                 self._low.refine(tol / 4)
                 self._high.refine(tol / 4)
             enc = Enclosure(self._low.enclosure.lo, self._high.enclosure.hi)
@@ -623,27 +610,22 @@ def positive_root_series(digit: Callable[[int], int], max_digit: int,
 # ---------------------------------------------------------------------------
 
 
-def _poly_reduce(coeffs: List[int], modulus: IntPoly) -> List[int]:
-    """Reduce an integer polynomial modulo a monic integer polynomial."""
-    d = len(modulus) - 1
-    while len(coeffs) > d:
-        lead = coeffs.pop()
-        if lead:
-            for i in range(d):
-                coeffs[len(coeffs) - d + i] -= lead * modulus[i]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_times_x(coeffs: List[int], modulus: IntPoly) -> List[int]:
-    return _poly_reduce([0] + coeffs, modulus)
+    """x*r modulo the monic ``modulus``, r reduced: lead * modulus is subtracted at most once."""
+    r, d = [0] + coeffs, len(modulus) - 1
+    if len(r) > d:
+        lead = r.pop()
+        for i in range(d):
+            r[i] -= lead * modulus[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def _poly_sub_const(coeffs: List[int], c: int) -> List[int]:
-    if not coeffs:
-        return [-c]
-    return [coeffs[0] - c] + coeffs[1:]
+    """r - c, reduced for r reduced: only a constant can vanish."""
+    r = [(coeffs[0] if coeffs else 0) - c] + coeffs[1:]
+    return r if r[-1] else []
 
 
 def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, int]:
@@ -707,7 +689,7 @@ def _orbit_step(r: List[int], beta: RefinableRoot, den: int,
     iv = (iv or _interval(r, beta)) if r else None
     digit = _decide_floor(r, beta, den, iv) if r else 0
     if digit:
-        r = _poly_reduce(_poly_sub_const(r, digit * den), F)
+        r = _poly_sub_const(r, digit * den)
         c = (digit * den) << iv[3]
         iv = iv[0], iv[1] - c, iv[2] - c, iv[3]
     return digit, r, iv
@@ -749,8 +731,7 @@ def _decide_floor(r: List[int], beta: RefinableRoot, den: int, iv: Interval) -> 
         if f_lo == f_hi:
             return f_lo
         # Could the value be exactly the integer f_hi?
-        if f_hi == f_lo + 1 and not _poly_reduce(_poly_sub_const(r, f_hi * den),
-                                                 _modulus(beta)):
+        if f_hi == f_lo + 1 and not _poly_sub_const(r, f_hi * den):
             return f_hi
         return None
 
@@ -764,9 +745,8 @@ def _refine_root_until(verdict, root: RefinableRoot, what: str):
     decision = verdict()
     if decision is not None:
         return decision
-    # lo and hi ignore an exact hit, so the tolerance stays positive, and each
-    # round's tol, the bracket width over 2^32, takes exactly 32 steps.
-    return refine_until(verdict, (root,), root.hi - root.lo, 2 ** 32,
+    # Each round's tol, the cell width 2^-k over 2^32, takes 32 steps (none at an exact root).
+    return refine_until(verdict, (root,), Fraction(1, 1 << root.bracket[2]), 2 ** 32,
                         -(-REFINE_BUDGET // 32), what)
 
 
@@ -824,8 +804,8 @@ def _band_verdict(r: List[int], beta: RefinableRoot, iv: Interval) -> str:
     # upper edge: v - 1;  lower edge: beta*(v - 1) + 1  (v > 1 - 1/beta).  From v's
     # interval: a shift of the last coefficient, then one more Horner step unless it reduces.
     F = _modulus(beta)
-    upper = _poly_reduce(_poly_sub_const(r, 1), F)
-    lower = _poly_reduce(_poly_sub_const(_poly_times_x(upper, F), -1), F)
+    upper = _poly_sub_const(r, 1)
+    lower = _poly_sub_const(_poly_times_x(upper, F), -1)
     if not upper:
         return "boundary-high"
     if not lower:

@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from itertools import count
+from itertools import chain, count, cycle, repeat
 from typing import Iterable, List, Optional, Sequence
 
 from . import analysis, delta, diophantine, words
@@ -105,24 +105,12 @@ def parse_cf(spec: str, irrational: bool = False) -> ContinuedFraction:
             raise PreconditionError(f"--cf {spec} has no generator suffix, so it names "
                                     "a rational slope: pass it as --alpha P/Q")
         return ContinuedFraction.from_quotients(a0, tail, name=spec)
-    if suffix == "fib":
-        def gen(tail=tuple(tail)):
-            yield from tail
-            while True:
-                yield 1
-    elif suffix == "periodic":
-        if not tail:
-            raise PreconditionError("'periodic' needs at least one tail term")
-
-        def gen(tail=tuple(tail)):
-            while True:
-                yield from tail
-    else:  # e-pattern: e's own terms 1,2,1,1,4,1,... from index len(tail) + 1 on
-        def gen(tail=tuple(tail)):
-            e = e_cf()
-            yield from tail
-            yield from (e.term(n) for n in count(len(tail) + 1))
-    return ContinuedFraction(a0, gen, name=spec)
+    if suffix == "periodic" and not tail:
+        raise PreconditionError("'periodic' needs at least one tail term")
+    streams = {"fib": lambda: chain(tail, repeat(1)),
+               "periodic": lambda: cycle(tail),
+               "e-pattern": lambda: chain(tail, map(e_cf().term, count(len(tail) + 1)))}
+    return ContinuedFraction(a0, streams[suffix], name=spec)
 
 
 def _target(args, cf: bool = False, irrational: bool = False) -> diophantine.Preset:

@@ -39,27 +39,28 @@ def _split_slope(alpha: Fraction) -> Tuple[int, int, int]:
 class DeltaValue:
     """Delta at (or just to the right of) a slope, with its certificate.
 
-    ``word`` is the digit expansion of 1 in base beta.  The value's root is
-    ``handle`` (algebraic values) or ``series_root`` (irrational slopes, whose
-    digit ``stream`` is kept too); ``enclosure`` reads the root, and
-    ``refine`` shrinks it on demand.  ``nature`` records what kind of number
-    beta is.
+    ``word`` is the digit expansion of 1 in base beta.  Its one root, ``handle``,
+    is a ``RefinableRoot`` (algebraic beta) or a ``SeriesRoot`` (irrational
+    slopes, whose digit ``stream`` is kept too), which ``enclosure`` reads,
+    ``refine`` shrinks on demand and ``nature`` names.
     """
 
     slope: Union[Fraction, ContinuedFraction]
     word: Union[Word, PeriodicWord]
-    nature: str  # "algebraic" | "labelled_transcendental"
-    handle: Optional[BetaHandle] = None
-    series_root: Optional[SeriesRoot] = None
+    handle: Union[BetaHandle, SeriesRoot]
     stream: Optional["StaircaseDigitStream"] = None
 
     @property
+    def nature(self) -> str:
+        return "labelled_transcendental" if isinstance(self.handle, SeriesRoot) else "algebraic"
+
+    @property
     def enclosure(self) -> Enclosure:
-        return (self.handle or self.series_root).enclosure
+        return self.handle.enclosure
 
     def refine(self, tol: Fraction) -> Enclosure:
         if self.enclosure.width > tol:
-            (self.handle or self.series_root).refine(Fraction(tol))
+            self.handle.refine(Fraction(tol))
         return self.enclosure
 
 
@@ -82,9 +83,9 @@ def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
         # Integer slope b - 1: the value is the integer b, the exact root of
         # x - b, whose expansion of 1 is the single digit b (the degenerate
         # base 1 at slope 0 included).
-        return DeltaValue(alpha, (b,), "algebraic", handle=BetaHandle((-b, 1), b))
+        return DeltaValue(alpha, (b,), BetaHandle((-b, 1), b))
     digits = bzb_word(b, p, q)
-    return DeltaValue(alpha, digits, "algebraic", handle=beta_root_finite(digits, tol, seed))
+    return DeltaValue(alpha, digits, beta_root_finite(digits, tol, seed))
 
 
 def right_limit_word(alpha: Fraction, left_word: Optional[Word] = None) -> PeriodicWord:
@@ -113,8 +114,8 @@ def delta_right_limit(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
     alpha = Fraction(alpha)
     word = right_limit_word(alpha, left_word)
     if alpha == 0:
-        return DeltaValue(alpha, word, "algebraic", handle=BetaHandle((-1, 1), 1))
-    return DeltaValue(alpha, word, "algebraic", handle=beta_root_periodic(word, tol, seed))
+        return DeltaValue(alpha, word, BetaHandle((-1, 1), 1))
+    return DeltaValue(alpha, word, beta_root_periodic(word, tol, seed))
 
 
 @dataclass
@@ -201,8 +202,7 @@ def delta_irrational(cf: ContinuedFraction, tol: Fraction = IRRATIONAL_TOL) -> D
     root = SeriesRoot(stream.digit, max_digit=stream.b)
     root.refine(tol)
     prefix = tuple(stream.digit(n) for n in range(1, 33))
-    return DeltaValue(cf, prefix, "labelled_transcendental",
-                      series_root=root, stream=stream)
+    return DeltaValue(cf, prefix, root, stream)
 
 
 # ---------------------------------------------------------------------------

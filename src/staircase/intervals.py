@@ -144,11 +144,12 @@ def decimal_str(value: Fraction, digits: int, mode: str) -> str:
     else:
         raise ValueError(f"unknown rounding mode: {mode}")
     sign = "-" if n < 0 else ""
-    n = abs(n)
-    whole, frac = divmod(n, scale)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    whole, frac = divmod(abs(n), scale)
+    tail = ""  # in limbs: str refuses ints of over 4300 digits from Python 3.11 on
+    while digits > 4000:
+        frac, limb = divmod(frac, 10 ** 4000)
+        tail, digits = f"{limb:04000d}{tail}", digits - 4000
+    return f"{sign}{whole}" + (f".{frac:0{digits}d}{tail}" if digits else "")
 
 
 def enclosure_strings(e: Enclosure, digits: int) -> tuple:

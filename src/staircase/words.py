@@ -45,12 +45,7 @@ def mechanical_prefix(alpha: Fraction, rho: Fraction = Fraction(0), n: int = 0,
         cuts = [-((-a * k - r) // d) for k in range(n + 1)]
     else:
         cuts = [(a * k + r) // d for k in range(n + 1)]
-    return mechanical_prefix_floors(cuts)
-
-
-def mechanical_prefix_floors(floors: Sequence[int]) -> Word:
-    """First differences of a precomputed floor table [floor(0*a), ..., floor(n*a)]."""
-    return tuple(floors[k + 1] - floors[k] for k in range(len(floors) - 1))
+    return tuple(cuts[k + 1] - cuts[k] for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +306,10 @@ def parse_word(s: str) -> Word:
             if j < 0 or not (letter.isascii() and letter.isdigit()):
                 raise PreconditionError(f"bad bracketed letter in {s!r}: need [N], "
                                         "N a nonnegative decimal integer")
-            out.append(int(letter))
+            try:
+                out.append(int(letter))
+            except ValueError:  # over the int-from-str limit of Python 3.11 on
+                raise PreconditionError(f"{len(letter)}-digit bracketed letter: too long") from None
             i = j + 1
         elif "0" <= c <= "9":
             out.append(int(c))

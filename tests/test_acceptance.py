@@ -109,7 +109,7 @@ def test_criterion_05_sturmian_evaluation():
     d = delta_irrational(ContinuedFraction.constant(0, 1, name="golden"))
     enc = d.refine(Fraction(1, 10 ** 12))
     assert enc.width <= Fraction(1, 10 ** 12)
-    hist = d.series_root.history
+    hist = d.handle.history
     assert len(hist) >= 2
     for (m1, e1), (m2, e2) in zip(hist, hist[1:]):
         assert m2 > m1 and e2.lo >= e1.lo and e2.hi <= e1.hi

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from staircase import beta
 from staircase.beta import (FILTER_WORK, GUARD_BITS, JUMP_FROM_BITS, SPARSE_FROM_BITS,
                             RefinableRoot, _bracket, _certified_root, _filtered_sign,
-                            _head_length, _head_sign, _horner, _poly_reduce, _poly_sign,
-                            _poly_sub_const, _poly_times_x, _refine_root_until,
+                            _head_length, _head_sign, _horner, _poly_sign, _refine_root_until,
                             _sign_kernel,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
                             extremal_orbit_check, finite_annihilator, greedy_digits,
@@ -119,7 +118,7 @@ def _assert_certified(rr: RefinableRoot, sign, tol: Fraction):
         assert rr.enclosure == Enclosure.exact(rr.exact)
         return
     assert rr.enclosure.width <= tol
-    assert sign(rr.lo) == 1 and sign(rr.hi) == -1
+    assert sign(rr.enclosure.lo) == 1 and sign(rr.enclosure.hi) == -1
 
 
 @SETTINGS
@@ -146,7 +145,7 @@ def test_refined_periodic_root_is_certified(pre, per, bits):
 def test_refine_steps_halves_the_bracket():
     rr = beta_root_finite((1, 1), Fraction(1, 4))
     w = rr.enclosure.width
-    rr.refine_steps(5)
+    rr.refine(w / 32)
     assert rr.enclosure.width == w / 32
     _assert_certified(rr, lambda x: digit_series_sign((1, 1), x), w / 32)
 
@@ -262,7 +261,7 @@ def test_wrong_newton_guess_still_certifies(word, K, cells_off):
 
     with mock.patch.object(beta, "_newton", wrong):
         rr = _bracket(F, a1)
-        rr.refine_steps(K)
+        rr.refine(Fraction(1, 1 << K))
     assert rr.bracket == _bisected(F, a1, K).bracket
     a, b, _ = rr.bracket
     assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
@@ -354,7 +353,7 @@ def test_repeated_refinement_ends_on_the_bisection_cells(word, rounds, fault):
         K = 0
         for use_steps, bits in rounds:
             if use_steps:
-                rr.refine_steps(bits)
+                rr.refine(Fraction(1, 1 << (K + max(bits, 0))))
                 K += max(bits, 0)
             else:
                 rr.refine(Fraction(1, 1 << max(K + bits, 0)))
@@ -711,7 +710,7 @@ def test_head_filter_agrees_beside_series_truncation_roots(name, periodic, draw_
         F = periodic_annihilator(PeriodicWord.make(digits, (stream.b,)))
     else:
         F = finite_annihilator(digits)
-    q, x = len(F) - 1, beta_root_finite(digits, Fraction(1, 1 << 20)).lo
+    q, x = len(F) - 1, beta_root_finite(digits, Fraction(1, 1 << 20)).enclosure.lo
     _, C, k_head = _sign_kernel(F).args
     heads = ((k, _head_length(q, C, k_head, floor(x * (1 << k)), k))
              for k in range(1, min(ceil(k_head) - 1, 40000 // q)))
@@ -766,10 +765,27 @@ def _reference_modulus(root):
     return root.annihilator if root.exact is None else (-int(root.exact), 1)
 
 
+def _reduce(coeffs, modulus):
+    """Reduce an integer polynomial modulo a monic integer polynomial."""
+    d = len(modulus) - 1
+    while len(coeffs) > d:
+        lead = coeffs.pop()
+        if lead:
+            for i in range(d):
+                coeffs[len(coeffs) - d + i] -= lead * modulus[i]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _sub_const(coeffs, c):
+    return [(coeffs[0] if coeffs else 0) - c] + coeffs[1:]
+
+
 def _reference_step(r, root, den):
     """One orbit step with ``_horner`` over the whole reduced r at every use."""
     F = _reference_modulus(root)
-    r = _poly_times_x(r, F)
+    r = _reduce([0] + r, F)
     if not r:
         return 0, r
 
@@ -778,13 +794,13 @@ def _reference_step(r, root, den):
         f_lo, f_hi = (lo >> s) // den, (hi >> s) // den
         if f_lo == f_hi:
             return f_lo
-        if f_hi == f_lo + 1 and not _poly_reduce(_poly_sub_const(r, f_hi * den), F):
+        if f_hi == f_lo + 1 and not _reduce(_sub_const(r, f_hi * den), F):
             return f_hi
         return None
 
     digit = _refine_root_until(floor, root, "greedy digit")
     if digit:
-        r = _poly_reduce(_poly_sub_const(r, digit * den), F)
+        r = _reduce(_sub_const(r, digit * den), F)
     return digit, r
 
 
@@ -810,8 +826,8 @@ def _reference_band(root, k_max):
         if not r:
             out.append((k, Enclosure.exact(Fraction(0)), "zero"))
             break
-        upper = _poly_reduce(_poly_sub_const(r, 1), F)
-        lower = _poly_reduce(_poly_sub_const(_poly_times_x(upper, F), -1), F)
+        upper = _reduce(_sub_const(r, 1), F)
+        lower = _reduce(_sub_const(_reduce([0] + upper, F), -1), F)
 
         def band():
             up_lo, up_hi, _ = _horner(upper, *root.bracket)

@@ -230,6 +230,17 @@ def test_digits_flag_and_env(capsys, monkeypatch):
     assert '"1.618033"' in out
 
 
+def test_digits_past_the_int_str_limit(capsys, monkeypatch):
+    """--digits and STAIRCASE_DIGITS above the 4300 digits that ``str``
+    converts from Python 3.11 on print in full."""
+    short = run_json(capsys, ["delta", "eval", "--alpha", "1/2"])["enclosure"][0]
+    lo, hi = run_json(capsys, ["delta", "eval", "--alpha", "1/2", "--digits", "5000"])["enclosure"]
+    assert lo.startswith(short) and len(lo) == len(hi) == 5002
+    monkeypatch.setenv(cli.ENV_DIGITS, "5000")
+    probes = run_json(capsys, ["probe", "zero", "-K", "3"])["probes"]
+    assert all(len(p[end]) == 5002 for p in probes for end in ("quotient_lo", "quotient_hi"))
+
+
 def test_exit_code_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["delta", "eval", "--bogus-flag"])
@@ -263,6 +274,8 @@ def test_exit_code_certification(capsys):
     # an unclosed bracket, or a bracketed letter that is not a decimal integer
     (["word", "admissible", "[x]"], None, cli.EXIT_PRECONDITION),
     (["word", "admissible", "[12"], None, cli.EXIT_PRECONDITION),
+    # a letter longer than the 4300 digits ``int`` reads from Python 3.11 on
+    (["word", "admissible", "[" + "9" * 5000 + "]1"], None, cli.EXIT_PRECONDITION),
     # every estimator window needs N >= 2, series-sample presets included
     (["classify", "--preset", "alpha1", "-N", "0"], None, cli.EXIT_PRECONDITION),
     (["measure", "theta", "--preset", "alpha1", "-N", "-1"], None, cli.EXIT_PRECONDITION),

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import staircase
+from staircase import beta
 from staircase.beta import (RefinableRoot, beta_root_finite, beta_root_periodic,
                             finite_annihilator, periodic_annihilator)
 from staircase.delta import (
@@ -141,7 +144,7 @@ def _fresh_sandwich(stream, m: int, tol: Fraction) -> Enclosure:
     digits = tuple(stream.digit(n) for n in range(1, m + 1))
     low = beta_root_finite(digits, tol / 4)
     high = beta_root_periodic(PeriodicWord.make(digits, (stream.b,)), tol / 4)
-    return Enclosure(low.lo, high.hi)
+    return Enclosure(low.enclosure.lo, high.enclosure.hi)
 
 
 @pytest.mark.parametrize("digits", [12, 45, 100])
@@ -152,7 +155,7 @@ def test_series_root_ends_on_the_fresh_sandwich_of_its_truncation(name, digits):
     sandwich has width at most tol, with that sandwich as its enclosure.
     Coarse pairs of hopeless truncations leave only wider, nested history."""
     d = delta_irrational(presets()[name].cf, Fraction(1, 10 ** digits))
-    sr = d.series_root
+    sr = d.handle
     for tol in (Fraction(1, 10 ** digits), Fraction(1, 10 ** (digits + 10))):
         sr.refine(tol)
         m = 32
@@ -259,6 +262,23 @@ def test_sweep_equals_the_unseeded_reference(x, y, max_den, tol):
     rows = sweep(lo, hi, max_den, tol)
     assert [(r.slope, r.delta.enclosure, r.right.enclosure, r.jump_lo) for r in rows] == \
         _reference_rows(lo, hi, max_den, tol)
+
+
+def test_sweep_sign_test_budget():
+    """The Farey seeds save about two sign tests in five: (0, 1] at
+    denominator 30 and 1e-8 makes 3,901 through the roots' sign kernels,
+    unit-cell and seed tests included, where a sweep that seeds no root
+    makes 6,708."""
+    calls = []
+    kernel = beta._sign_kernel
+
+    def counting(F):
+        sign = kernel(F)
+        return partial(lambda poly, m, k: calls.append(k) or sign(m, k), sign.args[0])
+
+    with mock.patch.object(beta, "_sign_kernel", counting):
+        sweep(Fraction(0), Fraction(1), 30, Fraction(1, 10 ** 8))
+    assert len(calls) <= 4500, len(calls)
 
 
 @pytest.mark.parametrize("F", [finite_annihilator(bzb_word(2, 2, 5)),

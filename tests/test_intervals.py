@@ -59,6 +59,20 @@ def test_decimal_str_rounding_modes():
     assert decimal_str(Fraction(-1, 3), 4, "floor") == "-0.3334"
 
 
+@pytest.mark.parametrize("digits", [4000, 4001, 8001, 12345])
+def test_decimal_str_prints_past_the_int_str_limit(digits):
+    """More fraction digits than the 4300 that ``str`` converts from Python
+    3.11 on print in limbs, zero-padded."""
+    sevenths = ("142857" * (digits // 6 + 1))[:digits]  # 1/7 has no digit 9
+    assert decimal_str(Fraction(22, 7), digits, "floor") == "3." + sevenths
+    assert decimal_str(Fraction(22, 7), digits, "ceil") == \
+        "3." + sevenths[:-1] + str(int(sevenths[-1]) + 1)
+    assert decimal_str(Fraction(-22, 7), digits, "ceil") == "-3." + sevenths
+    x = Fraction(1, 10) + Fraction(1, 10 ** (digits // 2))
+    assert decimal_str(x, digits, "floor") == \
+        "0.1" + "0" * (digits // 2 - 2) + "1" + "0" * (digits - digits // 2)
+
+
 def test_enclosure_strings_bracket_value():
     e = Enclosure(Fraction(161803, 100000), Fraction(161804, 100000))
     lo, hi = enclosure_strings(e, 5)
