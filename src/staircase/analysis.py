@@ -22,7 +22,7 @@ from .delta import (DeltaValue, delta_irrational, delta_rational,
 from .diophantine import ContinuedFraction
 from .errors import CertificationError, PreconditionError
 from .intervals import Enclosure, refine_until
-from .words import PeriodicWord, bzb_word, common_prefix_radius
+from .words import PeriodicWord, bzb_word, common_prefix_radius, first_difference
 
 DEFAULT_TOL = Fraction(1, 10 ** 12)
 TREND_WINDOW = 5
@@ -258,20 +258,9 @@ class LowerboundReport:
 
 def _left_limit_word(alpha: Fraction) -> PeriodicWord:
     """The expansion of 1 from below in base Delta(alpha) (quasi-greedy form)."""
-    b, p, q = _split_slope(Fraction(alpha))
-    if p == 0:
-        # Integer base b: 1- expands as the constant word (b-1)(b-1)...
-        if b < 2:
-            raise PreconditionError("slope 0 has no expansion from below")
-        return PeriodicWord.make((), (b - 1,))
-    return quasi_greedy_of_finite(bzb_word(b, p, q))
-
-
-def _common_prefix_length(u: PeriodicWord, v: PeriodicWord) -> int:
-    for i in range(10 ** 5):
-        if u[i] != v[i]:
-            return i
-    raise PreconditionError("words agree beyond the comparison horizon")
+    if alpha == 0:
+        raise PreconditionError("slope 0 has no expansion from below")
+    return quasi_greedy_of_finite(bzb_word(*_split_slope(Fraction(alpha))))
 
 
 def lowerbound_check(alpha: Fraction, alpha_N: Fraction,
@@ -286,7 +275,7 @@ def lowerbound_check(alpha: Fraction, alpha_N: Fraction,
         raise PreconditionError("slopes must differ")
     w = _left_limit_word(alpha)
     w_N = _left_limit_word(alpha_N)
-    N = _common_prefix_length(w, w_N) + 1
+    N = first_difference(w, w_N) + 1
     mirrored = alpha < alpha_N
     beta = delta_rational(alpha, tol)
     beta_N = delta_rational(alpha_N, tol)

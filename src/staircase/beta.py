@@ -182,19 +182,16 @@ def _head_sign(F, C: int, k_head: float, m: int, k: int) -> int:
     holds the top coefficients and R the others, each at most C in size,
     so |R(x)| < C x^(q-n) / (x - 1).  A = ``_exact(F, m, k, q - n)`` is
     2^(kn) G(x), so |A| (m - 2^k) > C 2^(k(n+1)) proves sign F(x) = sign A;
-    else the full exact test runs.  n is ``_head_length``'s; a dense head
-    with n * k >= FILTER_WORK tries ``_filtered_sign`` first.
+    else the full test ``_poly_sign`` runs, as at once for a dense head with
+    n * k >= FILTER_WORK, whose filter costs about the head.  n is ``_head_length``'s.
     """
     q = _degree(F)
     n = _head_length(q, C, k_head, m, k)
-    if n is None:
+    if n is None or n * k >= FILTER_WORK and not isinstance(F[0], tuple):
         return _poly_sign(F, m, k)
-    s = n * k >= FILTER_WORK and not isinstance(F[0], tuple) and _filtered_sign(F, m, k)
-    if s:
-        return s
     acc = _exact(F, m, k, q - n)
     if abs(acc) * (m - (1 << k)) <= C << (k * (n + 1)):
-        acc = _exact(F, m, k)
+        return _poly_sign(F, m, k)
     return (acc > 0) - (acc < 0)
 
 
@@ -345,7 +342,7 @@ class RefinableRoot:
     An integer root n is an exact hit, presented as [n, n] and never refined.
 
     The bracket is kept as integers, so refinement builds no ``Fraction``;
-    ``exact`` and ``enclosure`` present it as fractions.
+    ``enclosure`` presents it as fractions, and ``exact`` is n or None.
     """
 
     def __init__(self, F: IntPoly, a1: int, seed: Optional[Bracket] = None):
@@ -356,7 +353,7 @@ class RefinableRoot:
         self.annihilator = F
         self._sign = sign = _sign_kernel(F)
         self._poly = sign.args[0]  # F as the kernel runs over it, for _newton
-        self._exact, self._shown = None, (None, None)
+        self.exact, self._shown = None, (None, None)
         if seed is not None:
             # The finest cell [j, j+1]/2^k holding the guess, if in a unit cell
             # above 1 (no root is dyadic there) and sign tests put the root in.
@@ -373,7 +370,7 @@ class RefinableRoot:
         while s < 0:
             n += 1
             s = sign(n, 0)
-        self._exact = n if s == 0 else None
+        self.exact = n if s == 0 else None
         # The deepest certified cell [j, j+1]/2^K, presented at scale k <= K.
         self._j, self._K, self._k = n - 1, 0, 0
 
@@ -392,14 +389,10 @@ class RefinableRoot:
         return cls((-b, 1), b)
 
     @property
-    def exact(self) -> Optional[Fraction]:
-        return None if self._exact is None else Fraction(self._exact)
-
-    @property
     def bracket(self) -> Bracket:
         """The enclosure as integers (a, b, k), meaning [a/2^k, b/2^k]."""
-        if self._exact is not None:
-            return self._exact, self._exact, 0
+        if self.exact is not None:
+            return self.exact, self.exact, 0
         a = self._j >> (self._K - self._k)
         return a, a + 1, self._k
 
@@ -427,7 +420,7 @@ class RefinableRoot:
         K' = max(K, 2k, k + 64) for the deep scale k (the precision doubling
         of iRRAM, N. Th. Müller, CCA 2000), by ``_jump`` where the rule at
         JUMP_FROM_BITS allows; else to K alone by bisection, as after a failed jump."""
-        if self._exact is not None or steps <= 0:
+        if self.exact is not None or steps <= 0:
             return
         K, k = self._k + steps, self._K
         if K > k:
@@ -668,7 +661,7 @@ def _interval(r: List[int], beta: RefinableRoot, iv: Optional[Interval] = None) 
 def _modulus(beta: RefinableRoot) -> IntPoly:
     """What orbit values reduce by: the annihilator, or x - n for an integer
     root n, which may vanish where a polynomial of degree > 1 does not."""
-    return beta.annihilator if beta.exact is None else (-beta.exact.numerator, 1)
+    return beta.annihilator if beta.exact is None else (-beta.exact, 1)
 
 
 def _orbit_step(r: List[int], beta: RefinableRoot, den: int,
@@ -706,10 +699,13 @@ def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1)) -> Tup
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise PreconditionError("starting point must lie in [0, 1]")
-    if not (beta.enclosure.lo > 1):
-        beta.refine(Fraction(1, 16))
-        if not (beta.enclosure.lo > 1):
-            raise PreconditionError("greedy expansion needs beta > 1")
+
+    def above_one() -> Optional[bool]:  # beta > 1 once a > 2^k; an exact root n <= 1 never is
+        a, _, k = beta.bracket
+        return True if a > 1 << k else (False if beta.exact is not None else None)
+
+    if not _refine_root_until(above_one, beta, "greedy base beta > 1"):
+        raise PreconditionError("greedy expansion needs beta > 1")
     r: List[int] = [x.numerator] if x else []  # the orbit value is r(beta) / den
     out, iv = [], None
     for _ in range(n):

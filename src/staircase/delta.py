@@ -284,15 +284,21 @@ def lipschitz_order(delta: DeltaValue, theta: Enclosure) -> Enclosure:
 
     This is the certified local smoothness exponent of the staircase at an
     irrational slope whose approximation base theta satisfies
-    1 < theta < Delta(alpha); the hypothesis is checked on the enclosures.
+    1 < theta < Delta(alpha), decided on the enclosures as Delta is refined.
     The logs are ``ln_interval``'s float bounds; theta's lower one must be > 0.
     """
-    enc = delta.refine(IRRATIONAL_TOL)
+    delta.refine(IRRATIONAL_TOL)
     t_lo = ln_interval(theta.lo)[0] if theta.lo > 1 else 0.0
     if not (t_lo > 0):
         raise PreconditionError("need theta > 1 certified")
-    if not (theta.hi < enc.lo):
+
+    def below() -> Optional[bool]:
+        enc = delta.enclosure
+        return True if theta.hi < enc.lo else (False if enc.hi <= theta.hi else None)
+
+    if not refine_until(below, (delta,), IRRATIONAL_TOL, 2 ** 16, 16, "theta < Delta(alpha)"):
         raise PreconditionError("hypothesis theta < Delta(alpha) not certified")
+    enc = delta.enclosure
     lo = _down(ln_interval(enc.lo)[0] / ln_interval(theta.hi)[1])
     hi = _up(ln_interval(enc.hi)[1] / t_lo)
     return Enclosure(Fraction(lo), Fraction(hi))

@@ -146,9 +146,9 @@ class PeriodicWord:
         return cls(tuple(pre), tuple(per))
 
     @classmethod
-    def from_finite(cls, w: Sequence[int]) -> "PeriodicWord":
-        """w followed by 0^w."""
-        return cls.make(tuple(w), (0,))
+    def from_finite(cls, w: "WordLike") -> "PeriodicWord":
+        """w followed by 0^w; a PeriodicWord is itself."""
+        return w if isinstance(w, PeriodicWord) else cls.make(tuple(w), (0,))
 
     def __getitem__(self, i: int) -> int:
         if i < 0:
@@ -196,30 +196,33 @@ def _letter_str(x: int) -> str:
 WordLike = Union[Sequence[int], PeriodicWord]
 
 
+def first_difference(u: WordLike, v: WordLike) -> Optional[int]:
+    """The first index where two words, finite ones padded with 0^w, differ;
+    None where they agree on their first len(pre_u) + len(pre_v) + lcm(|per_u|,
+    |per_v|) letters, and so are equal.  At most 10^6 letters are read: a
+    longer horizon with no difference found is refused."""
+    u, v = PeriodicWord.from_finite(u), PeriodicWord.from_finite(v)
+    horizon = len(u.pre) + len(v.pre) + math.lcm(len(u.per), len(v.per))
+    for i in range(min(horizon, 10 ** 6)):
+        if u[i] != v[i]:
+            return i
+    if horizon > 10 ** 6:
+        raise PreconditionError("periods too long for exact comparison")
+    return None
+
+
 def lex_compare(u: WordLike, v: WordLike) -> int:
     """-1 / 0 / +1 for the lexicographic order of two words.
 
-    Finite words are compared as written (prefix order: a proper prefix is
-    smaller).  Two PeriodicWords are compared exactly: the order is decided by
-    the first len(pre_u) + len(pre_v) + lcm(|per_u|, |per_v|) letters, at
-    most 10^6 of them.  A finite word against a PeriodicWord is padded with
-    0^w.
+    Two finite words are compared as written (prefix order: a proper prefix
+    is smaller); otherwise the letters at their ``first_difference`` decide.
     """
-    fin_u = not isinstance(u, PeriodicWord)
-    fin_v = not isinstance(v, PeriodicWord)
-    if fin_u and fin_v:
+    if not isinstance(u, PeriodicWord) and not isinstance(v, PeriodicWord):
         tu, tv = tuple(u), tuple(v)
         return -1 if tu < tv else (1 if tu > tv else 0)
-    pu = PeriodicWord.from_finite(u) if fin_u else u
-    pv = PeriodicWord.from_finite(v) if fin_v else v
-    bound = len(pu.pre) + len(pv.pre) + math.lcm(len(pu.per), len(pv.per))
-    if bound > 10 ** 6:
-        raise PreconditionError("periods too long for exact comparison")
-    for i in range(bound):
-        a, b = pu[i], pv[i]
-        if a != b:
-            return -1 if a < b else 1
-    return 0
+    u, v = PeriodicWord.from_finite(u), PeriodicWord.from_finite(v)
+    i = first_difference(u, v)
+    return 0 if i is None else (-1 if u[i] < v[i] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +239,7 @@ def is_parry_admissible(w: WordLike) -> bool:
     """
     if not isinstance(w, PeriodicWord) and len(tuple(w)) == 0:
         raise PreconditionError("the empty word has no admissibility status")
-    pw = PeriodicWord.from_finite(w) if not isinstance(w, PeriodicWord) else w
+    pw = PeriodicWord.from_finite(w)
     for k in range(1, len(pw.pre) + len(pw.per) + 1):
         if lex_compare(pw.shift(k), pw) >= 0:
             return False

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from staircase.analysis import (
     QuotientTrace,
+    _left_limit_word,
     _simplest_between,
     irrational_probe,
     lowerbound_check,
@@ -20,6 +21,7 @@ from staircase.analysis import (
 from staircase.delta import delta_rational
 from staircase.diophantine import ContinuedFraction, LogMagnitude
 from staircase.errors import CertificationError, PreconditionError
+from staircase.words import PeriodicWord
 
 
 def test_simplest_between():
@@ -162,6 +164,12 @@ def test_lowerbound_check_across_integer_base():
     # slopes with different integer parts still separate
     r = lowerbound_check(Fraction(3, 2), Fraction(7, 5))
     assert r.holds
+
+
+@pytest.mark.parametrize("slope", [1, 2, 3, 4])
+def test_left_limit_word_at_an_integer_slope(slope):
+    # the integer base b = slope + 1 expands 1 from below as (b - 1)^w
+    assert _left_limit_word(Fraction(slope)) == PeriodicWord.make((), (slope,))
 
 
 def test_lowerbound_check_at_an_integer_slope():

@@ -22,7 +22,7 @@ from staircase.beta import (
     positive_root_series,
     quasi_greedy_of_finite,
 )
-from staircase.delta import delta_rational
+from staircase.delta import delta_rational, delta_right_limit
 from staircase.errors import PreconditionError
 from staircase.intervals import Enclosure, refine_until
 from staircase.words import PeriodicWord, is_parry_admissible, lex_compare
@@ -121,6 +121,19 @@ def test_greedy_digits_integer_base():
     h = BetaHandle.from_integer(3)
     got, terminated = greedy_digits(h, 5, Fraction(5, 9))
     assert got[:2] == (1, 2) and terminated
+
+
+def test_greedy_decides_a_base_just_above_one():
+    """Delta(1/100) and Delta(1/100+), about 1.03, built at tolerance 1/10:
+    their brackets straddle 1 until refined, and the expansions of 1 are the
+    words 1 0^98 1 and 1 (0^98 1 0)^w."""
+    for value in (delta_rational(Fraction(1, 100), Fraction(1, 10)),
+                  delta_right_limit(Fraction(1, 100), Fraction(1, 10))):
+        assert value.handle.enclosure.lo <= 1
+        assert greedy_digits(value.handle, 3) == ((1, 0, 0), False)
+        assert value.handle.enclosure.lo > 1
+    with pytest.raises(PreconditionError, match="greedy expansion needs beta > 1"):
+        greedy_digits(delta_rational(Fraction(0)).handle, 3)
 
 
 def test_greedy_digits_periodic_word():

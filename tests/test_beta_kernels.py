@@ -519,6 +519,26 @@ def test_sign_of_a_root_beside_a_coarse_point(k, q, bump, draw_m):
     assert _head_sign(F, C, float("inf"), m, k) == -1
 
 
+@pytest.mark.parametrize("m", [268, 269, 270])
+@pytest.mark.parametrize("bump", [0, 1, 2])
+def test_a_head_that_falls_through_runs_one_filtered_full_test(m, bump):
+    """The words of ``test_sign_of_a_root_beside_a_coarse_point`` at k = 8
+    and q = 500, where the head of n < q coefficients has n * k under
+    FILTER_WORK and deg F * k is not: the head test falls through, and the
+    full test's filter decides, with no exact pass over all of F."""
+    k, q = 8, 500
+    x = Fraction(m, 1 << k)
+    digits = _greedy_digits_of_one(x, q)
+    digits[-1] += bump
+    F = finite_annihilator(digits)
+    C = max(map(abs, F[:-1]))
+    n = _head_length(q, C, float("inf"), m, k)
+    assert n * k < FILTER_WORK <= q * k and _filtered_sign(F, m, k) != 0
+    with mock.patch.object(beta, "_exact", wraps=beta._exact) as exact:
+        assert _head_sign(F, C, float("inf"), m, k) == fraction_poly_sign(F, x)
+    assert [c.args[3:] for c in exact.call_args_list] == [(q - n,)]
+
+
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_tail_bound_takes_the_largest_coefficient_left_out(k):
     """x = 2 = (2 << k)/2^k and the word 1^19 0 1^(G-21) D^(G+10), D = 2^(G-20):

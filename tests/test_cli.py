@@ -321,6 +321,35 @@ def test_malformed_input_one_line_error(capsys, monkeypatch, argv, env_digits, c
     assert len(lines) == 1 and lines[0].startswith(prefix), err
 
 
+INT_DIGITS_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@pytest.mark.skipif(not INT_DIGITS_LIMIT, reason="this interpreter reads ints of any length")
+@pytest.mark.parametrize("argv, code", [
+    (["delta", "eval", "--alpha", "BIG/7"], cli.EXIT_PRECONDITION),
+    (["delta", "eval", "--cf", "0,BIG,fib"], cli.EXIT_PRECONDITION),
+    (["measure", "mu", "--preset", "targeted:BIG"], cli.EXIT_PRECONDITION),
+    (["--tol", "0.BIG", "delta", "eval", "--alpha", "1/2"], cli.EXIT_USAGE),
+    (["word", "christoffel", "BIG", "5"], cli.EXIT_USAGE),
+    (["probe", "zero", "-K", "BIG"], cli.EXIT_USAGE),
+    (["cf", "expand", "--alpha", "1/3", "-N", "BIG"], cli.EXIT_USAGE),
+    (["delta", "eval", "--alpha", "1/2", "--digits", "BIG"], cli.EXIT_USAGE),
+])
+def test_numbers_past_the_int_str_limit_name_the_cause(capsys, argv, code):
+    """One short line that names the length, without the digits or the
+    interpreter's advice to raise its limit."""
+    n = INT_DIGITS_LIMIT + 700
+    try:
+        got = cli.main([a.replace("BIG", "9" * n) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    prefix = "error: usage: " if code == cli.EXIT_USAGE else "error: precondition: "
+    assert got == code and out == ""
+    assert err.startswith(prefix) and err.endswith(f"{n}-digit number: too long\n")
+    assert len(err) < 100, err
+
+
 def test_no_state_carries_between_main_calls(capsys, monkeypatch):
     monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
     half = ["delta", "eval", "--alpha", "1/2"]

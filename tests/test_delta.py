@@ -312,6 +312,19 @@ def test_lipschitz_order_golden():
         lipschitz_order(d, Enclosure(Fraction(1, 2), Fraction(1, 2)))
 
 
+def test_lipschitz_hypothesis_is_refined_until_decided():
+    """theta.hi within 10^-20 of Delta(golden), below it and above it: the
+    first enclosure at IRRATIONAL_TOL straddles theta.hi, and refining Delta
+    decides both ways."""
+    L = delta_irrational(golden_cf(), Fraction(1, 10 ** 40)).enclosure.lo
+    d = delta_irrational(golden_cf())
+    order = lipschitz_order(d, Enclosure(Fraction(3, 2), L - Fraction(1, 10 ** 20)))
+    assert 1 < order.hi and d.enclosure.lo > L - Fraction(1, 10 ** 20)
+    with pytest.raises(PreconditionError, match="not certified"):
+        lipschitz_order(delta_irrational(golden_cf()),
+                        Enclosure(Fraction(3, 2), L + Fraction(1, 10 ** 20)))
+
+
 def test_lipschitz_order_holds_the_ratio_of_the_endpoint_logs_near_theta_one():
     # theta = 1 + 2^-60: ln theta has the digits of log1p(2^-60), not 0
     d = delta_irrational(golden_cf())

@@ -1,6 +1,7 @@
 """Mechanical, Christoffel and central words, plus word utilities."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from staircase.words import (
     characteristic_prefix,
     christoffel,
     common_prefix_radius,
+    first_difference,
     is_parry_admissible,
     lex_compare,
     mechanical_prefix,
@@ -115,6 +117,45 @@ def test_lex_compare_finite_and_periodic():
     u = PeriodicWord.make((), (0, 1))
     v = PeriodicWord.make((0,), (1, 0))
     assert lex_compare(u, v) == 0
+
+
+letters = st.lists(st.integers(0, 2), max_size=5).map(tuple)
+word_parts = st.tuples(letters, letters)  # (pre, per); no per is the finite word pre
+
+
+def _as_word(pre, per):
+    return PeriodicWord.make(pre, per) if per else pre
+
+
+def _letter(pre, per, i):
+    """Letter i of pre (per)^w as written, or of pre 0^w."""
+    per = per or (0,)
+    return pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_parts, word_parts)
+def test_first_difference_is_the_first_differing_letter(u, v):
+    """Against a scan of both words' first 2 * horizon letters as written,
+    not in canonical form; lex_compare reads the letters there."""
+    horizon = len(u[0]) + len(v[0]) + lcm(len(u[1]) or 1, len(v[1]) or 1)
+    scan = [i for i in range(2 * horizon) if _letter(*u, i) != _letter(*v, i)]
+    i = first_difference(_as_word(*u), _as_word(*v))
+    assert i == first_difference(_as_word(*v), _as_word(*u)) == (scan[0] if scan else None)
+    if u[1] or v[1]:  # two finite words compare in prefix order instead
+        order = lex_compare(_as_word(*u), _as_word(*v))
+        assert order == -lex_compare(_as_word(*v), _as_word(*u))
+        assert order == (0 if i is None else (1 if _letter(*u, i) > _letter(*v, i) else -1))
+
+
+def test_first_difference_reads_only_what_it_needs():
+    # periods of 1001 and 1002 letters: an lcm past 10^6, a difference at 0
+    u = PeriodicWord.make((), (1,) + (0,) * 1000)
+    v = PeriodicWord.make((), (0,) + (1,) * 1001)
+    assert first_difference(u, v) == 0 and lex_compare(u, v) == 1 and lex_compare(v, u) == -1
+    # equal on the first 10^6 letters, with a horizon past them
+    with pytest.raises(PreconditionError, match="periods too long"):
+        first_difference((0,) * 10 ** 6 + (1,), PeriodicWord.make((), (0,)))
 
 
 def test_parry_admissibility():
