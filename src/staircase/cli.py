@@ -40,14 +40,17 @@ EXIT_CERTIFICATION = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line and exit 1 on usage errors, not argparse's 2
-        print(f"error: usage: {message}", file=sys.stderr)
+        cause = _too_long(message)  # argparse echoed an argument past the int limit
+        print(f"error: usage: {message.split(': ')[0] + ': ' + cause if cause else message}",
+              file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
 def _too_long(s: str) -> Optional[str]:
-    """The error line where a run of n digits in ``s`` is past the int<->str
-    limit of the interpreter (Python 3.11 on; no limit is 0), else None."""
-    n = max(map(len, re.findall(r"\d+", s)), default=0)
+    """The error line where n digits in a row in ``s`` (counted as ``int`` counts
+    them, without underscores) pass the interpreter's int<->str limit, else
+    None.  Python 3.10 has no limit, and 0 means none."""
+    n = max((len(r.replace("_", "")) for r in re.findall(r"\d[\d_]*", s)), default=0)
     return f"{n}-digit number: too long" if 0 < getattr(sys, "get_int_max_str_digits", int)() < n else None
 
 
@@ -67,15 +70,7 @@ def _tolerance_arg(s: str) -> Fraction:
     try:
         return parse_fraction(s) if "/" in s else Fraction(s)
     except ValueError:  # PreconditionError from parse_fraction is a ValueError
-        raise argparse.ArgumentTypeError(_too_long(s) or f"not a decimal or P/Q: {s!r}") from None
-
-
-def _int_arg(s: str) -> int:
-    """An integer argument, with argparse's own message for a malformed one."""
-    try:
-        return int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(_too_long(s) or f"invalid int value: {s!r}") from None
+        raise argparse.ArgumentTypeError(f"not a decimal or P/Q: {s!r}") from None
 
 
 def _nonnegative_arg(what: str):
@@ -87,8 +82,7 @@ def _nonnegative_arg(what: str):
         except ValueError:
             n = -1
         if n < 0:
-            raise argparse.ArgumentTypeError(_too_long(s) or
-                                             f"{what} must be a nonnegative integer, got {s!r}")
+            raise argparse.ArgumentTypeError(f"{what} must be a nonnegative integer, got {s!r}")
         return n
 
     return parse
@@ -355,14 +349,14 @@ def build_parser() -> _Parser:
     word = sub.add_parser("word").add_subparsers(dest="word_cmd", required=True)
     for name, handler in (("christoffel", _cmd_christoffel), ("central", _cmd_central)):
         p = leaf(word, name, handler)
-        p.add_argument("p", type=_int_arg)
-        p.add_argument("q", type=_int_arg)
+        p.add_argument("p", type=int)
+        p.add_argument("q", type=int)
         if name == "christoffel":
             p.add_argument("--upper", action="store_true")
     p = leaf(word, "mechanical", _cmd_mechanical)
     p.add_argument("alpha")
     p.add_argument("rho")
-    p.add_argument("n", type=_int_arg)
+    p.add_argument("n", type=int)
     p.add_argument("--upper", action="store_true")
     p = leaf(word, "admissible", _cmd_admissible)
     p.add_argument("word", metavar="digits")  # not dest digits, which --digits sets
@@ -376,17 +370,17 @@ def build_parser() -> _Parser:
     p = leaf(dlt, "plot", _cmd_delta_plot)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--max-den", type=_int_arg, required=True)
+    p.add_argument("--max-den", type=int, required=True)
     p.add_argument("--out", default=None)
 
     cf = sub.add_parser("cf").add_subparsers(dest="cf_cmd", required=True)
     p = leaf(cf, "expand", _cmd_cf_expand)
     p.add_argument("--alpha", required=True)
-    p.add_argument("-N", dest="n", type=_int_arg, default=20)
+    p.add_argument("-N", dest="n", type=int, default=20)
     p = leaf(cf, "convergents", _cmd_cf_convergents)
     p.add_argument("--cf")
     p.add_argument("--preset")
-    p.add_argument("-N", dest="n", type=_int_arg, default=10)
+    p.add_argument("-N", dest="n", type=int, default=10)
 
     meas = sub.add_parser("measure").add_subparsers(dest="measure_cmd", required=True)
     for name, estimate in (("mu", diophantine.Preset.mu_estimate),
@@ -394,27 +388,27 @@ def build_parser() -> _Parser:
         p = leaf(meas, name, partial(_cmd_measure, estimate))
         p.add_argument("--cf")
         p.add_argument("--preset")
-        p.add_argument("-N", type=_int_arg, default=8)
+        p.add_argument("-N", type=int, default=8)
 
     p = leaf(sub, "classify", _cmd_classify)
     p.add_argument("--cf")
     p.add_argument("--preset")
-    p.add_argument("-N", type=_int_arg, default=8)
+    p.add_argument("-N", type=int, default=8)
 
     probe = sub.add_parser("probe").add_subparsers(dest="probe_cmd", required=True)
     for name, quotients in (("left", analysis.rational_left_quotients),
                             ("right", analysis.rational_right_quotients)):
         p = leaf(probe, name, partial(_cmd_probe_side, quotients))
         p.add_argument("--alpha", required=True)
-        p.add_argument("-K", type=_int_arg, default=6)
+        p.add_argument("-K", type=int, default=6)
         p.add_argument("--out", default=None)
     p = leaf(probe, "zero", _cmd_probe_zero)
-    p.add_argument("-K", type=_int_arg, default=8)
+    p.add_argument("-K", type=int, default=8)
     p.add_argument("--out", default=None)
     p = leaf(probe, "irrational", _cmd_probe_irrational)
     p.add_argument("--cf")
     p.add_argument("--preset")
-    p.add_argument("-I", type=_int_arg, default=8)
+    p.add_argument("-I", type=int, default=8)
     p.add_argument("--out", default=None)
     p = leaf(probe, "lowerbound", _cmd_lowerbound)
     p.add_argument("--alpha", required=True)

@@ -212,14 +212,8 @@ def first_difference(u: WordLike, v: WordLike) -> Optional[int]:
 
 
 def lex_compare(u: WordLike, v: WordLike) -> int:
-    """-1 / 0 / +1 for the lexicographic order of two words.
-
-    Two finite words are compared as written (prefix order: a proper prefix
-    is smaller); otherwise the letters at their ``first_difference`` decide.
-    """
-    if not isinstance(u, PeriodicWord) and not isinstance(v, PeriodicWord):
-        tu, tv = tuple(u), tuple(v)
-        return -1 if tu < tv else (1 if tu > tv else 0)
+    """-1 / 0 / +1 for the lexicographic order of two words, finite ones
+    padded with 0^w: the letters at their ``first_difference`` decide."""
     u, v = PeriodicWord.from_finite(u), PeriodicWord.from_finite(v)
     i = first_difference(u, v)
     return 0 if i is None else (-1 if u[i] < v[i] else 1)

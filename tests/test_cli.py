@@ -335,18 +335,24 @@ INT_DIGITS_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str
     (["cf", "expand", "--alpha", "1/3", "-N", "BIG"], cli.EXIT_USAGE),
     (["delta", "eval", "--alpha", "1/2", "--digits", "BIG"], cli.EXIT_USAGE),
 ])
-def test_numbers_past_the_int_str_limit_name_the_cause(capsys, argv, code):
+@pytest.mark.parametrize("grouped", [False, True])
+def test_numbers_past_the_int_str_limit_name_the_cause(capsys, argv, code, grouped):
     """One short line that names the length, without the digits or the
-    interpreter's advice to raise its limit."""
+    interpreter's advice to raise its limit; digits written in groups of
+    three (9_999_...) count as int() counts them."""
     n = INT_DIGITS_LIMIT + 700
+    big = "9" * n
+    if grouped:
+        big = "_".join(big[i:i + 3] for i in range(0, n, 3))
     try:
-        got = cli.main([a.replace("BIG", "9" * n) for a in argv])
+        got = cli.main([a.replace("BIG", big) for a in argv])
     except SystemExit as exc:
         got = exc.code
     out, err = capsys.readouterr()
     prefix = "error: usage: " if code == cli.EXIT_USAGE else "error: precondition: "
     assert got == code and out == ""
     assert err.startswith(prefix) and err.endswith(f"{n}-digit number: too long\n")
+    assert code != cli.EXIT_USAGE or err.startswith(prefix + "argument ")  # names the option
     assert len(err) < 100, err
 
 

@@ -142,10 +142,9 @@ def test_first_difference_is_the_first_differing_letter(u, v):
     scan = [i for i in range(2 * horizon) if _letter(*u, i) != _letter(*v, i)]
     i = first_difference(_as_word(*u), _as_word(*v))
     assert i == first_difference(_as_word(*v), _as_word(*u)) == (scan[0] if scan else None)
-    if u[1] or v[1]:  # two finite words compare in prefix order instead
-        order = lex_compare(_as_word(*u), _as_word(*v))
-        assert order == -lex_compare(_as_word(*v), _as_word(*u))
-        assert order == (0 if i is None else (1 if _letter(*u, i) > _letter(*v, i) else -1))
+    order = lex_compare(_as_word(*u), _as_word(*v))
+    assert order == -lex_compare(_as_word(*v), _as_word(*u))
+    assert order == (0 if i is None else (1 if _letter(*u, i) > _letter(*v, i) else -1))
 
 
 def test_first_difference_reads_only_what_it_needs():
