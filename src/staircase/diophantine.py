@@ -42,6 +42,13 @@ def _up(x: float) -> float:
     return x if x in (-_INF, _INF) else math.nextafter(x, _INF)
 
 
+def _ln_outward(lo, hi) -> Tuple[float, float]:
+    """[ln lo, ln hi] with each end two steps outward, for 0 < lo <= hi, each a
+    float or an int of at most 900 bits: math.log errs by under an ulp, and an
+    int's float conversion moves the log by under one more."""
+    return (_down(_down(math.log(lo))), _up(_up(math.log(hi))))
+
+
 def ln_int_interval(n: int) -> Tuple[float, float]:
     """Outward-rounded [lo, hi] float interval containing ln(n), n >= 1."""
     if n < 1:
@@ -49,8 +56,7 @@ def ln_int_interval(n: int) -> Tuple[float, float]:
     if n == 1:
         return (0.0, 0.0)
     if n.bit_length() <= 900:
-        v = math.log(n)
-        return (_down(_down(v)), _up(_up(v)))
+        return _ln_outward(n, n)
     # Huge integer: mant = n >> s has 64 bits and mant <= n / 2^s < mant + 1,
     # so ln n lies in [ln mant, ln(mant + 1)] + s ln 2, each float step outward.
     s = n.bit_length() - 64
@@ -115,6 +121,10 @@ class LogMagnitude:
         a, b = nat_ln_interval(other)
         return LogMagnitude(_down(self.ln_lo + a), _up(self.ln_hi + b))
 
+    def div(self, other: "Nat") -> "LogMagnitude":
+        a, b = nat_ln_interval(other)
+        return LogMagnitude(_down(self.ln_lo - b), _up(self.ln_hi - a))
+
 
 Nat = Union[int, LogMagnitude]
 
@@ -127,11 +137,13 @@ def nat_ln_interval(x: Nat) -> Tuple[float, float]:
 
 def nat_value_interval(x: Nat) -> Tuple[float, float]:
     """Float bounds on the value of x; hi may be inf.  An int of at most 1023
-    bits converts to float without overflow and bounds itself."""
+    bits converts to float without overflow, and an end steps outward where
+    the conversion rounds (an int compares exactly with a float)."""
     if isinstance(x, LogMagnitude):
         return x.value_interval()
     if x.bit_length() <= 1023:
-        return (x, x)
+        f = float(x)
+        return (f if f <= x else _down(f), f if f >= x else _up(f))
     return (2.0 ** 1023, _INF)
 
 
@@ -140,21 +152,18 @@ def log_factorial(x: Nat) -> LogMagnitude:
 
     Accepts either an exact integer or an already log-space magnitude.
     """
+    if isinstance(x, int) and x < 1:
+        raise PreconditionError("log_factorial needs x >= 1")
+    if isinstance(x, int) and x <= 2000:
+        return LogMagnitude.from_int(math.factorial(x))
     vlo, vhi = nat_value_interval(x)
-    if isinstance(x, int):
-        if x < 1:
-            raise PreconditionError("log_factorial needs x >= 1")
-        if x <= 2000:
-            v = math.lgamma(x + 1)
-            return LogMagnitude(_down(v * (1 - 1e-13) - 1e-13), _up(v * (1 + 1e-13) + 1e-13))
-        if vhi != _INF:
-            lnx_lo, lnx_hi = ln_int_interval(x)
-            return LogMagnitude(_down(x * lnx_lo - x), _up((x - 1) * lnx_hi))
-    # x in log space or beyond float range: ln x! in [v(ln x - 1), v ln x]
-    # with v any bound on the value of x.
     ln_lo, ln_hi = nat_ln_interval(x)
-    lo = _down(vlo * (ln_lo - 1.0))
-    hi = _up(vhi * ln_hi)
+    if isinstance(x, int) and vhi != _INF:
+        lo, hi = _down(x * ln_lo - x), _up((x - 1) * ln_hi)
+    else:
+        # x in log space or beyond float range: ln x! in [v(ln x - 1), v ln x]
+        # with v any bound on the value of x.
+        lo, hi = _down(vlo * (ln_lo - 1.0)), _up(vhi * ln_hi)
     if hi >= LN_SAT:  # inf included
         return LogMagnitude.saturate(max(lo, 0.0))
     return LogMagnitude(lo, hi)
@@ -508,12 +517,10 @@ def _mu_sample_rows(samples: Sequence[ApproximationSample]):
 
 def _nat_ratio(num: LogMagnitude, den: Nat) -> Optional[Tuple[float, float]]:
     """Interval of value(num)/value(den) computed in log space."""
-    nlo, nhi = num.ln_interval()
-    dlo, dhi = nat_ln_interval(den)
-    lo_exp, hi_exp = _down(nlo - dhi), _up(nhi - dlo)
-    if math.isnan(lo_exp) or math.isnan(hi_exp):
+    ratio = num.div(den)
+    if math.isnan(ratio.ln_lo) or math.isnan(ratio.ln_hi):
         return None  # inf - inf: both saturated with no structural cancellation
-    return LogMagnitude(lo_exp, hi_exp).value_interval()
+    return ratio.value_interval()
 
 
 # ---------------------------------------------------------------------------
@@ -661,60 +668,45 @@ class Preset:
 
 def _factorial_series_samples(base: int) -> Iterator[ApproximationSample]:
     """Partial sums of sum 1/base^{k!}: denominators s_m = base^{m!}."""
-    lnb = math.log(base)
-    ln2 = math.log(2)
+    ln_b, ln_2 = ln_int_interval(base), ln_int_interval(2)
     for m in count(1):
         f_m = math.factorial(m)
-        gap = f_m * m  # (m+1)! - m!
-        try:
-            g = float(gap)
-        except OverflowError:
+        g_lo, g_hi = nat_value_interval(f_m * m)  # (m+1)! - m!
+        if g_hi == _INF:
             return
-        if f_m * math.log2(base) <= 4096:
-            q: Nat = base ** f_m
-        else:
-            lq = float(f_m) * lnb
-            q = LogMagnitude(_down(lq * (1 - 1e-12)), _up(lq * (1 + 1e-12)))
+        q: Nat = base ** f_m if f_m * math.log2(base) <= 4096 else log_pow(base, f_m)
         # ||s_m alpha|| is within a factor 2 of s_m/s_{m+1}, so
         # -ln||s_m alpha|| lies in [gap*ln(base) - ln 2, gap*ln(base)].
-        v_lo = g * lnb - ln2
-        v_hi = g * lnb
+        v_lo, v_hi = _down(_down(g_lo * ln_b[0]) - ln_2[1]), _up(g_hi * ln_b[1])
         if v_lo <= 0:
             return
-        nld = LogMagnitude(_down(math.log(v_lo * (1 - 1e-12))),
-                           _up(math.log(v_hi * (1 + 1e-12))))
-        yield ApproximationSample(f"m={m}", q, nld)
+        yield ApproximationSample(f"m={m}", q, LogMagnitude(*_ln_outward(v_lo, v_hi)))
 
 
 def _tower_series_samples(base: int) -> Iterator[ApproximationSample]:
     """Partial sums of sum 1/EXP_k(base): denominators s_m = EXP_m(base)."""
-    lnb = math.log(base)
-    ln2 = math.log(2)
+    ln_b, ln_2 = ln_int_interval(base), ln_int_interval(2)
     e = 1  # s_m = base ** e; the exponent stays an exact int far past s_m itself
     for m in count(1):
-        ln_s = e * lnb
-        if e * math.log2(base) <= 53:
-            q: Nat = base ** e
-        else:
-            q = LogMagnitude(_down(ln_s * (1 - 1e-12)), _up(ln_s * (1 + 1e-12)))
-        # -ln||s_m alpha|| = ln(s_{m+1}/s_m) - [0, ln 2],  s_{m+1} = base^{s_m}
+        # -ln||s_m alpha|| = ln(s_{m+1}/s_m) - [0, ln 2] = (s_m - e) ln(base) - [0, ln 2]
         if e * math.log2(base) <= 900:
-            s_val = float(base ** e)  # exact power, one float rounding
-            v_lo = (s_val - e) * lnb - ln2
-            v_hi = (s_val - e) * lnb
-            nld = LogMagnitude(_down(math.log(v_lo * (1 - 1e-12))),
-                               _up(math.log(v_hi * (1 + 1e-12))))
+            q: Nat = base ** e
+            s_lo, s_hi = nat_value_interval(q)
+            g_lo, g_hi = nat_value_interval(q - e)
+            v_lo, v_hi = _down(_down(g_lo * ln_b[0]) - ln_2[1]), _up(g_hi * ln_b[1])
+            nld = LogMagnitude(*_ln_outward(v_lo, v_hi))
+            ratio = (_down(v_lo / s_hi), _up(v_hi / s_lo))
         else:
-            # ln(-ln dist) = ln s_m + ln ln(base) up to a relatively tiny term
-            pad = abs(ln_s) * 1e-12 + 1e-9
-            nld = LogMagnitude(_down(ln_s + math.log(lnb) - pad),
-                               _up(ln_s + math.log(lnb) + pad))
-        # ratio (-ln dist)/s_m = ln(base) - (ln s_m + [0, ln 2])/s_m, bounded
-        # directly so no precision is lost dividing log-space magnitudes
-        corr = (ln_s + ln2) * math.exp(-min(ln_s, 700.0)) * 1.01 + 1e-15
-        r_lo = _down((lnb - corr) * (1 - 1e-12))
-        r_hi = _up(lnb * (1 + 1e-12))
-        yield ApproximationSample(f"m={m}", q, nld, ratio_bounds=(r_lo, r_hi))
+            # Past s_m = 2^900, e ln(base) and ln 2 move ln(-ln dist) below
+            # ln s_m + ln ln(base), and the ratio (-ln dist)/s_m below ln(base),
+            # by under 2^-800: far below half an ulp, so one more step down
+            # covers them.  (The generic log-space quotient would lose
+            # precision here, both its parts being huge.)
+            q = log_pow(base, e)
+            nld = q.mul(LogMagnitude(*_ln_outward(*ln_b)))
+            nld = LogMagnitude(_down(nld.ln_lo), nld.ln_hi)
+            ratio = (_down(ln_b[0]), ln_b[1])
+        yield ApproximationSample(f"m={m}", q, nld, ratio_bounds=ratio)
         if e * math.log2(base) > 1000:
             return
         e = base ** e
@@ -722,22 +714,16 @@ def _tower_series_samples(base: int) -> Iterator[ApproximationSample]:
 
 def _double_tower_series_samples() -> Iterator[ApproximationSample]:
     """Partial sums of sum 1/b_n with b_n = EXP_{2^n}(2^n)."""
-    ln2 = math.log(2)
+    ln_2 = ln_int_interval(2)
     for m in count(1):
         b_m = exp_tower(2 ** m, 2 ** m)
-        b_m1 = exp_tower(2 ** (m + 1), 2 ** (m + 1))
-        lm_lo, lm_hi = nat_ln_interval(b_m)
-        ln_lo, ln_hi = nat_ln_interval(b_m1)
-        if ln_hi == _INF or lm_hi == _INF:
-            return
+        b_m1 = LogMagnitude(*nat_ln_interval(exp_tower(2 ** (m + 1), 2 ** (m + 1))))
         # -ln||b_m alpha|| = ln(b_{m+1}/b_m) - [0, ln 2]
-        v_lo = ln_lo - lm_hi - ln2
-        v_hi = ln_hi - lm_lo
-        if v_lo <= 0:
+        v_lo, v_hi = b_m1.div(b_m).ln_interval()
+        v_lo = _down(v_lo - ln_2[1])
+        if v_hi == _INF or v_lo <= 0:
             return
-        nld = LogMagnitude(_down(math.log(v_lo * (1 - 1e-9))),
-                           _up(math.log(v_hi * (1 + 1e-9))))
-        yield ApproximationSample(f"m={m}", b_m, nld)
+        yield ApproximationSample(f"m={m}", b_m, LogMagnitude(*_ln_outward(v_lo, v_hi)))
 
 
 def _tower_cf_terms(base: int) -> Iterator[Nat]:
@@ -766,19 +752,32 @@ def _nested_tower_cf_terms() -> Iterator[Nat]:
         yield exp_tower(n, n)
 
 
+def _targeted_log_term(beta: LogMagnitude, q: Nat) -> LogMagnitude:
+    """a = floor(beta^q / q) as a log magnitude, for beta > 1 given as one and
+    q log2(beta) > DEFAULT_BIT_BUDGET."""
+    y = log_pow(beta, q).div(q)
+    # ln floor(y) >= ln y - 2/y for y >= 2; here y has about a million bits,
+    # so 2/y is far below half an ulp of ln y and one more step down covers it.
+    return LogMagnitude(_down(y.ln_lo), y.ln_hi)
+
+
 def targeted_theta_cf(beta: Fraction) -> ContinuedFraction:
     """CF with a_n = floor(beta^{q_{n-1}} / q_{n-1}); its irrationality base is beta."""
     beta = Fraction(beta)
-    if beta <= 1:
-        raise PreconditionError("targeted theta requires beta > 1")
+    if beta ** 3 < 3:
+        # below 2, q_3 = 3 (or a_3 = 0 where beta^2 < 2), and beta^q / q grows
+        # from q = 3 on: beta^3 >= 3 is exactly when no a_n is 0
+        raise PreconditionError("targeted theta requires beta^3 >= 3, so that every "
+                                "floor(beta^q / q) is at least 1")
     try:
-        ln_beta, log2_beta = math.log(beta), math.log2(beta)
+        log2_beta = math.log2(beta)
     except OverflowError as exc:
         raise PreconditionError("targeted theta requires beta below about 1.8e308") from exc
-    # beta^q has about q log2(beta) bits; beta within 1e-16 of 1 has float log 0.
-    q_exact_max = DEFAULT_BIT_BUDGET / log2_beta if log2_beta else _INF
+    # beta^q has about q log2(beta) bits
+    q_exact_max = DEFAULT_BIT_BUDGET / log2_beta
 
     def gen():
+        beta_mag = LogMagnitude(*ln_interval(beta))
         q_prev2, q_prev = 0, 1
         while True:
             if isinstance(q_prev, int) and q_prev <= q_exact_max:
@@ -786,11 +785,7 @@ def targeted_theta_cf(beta: Fraction) -> ContinuedFraction:
                 a: Nat = int(power.numerator // (power.denominator * q_prev))
                 q_next: Nat = a * q_prev + q_prev2
             else:
-                qp_lo, qp_hi = nat_value_interval(q_prev)
-                lq_lo, lq_hi = nat_ln_interval(q_prev)
-                lo = _down(qp_lo * ln_beta - lq_hi - 1e-9)
-                hi = _up(qp_hi * ln_beta - lq_lo) if qp_hi != _INF else _INF
-                a = LogMagnitude.saturate(lo) if (hi == _INF or hi >= LN_SAT) else LogMagnitude(lo, hi)
+                a = _targeted_log_term(beta_mag, q_prev)
                 q_next = _log_step(a, q_prev, q_prev2)
             yield a
             q_prev2, q_prev = q_prev, q_next

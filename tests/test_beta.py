@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -93,6 +94,25 @@ def test_series_root_refine_reuses_truncation():
     m1 = sr._m
     sr.refine(Fraction(1, 10 ** 45))
     assert sr._m == m1
+
+
+def test_series_root_refines_a_coarse_pair_whose_gap_is_within_tol():
+    """The stream 1 1 1 ... under max digit 2^15, from m0 = 16, at tol =
+    5/2^51: the pair at m = 64 is built coarse, to w^2 2^-GUARD_BITS > tol/4,
+    and its enclosures lie 0.4 tol apart.  A gap within tol is refined to
+    tol/4 at once, so m = 64 is the last truncation; a gap left unrefined
+    (a threshold of tol/8) would take m on to 128."""
+    tol, M = Fraction(5, 1 << 51), 1 << 15
+    sr = SeriesRoot(lambda n: 1, M, m0=16)
+    with mock.patch.object(SeriesRoot, "_build", autospec=True,
+                           side_effect=SeriesRoot._build) as build:
+        assert sr.refine(tol).width <= tol
+    assert [m for m, _ in sr.history] == [16, 32, 64]
+    coarse = build.call_args.args[1]
+    assert coarse > tol / 4
+    low = beta_root_finite((1,) * 64, coarse)
+    high = beta_root_periodic(PeriodicWord.make((1,) * 64, (M,)), coarse)
+    assert tol / 8 < high.enclosure.lo - low.enclosure.hi <= tol
 
 
 def test_positive_root_series_interface():

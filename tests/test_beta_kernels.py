@@ -553,6 +553,36 @@ def test_tail_bound_takes_the_largest_coefficient_left_out(k):
         assert _sign_kernel(F)(2 << k, k) == -1
 
 
+def _greedy_digits_short_of_one(m: int, k: int, n: int):
+    """The greedy digits a_1..a_n of 1 - x^-n in base x = m/2^k in (1, 2):
+    their sum sum a_i x^-i falls short of 1 by x^-n (1 + r), 0 <= r < 1.
+    The remainder after i digits is P / (m^n 2^(ki))."""
+    D = m ** n
+    P, out = D - (1 << (k * n)), []
+    for i in range(1, n + 1):
+        P *= m
+        out.append(int(P >= D << (k * i)))
+        P -= out[-1] * (D << (k * i))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
+def test_tail_bound_divides_by_x_minus_one(k):
+    """x = 1 + 2^-k and a word of 0/1 digits: the greedy digits of 1 - x^-n,
+    n the head length at x, then n ones that take the sum past 1.  The head
+    polynomial's value G = 1 + r lies within the factor x/(x - 1) of the
+    tail bound, G (x - 1) <= C = 1 < G x, so a tail bound without the factor
+    x - 1 would certify the head's wrong sign."""
+    m = (1 << k) + 1
+    n = _head_length(1 << 20, 1, float("inf"), m, k)
+    F = finite_annihilator(_greedy_digits_short_of_one(m, k, n) + [1] * n)
+    A = beta._exact(F, m, k, n)  # 2^(kn) G(x)
+    assert abs(A) * (m - (1 << k)) <= 1 << (k * (n + 1)) < abs(A) * m
+    assert fraction_poly_sign(F, Fraction(m, 1 << k)) == -1
+    for G in (F, descending_terms(F)):
+        assert _head_sign(G, 1, float("inf"), m, k) == -1
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_sparse_tail_bound_takes_the_largest_coefficient_left_out(k):
     """x = 2 = (2 << k)/2^k and the sparse word with a_1 = 1,

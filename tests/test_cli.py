@@ -291,6 +291,9 @@ def test_exit_code_certification(capsys):
     # a targeted preset whose base is past the float range
     (["classify", "--preset", "targeted:1e400"], None, cli.EXIT_PRECONDITION),
     (["measure", "mu", "--preset", "targeted:1e400"], None, cli.EXIT_PRECONDITION),
+    # a targeted preset with beta^3 < 3, where some floor(beta^q / q) is 0
+    (["measure", "theta", "--preset", "targeted:5/4"], None, cli.EXIT_PRECONDITION),
+    (["measure", "theta", "--preset", "targeted:1.4422"], None, cli.EXIT_PRECONDITION),
     # one number named twice
     (["delta", "eval", "--alpha", "1/2", "--cf", "0,1,fib"], None, cli.EXIT_PRECONDITION),
     (["measure", "mu", "--cf", "0,1,fib", "--preset", "e", "-N", "4"], None,

@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,13 +11,18 @@ from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 from staircase.diophantine import (
+    DEFAULT_BIT_BUDGET,
     LN_SAT,
     ApproximationSample,
     ContinuedFraction,
     LogMagnitude,
     Thresholds,
+    _double_tower_series_samples,
+    _factorial_series_samples,
     _log_step,
     _nat_ratio,
+    _targeted_log_term,
+    _tower_series_samples,
     best_approx_check,
     cf_expand,
     classify,
@@ -342,6 +348,10 @@ def test_log_magnitude_mul_contains_the_ln_of_the_product(m, x):
 
 @BOUNDED
 @given(NATS, NATS)
+# an exponent past 2^53 whose float conversion rounds: the product's one
+# step outward does not cover both roundings
+@example(LogMagnitude(0.4437530933682443, 0.4437530933682443),
+         16692856828780238338333969446955761371916183303526090009542020464465214215017262)
 def test_log_pow_contains_exponent_times_ln_base(base, exponent):
     out = log_pow(base, exponent).ln_interval()
     assert all(_contains(out, e * b) for b in _lns(base) for e in _values(exponent))
@@ -349,11 +359,15 @@ def test_log_pow_contains_exponent_times_ln_base(base, exponent):
 
 @BOUNDED
 @given(st.one_of(st.integers(1, 2000), _ints(1023), INTS, LOGS))
+@example(10 ** 306)
+@example(10 ** 300)
 def test_log_factorial_contains_ln_factorial(x):
-    # every branch: lgamma up to 2000, Stirling bounds on an int in float
-    # range, and the value bounds of a bigger int or a LogMagnitude
+    # every branch: ln of the exact factorial up to 2000, Stirling bounds on
+    # an int in float range, and the value bounds of a bigger int or a
+    # LogMagnitude; near the float maximum the Stirling bounds saturate
     out = log_factorial(x).ln_interval()
     assert all(_contains(out, MP.loggamma(v + 1)) for v in _values(x))
+    assert out[1] < LN_SAT or out[1] == math.inf  # a larger log is [LN_SAT, inf)
 
 
 @BOUNDED
@@ -462,3 +476,80 @@ def test_log_space_convergents_contain_p_and_q():
     for c in convergents(golden_cf(), 9, bit_budget=0)[1:]:
         assert _contains(nat_ln_interval(c.p), MP.log(fib[c.index]))
         assert _contains(nat_ln_interval(c.q), MP.log(fib[c.index + 1]))
+
+
+# The log-space term of targeted_theta_cf: beta in (1, 1000] and q with
+# q log2(beta) past DEFAULT_BIT_BUDGET, from 10^7 to about 2e300, exact or a
+# LogMagnitude.  Its interval must hold ln(beta^q / q); ln floor(beta^q / q)
+# is smaller by under 2 q / beta^q, far below 200 bits here.
+TARGETED_BETAS = st.integers(1, 999 * 10 ** 6).map(lambda n: 1 + Fraction(n, 10 ** 6))
+
+
+def _branch_qs(beta):
+    q0 = max(10 ** 7, math.ceil(DEFAULT_BIT_BUDGET / math.log2(beta)) + 1)
+    ints = st.integers(q0.bit_length(), 997).flatmap(
+        lambda b: st.integers(max(q0, 1 << (b - 1)), (1 << b) - 1))
+    return st.one_of(ints, _logs(math.log(q0), 690.0))
+
+
+@BOUNDED
+@given(TARGETED_BETAS.flatmap(lambda b: st.tuples(st.just(b), _branch_qs(b))))
+@example((Fraction(2), 663869261710))  # a point-float ln 2 put the upper end below
+@example((Fraction(10), 803805776965))  # and a point-float ln 10 the lower end above
+def test_targeted_log_term_contains_ln_of_the_quotient(beta_q):
+    beta, q = beta_q
+    for b in (Fraction(2), beta):  # beta = 2, the preset alpha5, in every example
+        out = _targeted_log_term(LogMagnitude(*ln_interval(b)), q).ln_interval()
+        ln_b = MP.log(MP.mpf(b.numerator) / b.denominator)
+        assert all(_contains(out, v * ln_b - MP.log(v)) for v in _values(q)), (b, q)
+
+
+def test_targeted_theta_cf_needs_beta_cubed_at_least_3():
+    # below 3^(1/3) some floor(beta^q / q) is 0: at q = 2 or at q = 3
+    for beta in (Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(14422, 10000)):
+        with pytest.raises(PreconditionError, match=r"beta\^3 >= 3"):
+            targeted_theta_cf(beta)
+    cf = targeted_theta_cf(Fraction(144225, 100000))
+    assert [c.q for c in convergents(cf, 7)] == [1, 1, 2, 3, 5, 8, 21, 104 * 21 + 8]
+
+
+@pytest.mark.parametrize("samples, labels", [
+    (partial(_factorial_series_samples, 3), 169),
+    (partial(_factorial_series_samples, 10), 169),
+    (partial(_tower_series_samples, 3), 4),
+    (partial(_tower_series_samples, 10), 3),
+    (_double_tower_series_samples, 1),
+])
+def test_series_samples_run_until_their_bounds_leave_float_range(samples, labels):
+    assert [s.label for s in samples()] == [f"m={m}" for m in range(1, labels + 1)]
+
+
+def _alpha1(m):
+    """ln s_m and -ln||s_m alpha|| for alpha1 = sum 10^-k!, s_m = 10^m!."""
+    f = math.factorial(m)
+    dist = MP.fsum(MP.power(10, f - math.factorial(k)) for k in range(m + 1, m + 4))
+    return f * MP.log(10), -MP.log(dist)
+
+
+# ln s_m for alpha4 = sum 1/EXP_k(10); -ln||s_m alpha|| = ln s_(m+1) - ln s_m,
+# to 200 bits: s_(m+1)/s_(m+2) is below 10^-(10^10)
+ALPHA4_LN_S = [MP.log(10) * t for t in (1, 10, 10 ** 10, MP.power(10, 10 ** 10))]
+
+
+def _sample_holds(s, ln_s, neg_log_dist):
+    assert _contains(nat_ln_interval(s.q), ln_s), s
+    assert _contains(s.neg_log_dist.ln_interval(), MP.log(neg_log_dist)), s
+    assert s.ratio_bounds is None or _contains(s.ratio_bounds, neg_log_dist / MP.exp(ln_s)), s
+
+
+def test_series_samples_contain_their_values():
+    for m, s in enumerate(lookup_preset("alpha1").samples(25), start=1):
+        _sample_holds(s, *_alpha1(m))
+    samples = lookup_preset("alpha4").samples(5)
+    assert len(samples) == 3
+    for m, s in enumerate(samples):
+        _sample_holds(s, ALPHA4_LN_S[m], ALPHA4_LN_S[m + 1] - ALPHA4_LN_S[m])
+    # alpha7: b_1 = EXP_2(2) = 4 and b_2 = EXP_4(4) = 4^(4^256), b_2/b_3 tiny
+    s, = lookup_preset("alpha7").samples(5)
+    assert s.q == 4
+    _sample_holds(s, MP.log(4), (MP.mpf(4) ** 256 - 1) * MP.log(4))
