@@ -375,18 +375,8 @@ class RefinableRoot:
         self._j, self._K, self._k = n - 1, 0, 0
 
     @classmethod
-    def from_finite_word(cls, digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> "RefinableRoot":
-        return beta_root_finite(digits, tol)
-
-    @classmethod
     def from_periodic_word(cls, w: PeriodicWord, tol: Fraction = DEFAULT_TOL) -> "RefinableRoot":
         return beta_root_periodic(w, tol)
-
-    @classmethod
-    def from_integer(cls, b: int) -> "RefinableRoot":
-        if b < 2:
-            raise PreconditionError("integer base must be >= 2")
-        return cls((-b, 1), b)
 
     @property
     def bracket(self) -> Bracket:
@@ -473,14 +463,13 @@ class RefinableRoot:
         self._j, self._K, self._k = j, K, K
 
 
-# Earlier names: a root as a handle on the base beta, and its bracketing.
-BetaHandle = _bracket = RefinableRoot
+# An earlier name: a root as a handle on the base beta.
+BetaHandle = RefinableRoot
 
 
 def _certified_root(F: IntPoly, a1: int, tol: Fraction, seed: Optional[Bracket]) -> RefinableRoot:
     rr = RefinableRoot(F, a1, seed)
-    if rr.exact is None:
-        rr.refine(tol)
+    rr.refine(tol)
     return rr
 
 
@@ -530,8 +519,9 @@ class SeriesRoot:
     Doubling m about squares the width w, so a new pair is built coarse, to
     max(tol/4, w^2 2^-GUARD_BITS); m doubles again unrefined where the gap
     between its roots exceeds tol, else both go to tol/4.  The final m and
-    enclosure are those of refining every pair to tol/4, as the last
-    sandwich lies inside the earlier ones; only earlier history is wider.
+    enclosure are those of refining every pair to tol/4, as the last sandwich
+    lies inside the earlier ones; only earlier history is wider.  As in
+    ``RefinableRoot.refine``, tol <= 0 is refused and a met tol refines nothing.
     """
 
     def __init__(self, digit: Callable[[int], int], max_digit: int, m0: int = 32):
@@ -560,6 +550,11 @@ class SeriesRoot:
         self._high = beta_root_periodic(high_word, tol)
 
     def refine(self, tol: Fraction) -> Enclosure:
+        tol = Fraction(tol)
+        if tol <= 0:
+            raise PreconditionError("tolerance must be positive")
+        if self.enclosure is not None and self.enclosure.width <= tol:
+            return self.enclosure
         while True:
             while self._low is None or self._high is None:
                 if self._m > MAX_WORD_LENGTH:
@@ -694,7 +689,9 @@ def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1)) -> Tup
     Returns (digits, terminated): ``terminated`` is True when the orbit of x
     hits 0 exactly (certified through the annihilator), in which case the
     digit word is the complete finite expansion.  Floors are decided by
-    interval evaluation with on-demand refinement.
+    interval evaluation with on-demand refinement.  On a reducible annihilator
+    an orbit value that is an integer at beta need not reduce to a constant:
+    its floor is never decided, and the CertificationError is spurious.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -723,13 +720,7 @@ def _decide_floor(r: List[int], beta: RefinableRoot, den: int, iv: Interval) -> 
     def floor() -> Optional[int]:
         _, lo, hi, s = _interval(r, beta, iv)
         f_lo = (lo >> s) // den
-        f_hi = (hi >> s) // den
-        if f_lo == f_hi:
-            return f_lo
-        # Could the value be exactly the integer f_hi?
-        if f_hi == f_lo + 1 and not _poly_sub_const(r, f_hi * den):
-            return f_hi
-        return None
+        return f_lo if f_lo == (hi >> s) // den else None
 
     return _refine_root_until(floor, beta, "greedy digit")
 
@@ -766,7 +757,7 @@ class OrbitPoint:
     [lo/2^s, hi/2^s] after the verdict, made an ``Enclosure`` when ``value`` is read."""
     k: int
     bounds: Tuple[int, int, int]
-    verdict: str  # "interior" | "outside" | "zero" | "boundary-low" | "boundary-high"
+    verdict: str  # "interior" | "outside" | "zero" | "boundary-low"
 
     @property
     def value(self) -> Enclosure:
@@ -778,8 +769,9 @@ def extremal_orbit_check(beta: RefinableRoot, k_max: int) -> List[OrbitPoint]:
     """Certify, for k = 1..k_max, where T^k(1) sits relative to the band
     (1 - 1/beta, 1), T being x -> beta*x mod 1.
 
-    Each verdict is exact: "zero" and the boundary cases are detected through
-    zero reduced polynomials, the strict cases through interval signs.
+    Each verdict is exact: "zero" and "boundary-low" are detected through
+    zero reduced polynomials, the strict cases through interval signs.  T^k(1)
+    is never the upper edge 1: a constant orbit value is its own floor.
     Stops after a "zero" verdict (the orbit is then constant 0).  The interval
     of T^k(1) is carried (``_orbit_step``), and so are both band edges.
     """
@@ -802,8 +794,6 @@ def _band_verdict(r: List[int], beta: RefinableRoot, iv: Interval) -> str:
     F = _modulus(beta)
     upper = _poly_sub_const(r, 1)
     lower = _poly_sub_const(_poly_times_x(upper, F), -1)
-    if not upper:
-        return "boundary-high"
     if not lower:
         return "boundary-low"
 

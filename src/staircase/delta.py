@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .beta import (MAX_WORD_LENGTH, BetaHandle, Bracket, SeriesRoot, beta_root_finite,
+from .beta import (MAX_WORD_LENGTH, Bracket, RefinableRoot, SeriesRoot, beta_root_finite,
                    beta_root_periodic)
 from .diophantine import ContinuedFraction, _down, _up, ln_interval
 from .errors import CertificationError, PreconditionError
@@ -47,7 +47,7 @@ class DeltaValue:
 
     slope: Union[Fraction, ContinuedFraction]
     word: Union[Word, PeriodicWord]
-    handle: Union[BetaHandle, SeriesRoot]
+    handle: Union[RefinableRoot, SeriesRoot]
     stream: Optional["StaircaseDigitStream"] = None
 
     @property
@@ -59,9 +59,7 @@ class DeltaValue:
         return self.handle.enclosure
 
     def refine(self, tol: Fraction) -> Enclosure:
-        if self.enclosure.width > tol:
-            self.handle.refine(Fraction(tol))
-        return self.enclosure
+        return self.handle.refine(tol)
 
 
 def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
@@ -83,7 +81,7 @@ def delta_rational(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
         # Integer slope b - 1: the value is the integer b, the exact root of
         # x - b, whose expansion of 1 is the single digit b (the degenerate
         # base 1 at slope 0 included).
-        return DeltaValue(alpha, (b,), BetaHandle((-b, 1), b))
+        return DeltaValue(alpha, (b,), RefinableRoot((-b, 1), b))
     digits = bzb_word(b, p, q)
     return DeltaValue(alpha, digits, beta_root_finite(digits, tol, seed))
 
@@ -114,7 +112,7 @@ def delta_right_limit(alpha: Fraction, tol: Fraction = RATIONAL_TOL,
     alpha = Fraction(alpha)
     word = right_limit_word(alpha, left_word)
     if alpha == 0:
-        return DeltaValue(alpha, word, BetaHandle((-1, 1), 1))
+        return DeltaValue(alpha, word, RefinableRoot((-1, 1), 1))
     return DeltaValue(alpha, word, beta_root_periodic(word, tol, seed))
 
 
@@ -130,11 +128,11 @@ class JumpValue:
 
     def certify_positive(self) -> Enclosure:
         """Refine both sides until the jump's lower bound is positive."""
-        _apart(self.left, self.right, 40, 4000, f"sign of the jump at {self.slope}")
+        _apart(self.left, self.right, 40, f"sign of the jump at {self.slope}")
         return self.enclosure
 
 
-def _apart(x: DeltaValue, y: DeltaValue, bits: int, rounds: int, what: str) -> None:
+def _apart(x: DeltaValue, y: DeltaValue, bits: int, what: str) -> None:
     """Refine x and y until x.hi < y.lo, decided on integer brackets, from the
     tolerance max(2^-bits, the lesser width) over 2^16 per round."""
     X, Y = x.handle, y.handle
@@ -144,7 +142,7 @@ def _apart(x: DeltaValue, y: DeltaValue, bits: int, rounds: int, what: str) -> N
         return True if xb << yk < ya << xk else None
 
     ks = [k if a < b else bits for a, b, k in (X.bracket, Y.bracket)]
-    refine_until(verdict, (X, Y), Fraction(1, 1 << min(bits, max(ks))), 2 ** 16, rounds, what)
+    refine_until(verdict, (X, Y), Fraction(1, 1 << min(bits, max(ks))), 2 ** 16, 4000, what)
 
 
 def jump(alpha: Fraction, tol: Fraction = RATIONAL_TOL) -> JumpValue:
@@ -261,7 +259,7 @@ def sweep(lo: Fraction, hi: Fraction, max_den: int,
         done[p, q] = PlotRow(c, left, right, JumpValue(c, left, right).certify_positive().lo)
     rows = [done[c.numerator, c.denominator] for c in slopes]
     for x, y in zip(rows, rows[1:]) if certify_order else ():
-        _apart(x.delta, y.delta, 50, 4000, f"order of Delta at {x.slope} and {y.slope}")
+        _apart(x.delta, y.delta, 50, f"order of Delta at {x.slope} and {y.slope}")
     return rows
 
 

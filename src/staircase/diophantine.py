@@ -159,7 +159,7 @@ def log_factorial(x: Nat) -> LogMagnitude:
     vlo, vhi = nat_value_interval(x)
     ln_lo, ln_hi = nat_ln_interval(x)
     if isinstance(x, int) and vhi != _INF:
-        lo, hi = _down(x * ln_lo - x), _up((x - 1) * ln_hi)
+        lo, hi = _down(_down(vlo * ln_lo) - vhi), _up(_up(vhi - 1.0) * ln_hi)
     else:
         # x in log space or beyond float range: ln x! in [v(ln x - 1), v ln x]
         # with v any bound on the value of x.
@@ -694,6 +694,8 @@ def _tower_series_samples(base: int) -> Iterator[ApproximationSample]:
             s_lo, s_hi = nat_value_interval(q)
             g_lo, g_hi = nat_value_interval(q - e)
             v_lo, v_hi = _down(_down(g_lo * ln_b[0]) - ln_2[1]), _up(g_hi * ln_b[1])
+            if v_lo <= 0:
+                return
             nld = LogMagnitude(*_ln_outward(v_lo, v_hi))
             ratio = (_down(v_lo / s_hi), _up(v_hi / s_lo))
         else:

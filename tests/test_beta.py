@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from staircase.beta import (
     BetaHandle,
+    RefinableRoot,
     SeriesRoot,
     beta_root_finite,
     beta_root_periodic,
@@ -23,7 +24,8 @@ from staircase.beta import (
     positive_root_series,
     quasi_greedy_of_finite,
 )
-from staircase.delta import delta_rational, delta_right_limit
+from staircase.delta import StaircaseDigitStream, delta_rational, delta_right_limit
+from staircase.diophantine import sqrt2_minus_1_cf
 from staircase.errors import PreconditionError
 from staircase.intervals import Enclosure, refine_until
 from staircase.words import PeriodicWord, is_parry_admissible, lex_compare
@@ -115,6 +117,26 @@ def test_series_root_refines_a_coarse_pair_whose_gap_is_within_tol():
     assert tol / 8 < high.enclosure.lo - low.enclosure.hi <= tol
 
 
+def test_series_root_refines_a_coarse_pair_whose_gap_is_over_half_tol():
+    """The staircase stream of sqrt(2) - 1 under max digit 2^14, from m0 = 32,
+    at tol = 2/10^22: the coarse pair at m = 128 lies 0.53 tol apart.  A gap
+    within tol is refined to tol/4 at once, so m = 128 is the last truncation;
+    a gap left unrefined (a threshold of tol/2) would take m on to 256."""
+    tol, M = Fraction(2, 10 ** 22), 1 << 14
+    stream = StaircaseDigitStream(sqrt2_minus_1_cf())
+    sr = SeriesRoot(stream.digit, M, m0=32)
+    with mock.patch.object(SeriesRoot, "_build", autospec=True,
+                           side_effect=SeriesRoot._build) as build:
+        assert sr.refine(tol).width <= tol
+    assert [m for m, _ in sr.history] == [32, 64, 128]
+    coarse = build.call_args.args[1]
+    assert coarse > tol / 4
+    digits = tuple(stream.digit(n) for n in range(1, 129))
+    low = beta_root_finite(digits, coarse)
+    high = beta_root_periodic(PeriodicWord.make(digits, (M,)), coarse)
+    assert tol / 2 < high.enclosure.lo - low.enclosure.hi <= tol
+
+
 def test_positive_root_series_interface():
     enc, hist = positive_root_series(lambda n: 1, 1, Fraction(1, 10 ** 9), m0=4)
     assert enc.lo <= Fraction(1, 2) < enc.hi
@@ -132,13 +154,13 @@ def test_series_root_lengthens_a_truncation_of_root_one():
 
 def test_greedy_digits_roundtrip_finite():
     digits = (2, 0, 1)
-    h = BetaHandle.from_finite_word(digits, TOL)
+    h = beta_root_finite(digits, TOL)
     got, terminated = greedy_digits(h, 10)
     assert terminated and got == digits
 
 
 def test_greedy_digits_integer_base():
-    h = BetaHandle.from_integer(3)
+    h = RefinableRoot((-3, 1), 3)
     got, terminated = greedy_digits(h, 5, Fraction(5, 9))
     assert got[:2] == (1, 2) and terminated
 
@@ -166,7 +188,7 @@ def test_greedy_digits_periodic_word():
 
 def test_greedy_output_is_parry_admissible():
     for digits in [(1, 1), (2, 0, 1), (3, 1, 2), (1, 0, 0, 1)]:
-        h = BetaHandle.from_finite_word(digits, TOL)
+        h = beta_root_finite(digits, TOL)
         got, _ = greedy_digits(h, len(digits) + 2)
         assert is_parry_admissible(got)
 
@@ -179,7 +201,7 @@ def test_quasi_greedy_of_finite():
 
 
 def test_extremal_orbit_golden():
-    h = BetaHandle.from_finite_word((1, 1), TOL)
+    h = beta_root_finite((1, 1), TOL)
     pts = extremal_orbit_check(h, 4)
     # T(1) = beta - 1 = 1/beta sits strictly inside (1 - 1/beta, 1);
     # the orbit then terminates at zero
@@ -208,7 +230,7 @@ def test_rejects_bad_digit_words():
     with pytest.raises(PreconditionError):
         beta_root_finite((1, 0, 0))  # root 1 is outside the base range
     with pytest.raises(PreconditionError):
-        greedy_digits(BetaHandle.from_finite_word((1, 1), TOL), 3, Fraction(2))
+        greedy_digits(beta_root_finite((1, 1), TOL), 3, Fraction(2))
 
 
 def test_beta_root_periodic_finite_word():
@@ -227,7 +249,7 @@ def test_zero_period_handle_is_the_finite_word_handle(word, verdicts):
     h = BetaHandle.from_periodic_word(PeriodicWord.from_finite(word), Fraction(1, 2 ** 24))
     assert greedy_digits(h, 6) == (word, True)
     assert h.annihilator == finite_annihilator(word)
-    finite = BetaHandle.from_finite_word(word, Fraction(1, 2 ** 24))
+    finite = beta_root_finite(word, Fraction(1, 2 ** 24))
     assert [p.verdict for p in extremal_orbit_check(finite, 6)] == verdicts
     assert [p.verdict for p in extremal_orbit_check(h, 6)] == verdicts
 
@@ -237,9 +259,9 @@ def test_orbit_of_an_integer_root_reaches_zero(word, n):
     # x^2 - x - 2 = (x - 2)(x + 1) and x^2 - 2x - 3 = (x - 3)(x + 1): the
     # orbit value beta - n vanishes at the root n but not modulo F, so
     # orbits reduce modulo x - n, and F stays the bracketed polynomial
-    h = BetaHandle.from_finite_word(word)
+    h = beta_root_finite(word)
     assert h.exact == n and h.annihilator == finite_annihilator(word)
-    assert greedy_digits(h, 5) == greedy_digits(BetaHandle.from_integer(n), 5) == ((n,), True)
+    assert greedy_digits(h, 5) == greedy_digits(RefinableRoot((-n, 1), n), 5) == ((n,), True)
     assert greedy_digits(h, 5, Fraction(1, n)) == ((1,), True)
     [point] = extremal_orbit_check(h, 4)
     assert (point.k, point.value, point.verdict) == (1, Enclosure.exact(Fraction(0)), "zero")
@@ -261,10 +283,10 @@ def test_greedy_round_trips_of_long_words(q, draw_p, b):
 
 
 def test_handle_annihilator_is_the_bracketed_polynomial():
-    for h, F in [(BetaHandle.from_finite_word((2, 0, 1), TOL), finite_annihilator((2, 0, 1))),
+    for h, F in [(beta_root_finite((2, 0, 1), TOL), finite_annihilator((2, 0, 1))),
                  (BetaHandle.from_periodic_word(PeriodicWord.make((2,), (1,)), TOL),
                   periodic_annihilator(PeriodicWord.make((2,), (1,)))),
-                 (BetaHandle.from_integer(3), (-3, 1))]:
+                 (RefinableRoot((-3, 1), 3), (-3, 1))]:
         assert h.annihilator == F
         value = lambda x: sum(c * x ** i for i, c in enumerate(F))  # noqa: E731
         if h.exact is not None:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from staircase import beta
 from staircase.beta import (FILTER_WORK, GUARD_BITS, JUMP_FROM_BITS, SPARSE_FROM_BITS,
-                            RefinableRoot, _bracket, _certified_root, _filtered_sign,
+                            RefinableRoot, _certified_root, _filtered_sign,
                             _head_length, _head_sign, _horner, _poly_sign, _refine_root_until,
                             _sign_kernel,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
@@ -194,7 +194,7 @@ jump_words = st.one_of(
 
 
 def _bisected(F, a1, K):
-    rr = _bracket(F, a1)
+    rr = RefinableRoot(F, a1)
     rr._halve(K)
     return rr
 
@@ -207,7 +207,7 @@ def _bisected(F, a1, K):
 @example(bzb_word(3, 43, 44), 70)  # Delta(131/44)
 def test_newton_jump_lands_on_the_bisection_cell(word, K):
     F, a1 = _root_of(word)
-    rr = _bracket(F, a1)
+    rr = RefinableRoot(F, a1)
     assume(rr.exact is None)
     rr._halve(JUMP_FROM_BITS)
     rr._jump(K)
@@ -222,7 +222,7 @@ def test_jump_from_a_coarse_cell_returns(word):
     """Below a 2^-8 start Newton's precision schedule bottoms out at 16 bits,
     so a jump from a 2^-4 cell ends, on the bisection cell."""
     F, a1 = _root_of(word)
-    rr = _bracket(F, a1)
+    rr = RefinableRoot(F, a1)
     rr._halve(4)
     rr._jump(100)
     assert rr.bracket == _bisected(F, a1, 100).bracket
@@ -237,7 +237,7 @@ def test_jump_steps_to_the_neighbour_cell(word, cells_off):
     newton = beta._newton
     with mock.patch.object(beta, "_newton",
                            lambda F, x, p, P: newton(F, x, p, P) + (cells_off << GUARD_BITS)):
-        rr = _bracket(F, a1)
+        rr = RefinableRoot(F, a1)
         rr._halve(JUMP_FROM_BITS)
         rr._jump(150)
     assert rr.bracket == _bisected(F, a1, 150).bracket
@@ -251,7 +251,7 @@ def test_wrong_newton_guess_still_certifies(word, K, cells_off):
     """A guess moved by some cells, far off, or missing still ends on the
     bisection cell: a neighbour step, the clamp, or bisection mends it."""
     F, a1 = _root_of(word)
-    assume(_bracket(F, a1).exact is None)
+    assume(RefinableRoot(F, a1).exact is None)
     newton = beta._newton
 
     def wrong(F, x, p, P):
@@ -260,7 +260,7 @@ def test_wrong_newton_guess_still_certifies(word, K, cells_off):
         return newton(F, x, p, P) + (cells_off << GUARD_BITS)
 
     with mock.patch.object(beta, "_newton", wrong):
-        rr = _bracket(F, a1)
+        rr = RefinableRoot(F, a1)
         rr.refine(Fraction(1, 1 << K))
     assert rr.bracket == _bisected(F, a1, K).bracket
     a, b, _ = rr.bracket
@@ -301,7 +301,7 @@ def test_sparse_jump_lands_on_the_bisection_cell(word, steps):
     F, a1 = _root_of(word)
     assert 4 * sum(map(bool, F)) <= len(F)
     start = (len(F) - 1).bit_length() + SPARSE_FROM_BITS
-    rr = _bracket(F, a1)
+    rr = RefinableRoot(F, a1)
     rr._halve(start)
     rr._jump(start + steps)
     assert rr.bracket == _bisected(F, a1, start + steps).bracket
@@ -339,7 +339,7 @@ def test_repeated_refinement_ends_on_the_bisection_cells(word, rounds, fault):
     also when Newton's guess is missing or some cells off: a jump that fails
     certifies nothing deeper."""
     F, a1 = _root_of(word)
-    assume(_bracket(F, a1).exact is None)
+    assume(RefinableRoot(F, a1).exact is None)
     newton = beta._newton
 
     def faulty(F, x, p, P):
@@ -347,9 +347,9 @@ def test_repeated_refinement_ends_on_the_bisection_cells(word, rounds, fault):
             return None
         return newton(F, x, p, P) + (fault << GUARD_BITS)
 
-    reference = _bracket(F, a1)
+    reference = RefinableRoot(F, a1)
     with mock.patch.object(beta, "_newton", faulty):
-        rr = _bracket(F, a1)
+        rr = RefinableRoot(F, a1)
         K = 0
         for use_steps, bits in rounds:
             if use_steps:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import staircase
 from staircase import beta
-from staircase.beta import (RefinableRoot, beta_root_finite, beta_root_periodic,
+from staircase.beta import (RefinableRoot, SeriesRoot, beta_root_finite, beta_root_periodic,
                             finite_annihilator, periodic_annihilator)
 from staircase.delta import (
     IRRATIONAL_TOL,
@@ -124,6 +124,28 @@ def test_delta_irrational_golden_matches_floor_formula():
 def test_delta_irrational_keeps_its_slope():
     cf = golden_cf()
     assert delta_irrational(cf).slope is cf
+
+
+def test_every_root_refines_under_one_contract():
+    """A tolerance <= 0 is refused before any work, by a series root, an
+    algebraic root and an exact one alike; a tolerance the enclosure already
+    meets returns that enclosure, with no new truncation in the history."""
+    d = delta_irrational(golden_cf())
+    sr = d.handle
+    with mock.patch.object(SeriesRoot, "_build", side_effect=AssertionError) as build:
+        with pytest.raises(PreconditionError, match="tolerance must be positive"):
+            d.refine(Fraction(-1))
+        with pytest.raises(PreconditionError, match="tolerance must be positive"):
+            sr.refine(Fraction(0))
+        history, enc = list(sr.history), sr.enclosure
+        assert sr.refine(enc.width) is enc and d.refine(1) is enc
+        assert sr.history == history
+    assert not build.called
+    for value in (delta_rational(Fraction(1, 3)), delta_rational(Fraction(2))):
+        with pytest.raises(PreconditionError, match="tolerance must be positive"):
+            value.refine(Fraction(0))
+    with pytest.raises(PreconditionError, match="tolerance must be positive"):
+        beta_root_finite((1, 2), Fraction(0))  # its root is the integer 2
 
 
 def test_delta_irrational_value_against_independent_root():

@@ -524,6 +524,13 @@ def test_series_samples_run_until_their_bounds_leave_float_range(samples, labels
     assert [s.label for s in samples()] == [f"m={m}" for m in range(1, labels + 1)]
 
 
+@pytest.mark.parametrize("samples", [_factorial_series_samples, _tower_series_samples])
+def test_base_two_series_end_before_their_first_sample(samples):
+    # at m = 1 the lower bound gap*ln 2 - ln 2 on -ln||2 alpha|| is 0: the
+    # factor-2 bound on ||s_m alpha|| fails there, and 0 has no log
+    assert list(samples(2)) == []
+
+
 def _alpha1(m):
     """ln s_m and -ln||s_m alpha|| for alpha1 = sum 10^-k!, s_m = 10^m!."""
     f = math.factorial(m)
