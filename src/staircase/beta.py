@@ -8,14 +8,14 @@ for a digit sequence (a_n) with a_1 >= 1.  Its unique root is enclosed with
 exact integer sign tests, so enclosures are proofs: the root lies in [lo, hi]
 because g(lo) > 0 and g(hi) < 0 are integer facts.  Bracket endpoints are
 dyadic, m / 2^k.  A guessed bracket that sign tests certify may start one;
-bisection narrows it step by step; a longer refinement jumps to its final cell
-with a fixed-point Newton guess that sign tests then certify, and a repeated
-one goes deeper than asked, so that later requests are shifts of one certified
-cell.  For a sparse annihilator, sign tests and Newton steps run over its
-nonzero terms only.  Deep sign tests, long dense heads included, first try a
-fixed-point Horner that bounds its own error, and exact integer arithmetic
-only where it is undecided.  A series root lengthens a truncation whose
-coarse pair of roots certifies a gap over the tolerance, unrefined.
+bisection narrows it step by step; sign tests certify the cell of a float
+Newton guess on a first refinement, or of a fixed-point one on a longer
+refinement, and a repeated one goes deeper than asked, so that later requests
+are shifts of one certified cell.  For a sparse annihilator, sign tests and
+Newton steps run over its nonzero terms only.  Deep sign tests, long dense
+heads included, first try a fixed-point Horner that bounds its own error, and
+exact integer arithmetic only where it is undecided.  A series root lengthens
+a truncation whose coarse pair of roots certifies a gap over tol, unrefined.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ JUMP_HIGH_DEGREE = 256
 SPARSE_FROM_BITS = 2
 SPARSE_JUMP_WORK = 48
 GUARD_BITS = 16
+
+# A first refinement jumps from a double-precision guess (_float_root), taken
+# as good to FLOAT_BITS bits of the root's magnitude: 6 under the least seen
+# over bzb and right-limit words (q <= 500, b <= 3), 52.2 significant bits.
+FLOAT_BITS = 46
 
 # Full sign tests at deg F * k >= FILTER_WORK, and _head_sign's dense heads of
 # n coefficients at n * k >= FILTER_WORK (not sparse heads), try _filtered_sign
@@ -254,6 +259,35 @@ def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
     return x
 
 
+def _float_root(F, m: int, k: int) -> Optional[float]:
+    """A float guess x = 1/y at the root of F (as ``_newton`` takes it) by
+    Newton on H(y) = y^q F(1/y), q = deg F, whose powers of y < 1 never
+    overflow, from the cell end m/2^k left of the root (monotone for a finite
+    word).  None where a coefficient or m is past float range, the slope is
+    0, y leaves (0, 1) or is NaN, or 64 steps do not settle."""
+    try:
+        y, q = (1 << k) / m, _degree(F)
+        terms = F if isinstance(F[0], tuple) else list(compress(enumerate(F), F))[::-1]
+        terms = [(q - i, float(c)) for i, c in terms]  # by ascending power of y
+        for _ in range(64):
+            h = d = 0.0  # H(y) and y H'(y), without the powers under 2^-64
+            for e, c in terms:
+                t = y ** e
+                if t < 2.0 ** -64:
+                    break
+                h += c * t
+                d += c * e * t
+            step = y * h / d
+            y -= step
+            if not 0 < y < 1:
+                return None
+            if abs(step) <= y * 2.0 ** -40:
+                return 1 / y
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
 def _sparse_value_and_slope(terms: Sequence[Tuple[int, int]], x: int, p: int) -> Tuple[int, int]:
     """F(x) and F'(x) at scale 2^p over the nonzero terms (i, c_i) of F,
     listed by descending power: Horner that crosses each run of g - 1 zero
@@ -408,13 +442,23 @@ class RefinableRoot:
         shift of the deep cell, deepened first if K is past it.  A first
         refinement (from scale 0, seeded or not) aims at K, a later one at
         K' = max(K, 2k, k + 64) for the deep scale k (the precision doubling
-        of iRRAM, N. Th. Müller, CCA 2000), by ``_jump`` where the rule at
-        JUMP_FROM_BITS allows; else to K alone by bisection, as after a failed jump."""
+        of iRRAM, N. Th. Müller, CCA 2000).  A deep cell coarser than 2^-D,
+        D = FLOAT_BITS - bitlen n for the unit cell [n-1, n], jumps from
+        ``_float_root``'s guess: to D if K' <= D (later requests up to D are
+        shifts), else by Newton from it at D + 6 bits; failing that, by ``_jump``
+        where JUMP_FROM_BITS's rule allows; else, or after a failed jump, to K by bisection."""
         if self.exact is not None or steps <= 0:
             return
         K, k = self._k + steps, self._K
         if K > k:
             target = max(K, 2 * k, k + 64) if self._k else K
+            D = FLOAT_BITS - ((self._j >> k) + 1).bit_length()
+            x = _float_root(self._poly, self._j, k) if k < D else None
+            if x is not None and 0 < x < 1 << FLOAT_BITS:  # where every root here lies
+                x = (int(math.ldexp(x, D + GUARD_BITS)) if target <= D else
+                     _newton(self._poly, int(math.ldexp(x, D + 6)), D + 6, target + GUARD_BITS))
+                if x is not None:
+                    self._jump(max(D, target), x)
             deg = len(self.annihilator) - 1
             if self._poly is self.annihilator:  # dense: Newton over every coefficient
                 d = min(deg, JUMP_HIGH_DEGREE)
@@ -423,7 +467,7 @@ class RefinableRoot:
                 b = deg.bit_length()
                 start, least = b + SPARSE_FROM_BITS, SPARSE_JUMP_WORK // b
             start = max(k, start)
-            if target - start > least:
+            if self._K == k and target - start > least:
                 self._halve(start - k)
                 self._jump(target)
             self._halve(K - self._K)
@@ -437,15 +481,16 @@ class RefinableRoot:
             j = 2 * j + 1 if sign(2 * j + 1, k) < 0 else 2 * j
         self._j, self._K, self._k = j, k, k
 
-    def _jump(self, K: int) -> None:
+    def _jump(self, K: int, x: Optional[int] = None) -> None:
         """Move the deep cell to the cell [j, j+1]/2^K holding the root and
-        present it, or leave it for bisection.  Newton from the cell's
-        midpoint guesses j, which is clamped into the cell, where F has no
-        other root (it may elsewhere); exact sign tests at j/2^K and
-        (j+1)/2^K then certify the cell, after at most one move to a
-        neighbouring cell: three sign tests at most."""
+        present it, or leave it for bisection.  A guess x at scale
+        2^(K + GUARD_BITS), else Newton's from the cell's midpoint, gives j,
+        clamped into the cell, where F has no other root (it may elsewhere);
+        exact sign tests at j/2^K and (j+1)/2^K then certify the cell, after
+        at most one move to a neighbouring cell: three sign tests at most."""
         a, k = self._j, self._K
-        x = _newton(self._poly, 2 * a + 1, k + 1, K + GUARD_BITS)
+        if x is None:
+            x = _newton(self._poly, 2 * a + 1, k + 1, K + GUARD_BITS)
         if x is None:
             return
         first = a << (K - k)

@@ -1,6 +1,7 @@
 """Property tests: the integer dyadic kernels of ``staircase.beta`` against
 ``Fraction`` references."""
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -265,6 +266,31 @@ def test_wrong_newton_guess_still_certifies(word, K, cells_off):
     assert rr.bracket == _bisected(F, a1, K).bracket
     a, b, _ = rr.bracket
     assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jump_words, st.integers(1, 120),
+       st.sampled_from([None, "nan", -3, 3, "outside", "negative", "huge"]))
+@example((2, 1, 1), 20, 3)  # 3 cells off at 2^-44, the scale it is certified at
+@example((2, 1, 1), 80, -3)  # Newton from the moved guess
+def test_wrong_float_guess_still_certifies(word, K, wrong):
+    """A float guess that is missing, NaN, 3 cells off at scale 44, or outside
+    the unit cell still ends on the bisection cell at every scale up to K:
+    the neighbour step, the clamp, Newton, or the rule without a guess mends it."""
+    F, a1 = _root_of(word)
+    assume(RefinableRoot(F, a1).exact is None)
+    a, _, _ = _bisected(F, a1, 44).bracket
+    guesses = {None: None, "nan": math.nan, "outside": (a >> 44) + 7.5,
+               "negative": -1.5, "huge": 1e300}
+    guess = guesses[wrong] if wrong in guesses else math.ldexp(a + wrong + 0.5, -44)
+    with mock.patch.object(beta, "_float_root", lambda F, m, k: guess):
+        rr = RefinableRoot(F, a1)
+        rr.refine(Fraction(1, 1 << K))
+    assert rr.bracket == _bisected(F, a1, K).bracket
+    a, b, _ = rr.bracket
+    assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
+    for k in (K // 2, K + 1, 2 * K):  # later requests: shifts, or refined from the deep cell
+        assert rr.refine(Fraction(1, 1 << k)) == _bisected(F, a1, max(k, K)).enclosure
 
 
 def test_newton_guess_at_another_root_is_clamped():

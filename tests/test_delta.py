@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import staircase
 from staircase import beta
 from staircase.beta import (RefinableRoot, SeriesRoot, beta_root_finite, beta_root_periodic,
-                            finite_annihilator, periodic_annihilator)
+                            finite_annihilator, near_one_root, periodic_annihilator)
 from staircase.delta import (
     IRRATIONAL_TOL,
     delta_irrational,
@@ -301,6 +301,61 @@ def test_sweep_sign_test_budget():
     with mock.patch.object(beta, "_sign_kernel", counting):
         sweep(Fraction(0), Fraction(1), 30, Fraction(1, 10 ** 8))
     assert len(calls) <= 4500, len(calls)
+
+
+def _sign_tests(run) -> int:
+    """The sign tests ``run()`` makes through the roots' sign kernels."""
+    calls = []
+    kernel = beta._sign_kernel
+
+    def counting(F):
+        sign = kernel(F)
+        return partial(lambda poly, m, k: calls.append(k) or sign(m, k), sign.args[0])
+
+    with mock.patch.object(beta, "_sign_kernel", counting):
+        run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("run, budget", [
+    (lambda: beta_root_finite(bzb_word(2, 11, 30), Fraction(1, 2 ** 24)), 5),
+    (lambda: beta_root_periodic(right_limit_word(Fraction(7, 5)), Fraction(1, 2 ** 24)), 5),
+    (lambda: near_one_root(3000, Fraction(1, 10 ** 8)), 6),
+    (lambda: delta_rational(1000 + Fraction(3, 7), Fraction(1, 2 ** 24)), 12),
+], ids=["bzb 2 11 30", "right limit 7/5", "near-one 3000", "slope 1000 + 3/7"])
+def test_first_refinement_sign_test_budget(run, budget):
+    """A fresh root certifies the cell of its float guess with two or three
+    sign tests after its unit-cell search, and later requests up to that
+    scale are shifts.  Halving to the jump start and the jump took 12 sign
+    tests on each of the first two and the last, and 18 on the near-one word."""
+    assert _sign_tests(run) <= budget
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2 * 10 ** 400 + 1, 2), 10 ** 12 + Fraction(2, 9)])
+def test_slopes_far_from_one_keep_their_enclosures(alpha):
+    """Near 10^400 the unit cell is past float range and no guess is made;
+    near 10^12 the guess is good to 4 fractional bits and starts Newton.
+    Both end on the enclosures of refining without a guess."""
+    def values():
+        tol = Fraction(1, 2 ** 24)
+        return [delta_rational(alpha, tol).enclosure, delta_right_limit(alpha, tol).enclosure]
+
+    guessed = values()
+    with mock.patch.object(beta, "_float_root", lambda F, m, k: None):
+        assert guessed == values()
+
+
+def test_float_guess_past_float_range_is_none():
+    """A coefficient past float range gives no guess, and the root refines
+    without one."""
+    digits = (1,) + (0,) * 998 + (1 << 2000,)  # a root near 4
+    root = beta_root_finite(digits, Fraction(1, 2 ** 24))
+    big = delta_rational(Fraction(2 * 10 ** 400 + 1, 2), Fraction(1, 2)).handle
+    for rr in (root, big):
+        assert beta._float_root(rr._poly, rr._j >> rr._K, 0) is None
+    a, b, k = root.bracket
+    assert k == 24 and beta._poly_sign(root.annihilator, a, k) < 0 < beta._poly_sign(
+        root.annihilator, b, k)
 
 
 @pytest.mark.parametrize("F", [finite_annihilator(bzb_word(2, 2, 5)),
