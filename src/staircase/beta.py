@@ -11,7 +11,10 @@ dyadic, m / 2^k.  A guessed bracket that sign tests certify may start one;
 bisection narrows it step by step; sign tests certify the cell of a float
 Newton guess on a first refinement, or of a fixed-point one on a longer
 refinement, and a repeated one goes deeper than asked, so that later requests
-are shifts of one certified cell.  For a sparse annihilator, sign tests and
+are shifts of one certified cell.  The float guess takes Newton steps on the
+log of the series in log y, y = 1/x, which is convex for a finite word, from
+the cell end: each step is one Horner pass over the powers of y that still
+count at double precision.  For a sparse annihilator, sign tests and
 Newton steps run over its nonzero terms only.  Deep sign tests, long dense
 heads included, first try a fixed-point Horner that bounds its own error, and
 exact integer arithmetic only where it is undecided.  A series root lengthens
@@ -65,8 +68,8 @@ SPARSE_JUMP_WORK = 48
 GUARD_BITS = 16
 
 # A first refinement jumps from a double-precision guess (_float_root), taken
-# as good to FLOAT_BITS bits of the root's magnitude: 6 under the least seen
-# over bzb and right-limit words (q <= 500, b <= 3), 52.2 significant bits.
+# as good to FLOAT_BITS bits of the root's magnitude: 5.6 under the least seen
+# over bzb and right-limit words (q <= 500, b <= 3), 51.58 significant bits.
 FLOAT_BITS = 46
 
 # Full sign tests at deg F * k >= FILTER_WORK, and _head_sign's dense heads of
@@ -260,28 +263,42 @@ def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
 
 
 def _float_root(F, m: int, k: int) -> Optional[float]:
-    """A float guess x = 1/y at the root of F (as ``_newton`` takes it) by
-    Newton on H(y) = y^q F(1/y), q = deg F, whose powers of y < 1 never
-    overflow, from the cell end m/2^k left of the root (monotone for a finite
-    word).  None where a coefficient or m is past float range, the slope is
-    0, y leaves (0, 1) or is NaN, or 64 steps do not settle."""
+    """A float guess x = 1/y at the root of F (as ``_newton`` takes it), where
+    H(y) = y^q F(1/y) = 1 - P(y), q = deg F, whose powers of y < 1 never
+    overflow.  Newton runs on phi(t) = log P(e^t), t = log y, from the cell
+    end m/2^k left of the root: for a finite word P has nonnegative
+    coefficients, so phi is convex and increasing and the steps descend
+    monotonically.  Powers of y under 2^-64 are left out: a dense F runs one
+    Horner pass over the powers above that, a sparse one its terms in turn.
+    None where a coefficient or m is past float range, P or P' is not
+    positive, y leaves (0, 1) or is NaN, or 64 steps do not settle."""
     try:
         y, q = (1 << k) / m, _degree(F)
-        terms = F if isinstance(F[0], tuple) else list(compress(enumerate(F), F))[::-1]
-        terms = [(q - i, float(c)) for i, c in terms]  # by ascending power of y
+        sparse = isinstance(F[0], tuple)
+        # by ascending power of y for a sparse F, by descending for a dense one
+        cs = [(q - i, float(c)) for i, c in F] if sparse else list(map(float, F))
         for _ in range(64):
-            h = d = 0.0  # H(y) and y H'(y), without the powers under 2^-64
-            for e, c in terms:
-                t = y ** e
-                if t < 2.0 ** -64:
-                    break
-                h += c * t
-                d += c * e * t
-            step = y * h / d
-            y -= step
+            h = d = 0.0  # H(y) and y H'(y)
+            if sparse:
+                for e, c in cs:
+                    t = y ** e
+                    if t < 2.0 ** -64:
+                        break
+                    h += c * t
+                    d += c * e * t
+            else:
+                lg = -math.log2(y)  # the powers y^n >= 2^-64 are those with n lg <= 64
+                for c in cs[q - int(64 / lg):] if q * lg > 64 else cs:
+                    d = d * y + h
+                    h = h * y + c
+                d *= y
+            if h >= 1 or d >= 0:  # P = 1 - H or y P' = -y H' not positive
+                return None
+            step = math.log1p(-h) * (1 - h) / -d
+            y *= math.exp(-step)
             if not 0 < y < 1:
                 return None
-            if abs(step) <= y * 2.0 ** -40:
+            if abs(step) <= 2.0 ** -40:
                 return 1 / y
     except (OverflowError, ZeroDivisionError):
         pass

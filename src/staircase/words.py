@@ -56,12 +56,20 @@ def mechanical_prefix(alpha: Fraction, rho: Fraction = Fraction(0), n: int = 0,
 def christoffel(p: int, q: int, upper: bool = False) -> Word:
     """The Christoffel word of slope p/q on {0,1} (length q).
 
-    Lower word = 0 z 1 and upper word = 1 z 0 where z is the central word.
+    Lower word = 0 z 1 and upper word = 1 z 0 where z is the central word:
+    s(k) = floor(p(k+1)/q) - floor(pk/q), ceilings for the upper word, as
+    ``mechanical_prefix`` builds it at intercept 0 over Fractions.
     Requires 0 <= p <= q reduced, q >= 1; the degenerate slopes give 0 and 1.
     """
+    _check_slope(p, q)
+    if upper:  # ceilings, as negated floors of the negated cuts
+        return tuple((-p * k) // q - (-p * k - p) // q for k in range(q))
+    return tuple((p * k + p) // q - p * k // q for k in range(q))
+
+
+def _check_slope(p: int, q: int) -> None:
     if q < 1 or p < 0 or p > q or math.gcd(p, q) != 1:
         raise PreconditionError("slope must be reduced with 0 <= p <= q, q >= 1")
-    return mechanical_prefix(Fraction(p, q), Fraction(0), q, upper=upper)
 
 
 def central_word(p: int, q: int) -> Word:
@@ -93,8 +101,10 @@ def bzb_word(b: int, p: int, q: int) -> Word:
         if p != 1:
             raise PreconditionError("slope must be reduced")
         return (b + 1,)
-    z = to_alphabet(central_word(p, q), b)
-    return (b,) + z + (b,)
+    _check_slope(p, q)
+    # The lower Christoffel word 0 z 1 on {b-1, b}, its first letter raised.
+    c = b - 1
+    return (b,) + tuple(c + (p * k + p) // q - p * k // q for k in range(1, q))
 
 
 def characteristic_prefix(alpha: Fraction, n: int) -> Word:

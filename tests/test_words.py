@@ -1,10 +1,10 @@
 """Mechanical, Christoffel and central words, plus word utilities."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircase.errors import PreconditionError
@@ -230,3 +230,41 @@ intercepts = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]),
 @example(Fraction(1, 3), Fraction(2, 3), 9, True)
 def test_mechanical_prefix_matches_fraction_reference(alpha, rho, n, upper):
     assert mechanical_prefix(alpha, rho, n, upper=upper) == fraction_mechanical(alpha, rho, n, upper)
+
+
+@st.composite
+def reduced_slopes(draw):
+    """(p, q), 0 <= p <= q <= 2000 and gcd(p, q) = 1."""
+    q = draw(st.integers(1, 2000))
+    p = draw(st.integers(0, q))
+    assume(gcd(p, q) == 1)
+    return p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduced_slopes(), st.integers(1, 9), st.booleans())
+@example((0, 1), 1, False)
+@example((1, 1), 9, True)
+@example((1, 2), 2, False)
+@example((1999, 2000), 9, True)
+def test_christoffel_words_match_the_mechanical_reference(slope, b, upper):
+    """The integer-floor builders against the Fraction-built mechanical word:
+    christoffel, its central word, and b z b, the lower word on {b-1, b}
+    with its first letter raised (one letter at the degenerate slopes)."""
+    p, q = slope
+    ref = mechanical_prefix(Fraction(p, q), Fraction(0), q, upper=upper)
+    assert christoffel(p, q, upper=upper) == ref
+    lower = mechanical_prefix(Fraction(p, q), Fraction(0), q)
+    assert central_word(p, q) == lower[1:-1]
+    want = (b + p,) if q == 1 else (b,) + tuple(b - 1 + s for s in lower[1:])
+    assert bzb_word(b, p, q) == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: christoffel(2, 4), lambda: christoffel(-1, 3), lambda: christoffel(0, 0),
+    lambda: christoffel(4, 3, upper=True), lambda: central_word(4, 6),
+    lambda: bzb_word(2, 2, 4), lambda: bzb_word(2, 4, 3), lambda: bzb_word(2, -1, 3),
+    lambda: bzb_word(2, 2, 2), lambda: bzb_word(0, 1, 2)])
+def test_christoffel_builders_refuse_unreduced_or_out_of_range_slopes(build):
+    with pytest.raises(PreconditionError):
+        build()
