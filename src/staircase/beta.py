@@ -40,36 +40,13 @@ IntPoly = Tuple[int, ...]  # coefficients, ascending powers
 Bracket = Tuple[int, int, int]  # (a, b, k) for [a/2^k, b/2^k]
 Interval = Tuple[Bracket, int, int, int]  # a value's [lo/2^s, hi/2^s] over x in a bracket
 
-# A refinement jumps to its final cell (RefinableRoot._jump) when more than
-# some steps are left past a start cell.  One rule reads deg F and the sparse
-# test of _sign_kernel (at most a quarter of F's coefficients nonzero):
-# - Dense F: past 2^-max(JUMP_FROM_BITS, d/8) when more than
-#   max(JUMP_MIN_STEPS, d/4) steps are left, d = min(deg F, JUMP_HIGH_DEGREE).
-#   A bisection step costs a sign test; a jump, Newton steps over all deg F
-#   coefficients and at most three sign tests.  Timed over degrees 2 to 5000
-#   (see CHANGES.md), the jump paid from 6 to 24 steps up to degree 64, from
-#   about deg/4 up to degree 400, and from 4 to over 128 steps by word beyond.
-#   Newton's error constant is about deg/beta, so these starts lie in its
-#   quadratic regime.
-# - Sparse F: Newton's steps run over the nonzero terms, a few products each
-#   at any degree, while a sign test grows with the degree.  With
-#   b = bitlen(deg F), past 2^-(b + SPARSE_FROM_BITS), inside the quadratic
-#   basin (F''/F' is about 2 deg F), when more than SPARSE_JUMP_WORK / b steps
-#   are left.  Over near-one words of degree 12 to 5100 and the words of
-#   slopes 1/q and p/q, q >> p (see CHANGES.md), no jump fell back from
-#   2^-(b-1) on; from the start cell the jump paid from 12 steps at degree 12
-#   to 20, 9 at 40, 6 at 100, 4 at 300 and 3 from degree 1000 on.
 # GUARD_BITS are Newton's extra bits and the head sign tests' margin.
-JUMP_FROM_BITS = 8
-JUMP_MIN_STEPS = 12
-JUMP_HIGH_DEGREE = 256
-SPARSE_FROM_BITS = 2
-SPARSE_JUMP_WORK = 48
 GUARD_BITS = 16
 
 # A first refinement jumps from a double-precision guess (_float_root), taken
 # as good to FLOAT_BITS bits of the root's magnitude: 5.6 under the least seen
 # over bzb and right-limit words (q <= 500, b <= 3), 51.58 significant bits.
+# Every other jump starts from a cell at least as fine (RefinableRoot._bisect).
 FLOAT_BITS = 46
 
 # Full sign tests at deg F * k >= FILTER_WORK, and _head_sign's dense heads of
@@ -462,8 +439,11 @@ class RefinableRoot:
         of iRRAM, N. Th. Müller, CCA 2000).  A deep cell coarser than 2^-D,
         D = FLOAT_BITS - bitlen n for the unit cell [n-1, n], jumps from
         ``_float_root``'s guess: to D if K' <= D (later requests up to D are
-        shifts), else by Newton from it at D + 6 bits; failing that, by ``_jump``
-        where JUMP_FROM_BITS's rule allows; else, or after a failed jump, to K by bisection."""
+        shifts), else by Newton from it at D + 6 bits.  Past D with no such
+        jump, the cell is bisected to 2^-D, if coarser, and ``_jump``s from
+        there to K' (for n >= 2^46 from the unit cell, already relatively
+        finer than 2^-46); any scale still left, after a failed jump or up to
+        K <= D, is bisected."""
         if self.exact is not None or steps <= 0:
             return
         K, k = self._k + steps, self._K
@@ -476,16 +456,8 @@ class RefinableRoot:
                      _newton(self._poly, int(math.ldexp(x, D + 6)), D + 6, target + GUARD_BITS))
                 if x is not None:
                     self._jump(max(D, target), x)
-            deg = len(self.annihilator) - 1
-            if self._poly is self.annihilator:  # dense: Newton over every coefficient
-                d = min(deg, JUMP_HIGH_DEGREE)
-                start, least = max(JUMP_FROM_BITS, d // 8), max(JUMP_MIN_STEPS, d // 4)
-            else:
-                b = deg.bit_length()
-                start, least = b + SPARSE_FROM_BITS, SPARSE_JUMP_WORK // b
-            start = max(k, start)
-            if self._K == k and target - start > least:
-                self._halve(start - k)
+            if self._K == k and target > D:
+                self._halve(D - k)
                 self._jump(target)
             self._halve(K - self._K)
         self._k = K

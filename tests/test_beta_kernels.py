@@ -13,8 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircase import beta
-from staircase.beta import (FILTER_WORK, FLOAT_BITS, GUARD_BITS, JUMP_FROM_BITS,
-                            SPARSE_FROM_BITS, RefinableRoot, _certified_root, _filtered_sign,
+from staircase.beta import (FILTER_WORK, FLOAT_BITS, GUARD_BITS, RefinableRoot,
+                            _certified_root, _filtered_sign,
                             _head_length, _head_sign, _horner, _poly_sign, _refine_root_until,
                             _sign_kernel,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
@@ -207,10 +207,11 @@ def _bisected(F, a1, K):
 @example(bzb_word(3, 20, 21), 130)  # Delta(62/21)
 @example(bzb_word(3, 43, 44), 70)  # Delta(131/44)
 def test_newton_jump_lands_on_the_bisection_cell(word, K):
+    """From a 2^-8 cell, a Newton jump to 2^-K lands on bisection's cell."""
     F, a1 = _root_of(word)
     rr = RefinableRoot(F, a1)
     assume(rr.exact is None)
-    rr._halve(JUMP_FROM_BITS)
+    rr._halve(8)
     rr._jump(K)
     assert rr.bracket == _bisected(F, a1, K).bracket
     a, b, k = rr.bracket
@@ -232,14 +233,14 @@ def test_jump_from_a_coarse_cell_returns(word):
 @pytest.mark.parametrize("cells_off", [-1, 1])
 @pytest.mark.parametrize("word", [(1, 1), (2, 0, 1, 1), bzb_word(2, 5, 13)])
 def test_jump_steps_to_the_neighbour_cell(word, cells_off):
-    """A guess one cell off still jumps: the neighbour step certifies the
-    right cell without falling back to bisection."""
+    """From a 2^-8 cell, a guess one cell off still jumps: the neighbour
+    step certifies the right cell without falling back to bisection."""
     F, a1 = _root_of(word)
     newton = beta._newton
     with mock.patch.object(beta, "_newton",
                            lambda F, x, p, P: newton(F, x, p, P) + (cells_off << GUARD_BITS)):
         rr = RefinableRoot(F, a1)
-        rr._halve(JUMP_FROM_BITS)
+        rr._halve(8)
         rr._jump(150)
     assert rr.bracket == _bisected(F, a1, 150).bracket
 
@@ -356,12 +357,12 @@ def sparse_words(draw):
 @given(sparse_words(), st.integers(1, 80))
 @example((1,) + (0,) * 598 + (1,), 13)  # a near-one word refined to 1e-8
 def test_sparse_jump_lands_on_the_bisection_cell(word, steps):
-    """From the sparse start cell, 2^-(bitlen(deg F) + SPARSE_FROM_BITS), a
-    Newton jump over the nonzero terms lands on bisection's cell, however
-    few the steps: it does not fall back."""
+    """From the 2^-(bitlen(deg F) + 2) cell, a Newton jump over the nonzero
+    terms lands on bisection's cell, however few the steps: it does not fall
+    back."""
     F, a1 = _root_of(word)
     assert 4 * sum(map(bool, F)) <= len(F)
-    start = (len(F) - 1).bit_length() + SPARSE_FROM_BITS
+    start = (len(F) - 1).bit_length() + 2
     rr = RefinableRoot(F, a1)
     rr._halve(start)
     rr._jump(start + steps)
@@ -369,12 +370,36 @@ def test_sparse_jump_lands_on_the_bisection_cell(word, steps):
 
 
 def test_sparse_root_sign_test_budget():
-    """near_one_root(3000, 1e-8) bisects to the sparse start cell 2^-14 and
-    jumps the last 13 bits: 18 sign tests, where bisection alone spent 29."""
+    """near_one_root(3000, 1e-8) finds its unit cell [1, 2] with two sign
+    tests, and two more certify the float guess's cell at 2^-44, of which
+    the 2^-27 cell is a shift: 4 sign tests, where bisection alone spent 29.
+    One more pays for a guess that lands in the neighbouring cell."""
     with mock.patch.object(beta, "_head_sign", wraps=beta._head_sign) as sign:
         enc = near_one_root(3000, Fraction(1, 10 ** 8))
     assert enc.width <= Fraction(1, 10 ** 8)
-    assert sign.call_count <= 20, sign.call_count
+    assert sign.call_count <= 5, sign.call_count
+
+
+@pytest.mark.parametrize("F, a1", [
+    (finite_annihilator(bzb_word(2, 101, 300)), 2),
+    ((-1,) + (0,) * 2998 + (-1, 1), 1),  # the near-one word, n = 3000
+    (finite_annihilator((1,) + (0,) * 998 + (1 << 2000,)), 1),  # past float range: no guess
+], ids=["bzb 2 101 300", "near-one 3000", "past float range"])
+def test_root_without_a_float_guess_jumps_from_float_bits(F, a1):
+    """With no float guess, a refinement to 2^-300 bisects the unit cell
+    [n-1, n] to 2^-D, D = FLOAT_BITS - bitlen n, and jumps from there: at
+    most D + 3 sign tests and one Newton run.  A jump from the unit cell
+    itself is refused, and bisection would take all 300 steps."""
+    with mock.patch.object(beta, "_float_root", lambda F, m, k: None), \
+            mock.patch.object(beta, "_newton", wraps=beta._newton) as newton:
+        rr = RefinableRoot(F, a1)
+        assert rr.exact is None and rr._K == 0
+        D = FLOAT_BITS - (rr._j + 1).bit_length()
+        rr._sign = mock.Mock(wraps=rr._sign)
+        rr.refine(Fraction(1, 1 << 300))
+    assert rr.bracket == _bisected(F, a1, 300).bracket
+    assert rr._sign.call_count <= D + 3, (rr._sign.call_count, D)
+    assert newton.call_count == 1
 
 
 # ---------------------------------------------------------------------------

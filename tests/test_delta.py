@@ -291,17 +291,24 @@ def test_sweep_sign_test_budget():
     roots' sign kernels, unit-cell and seed tests included, where a sweep
     that seeds no root makes 2,269: since the float start certifies most
     first cells with two or three tests, the seeds save little at this
-    denominator (they still pay from denominator 60 on)."""
-    calls = []
-    kernel = beta._sign_kernel
+    denominator (they still pay from denominator 60 on).  Every deepening is
+    a certified jump: bisection takes no step."""
+    calls, halved = [], []
+    kernel, halve = beta._sign_kernel, RefinableRoot._halve
 
     def counting(F):
         sign = kernel(F)
         return partial(lambda poly, m, k: calls.append(k) or sign(m, k), sign.args[0])
 
-    with mock.patch.object(beta, "_sign_kernel", counting):
+    def halving(rr, steps):
+        halved.append(max(steps, 0))
+        halve(rr, steps)
+
+    with mock.patch.object(beta, "_sign_kernel", counting), \
+            mock.patch.object(RefinableRoot, "_halve", halving):
         sweep(Fraction(0), Fraction(1), 30, Fraction(1, 10 ** 8))
     assert len(calls) <= 2500, len(calls)
+    assert sum(halved) == 0, sum(halved)
 
 
 def _sign_tests(run) -> int:
