@@ -369,8 +369,10 @@ class RefinableRoot:
     by ``_jump``, from a seed or as the shift j' >> (K' - K) of a deeper cell.
     An integer root n is an exact hit, presented as [n, n] and never refined.
 
-    The bracket is kept as integers, so refinement builds no ``Fraction``;
-    ``enclosure`` presents it as fractions, and ``exact`` is n or None.
+    ``bracket`` (a, b, k), [a/2^k, b/2^k], is the presented cell as integers,
+    so refinement builds no ``Fraction``; it is stored and rewritten whenever
+    the presented cell moves, and ``enclosure``, the cell as fractions, on its
+    first read after.  ``exact`` is n or None.
     """
 
     def __init__(self, F: IntPoly, a1: int, seed: Optional[Bracket] = None):
@@ -378,7 +380,7 @@ class RefinableRoot:
         annihilator is F (the series has the sign of -F there): a unit
         bracket [n-1, n], or an exact integer root n, or one finer cell
         around a ``seed`` guess (a, b, s), [a/2^s, b/2^s], as below."""
-        self.annihilator = F
+        self.annihilator = self._modulus = F  # what orbit values reduce by
         self._sign = sign = _sign_kernel(F)
         self._poly = sign.args[0]  # F as the kernel runs over it, for _newton
         self.exact, self._shown = None, (None, None)
@@ -389,7 +391,7 @@ class RefinableRoot:
             k = s - (a ^ (b - 1)).bit_length()
             j = a >> (s - k)
             if k >= 0 and j >> k >= 1 and sign(j, k) < 0 < sign(j + 1, k):
-                self._j, self._K, self._k = j, k, 0
+                self._j, self._K, self.bracket = j, k, (j >> k, (j >> k) + 1, 0)
                 return
         n = a1
         s = sign(n, 0)
@@ -398,28 +400,20 @@ class RefinableRoot:
         while s < 0:
             n += 1
             s = sign(n, 0)
-        self.exact = n if s == 0 else None
-        # The deepest certified cell [j, j+1]/2^K, presented at scale k <= K.
-        self._j, self._K, self._k = n - 1, 0, 0
+        # The deepest certified cell [j, j+1]/2^K, presented as ``bracket``.
+        self._j, self._K, self.bracket = n - 1, 0, (n - 1, n, 0)
+        if s == 0:  # orbits reduce by x - n: it may vanish where F of degree > 1 does not
+            self.exact, self.bracket, self._modulus = n, (n, n, 0), (-n, 1)
 
     @classmethod
     def from_periodic_word(cls, w: PeriodicWord, tol: Fraction = DEFAULT_TOL) -> "RefinableRoot":
         return beta_root_periodic(w, tol)
 
     @property
-    def bracket(self) -> Bracket:
-        """The enclosure as integers (a, b, k), meaning [a/2^k, b/2^k]."""
-        if self.exact is not None:
-            return self.exact, self.exact, 0
-        a = self._j >> (self._K - self._k)
-        return a, a + 1, self._k
-
-    @property
     def enclosure(self) -> Enclosure:
-        bracket = self.bracket  # as fractions, built once per presented cell
-        if self._shown[0] != bracket:
-            a, b, k = bracket
-            self._shown = bracket, Enclosure(Fraction(a, 1 << k), Fraction(b, 1 << k))
+        if self._shown[0] is not self.bracket:  # as fractions, built once per presented cell
+            a, b, k = self.bracket
+            self._shown = self.bracket, Enclosure(Fraction(a, 1 << k), Fraction(b, 1 << k))
         return self._shown[1]
 
     def refine(self, tol: Fraction) -> Enclosure:
@@ -428,7 +422,7 @@ class RefinableRoot:
             raise PreconditionError("tolerance must be positive")
         # The cell's width 2^-K is at most tol once 2^K >= 1/tol.
         K = (-(-tol.denominator // tol.numerator) - 1).bit_length()
-        self._bisect(K - self._k)
+        self._bisect(K - self.bracket[2])
         return self.enclosure
 
     def _bisect(self, steps: int) -> None:
@@ -446,9 +440,9 @@ class RefinableRoot:
         K <= D, is bisected."""
         if self.exact is not None or steps <= 0:
             return
-        K, k = self._k + steps, self._K
+        K, k = self.bracket[2] + steps, self._K
         if K > k:
-            target = max(K, 2 * k, k + 64) if self._k else K
+            target = max(K, 2 * k, k + 64) if self.bracket[2] else K
             D = FLOAT_BITS - ((self._j >> k) + 1).bit_length()
             x = _float_root(self._poly, self._j, k) if k < D else None
             if x is not None and 0 < x < 1 << FLOAT_BITS:  # where every root here lies
@@ -460,7 +454,8 @@ class RefinableRoot:
                 self._halve(D - k)
                 self._jump(target)
             self._halve(K - self._K)
-        self._k = K
+        a = self._j >> (self._K - K)
+        self.bracket = a, a + 1, K
 
     def _halve(self, steps: int) -> None:
         """Bisect the deep cell ``steps`` times and present it."""
@@ -468,7 +463,7 @@ class RefinableRoot:
         for _ in range(steps):
             k += 1
             j = 2 * j + 1 if sign(2 * j + 1, k) < 0 else 2 * j
-        self._j, self._K, self._k = j, k, k
+        self._j, self._K, self.bracket = j, k, (j, j + 1, k)
 
     def _jump(self, K: int, x: Optional[int] = None) -> None:
         """Move the deep cell to the cell [j, j+1]/2^K holding the root and
@@ -494,7 +489,7 @@ class RefinableRoot:
             j += 1
             if j > last or sign(j + 1, K) < 0:
                 return
-        self._j, self._K, self._k = j, K, K
+        self._j, self._K, self.bracket = j, K, (j, j + 1, K)
 
 
 # An earlier name: a root as a handle on the base beta.
@@ -687,17 +682,11 @@ def _interval(r: List[int], beta: RefinableRoot, iv: Optional[Interval] = None) 
     return iv if iv is not None and iv[0] == bracket else (bracket,) + _horner(r, *bracket)
 
 
-def _modulus(beta: RefinableRoot) -> IntPoly:
-    """What orbit values reduce by: the annihilator, or x - n for an integer
-    root n, which may vanish where a polynomial of degree > 1 does not."""
-    return beta.annihilator if beta.exact is None else (-beta.exact, 1)
-
-
 def _orbit_step(r: List[int], beta: RefinableRoot, den: int,
                 iv: Optional[Interval]) -> Tuple[int, List[int], Optional[Interval]]:
     """One step of T(x) = beta*x - floor(beta*x) from x = r(beta) / den.
 
-    Orbit values are integer polynomials in beta reduced by ``_modulus``,
+    Orbit values are integer polynomials in beta reduced by ``beta._modulus``,
     over a fixed denominator; 0 reduces to the empty list.  Returns the digit
     floor(beta*x) (0 undecided when beta*x reduces to 0), T(x) and its interval.
     The interval ``iv`` of x is carried in O(1): beta*x is one more Horner
@@ -705,7 +694,7 @@ def _orbit_step(r: List[int], beta: RefinableRoot, den: int,
     over the new r bit for bit.  It is made afresh where that would differ:
     where x*r reduces modulo F, and where a refinement moved the bracket.
     """
-    F = _modulus(beta)
+    F = beta._modulus
     iv = _times_x(_interval(r, beta, iv)) if iv and len(r) < len(F) - 1 else None
     r = _poly_times_x(r, F)
     iv = (iv or _interval(r, beta)) if r else None
@@ -825,7 +814,7 @@ def extremal_orbit_check(beta: RefinableRoot, k_max: int) -> List[OrbitPoint]:
 def _band_verdict(r: List[int], beta: RefinableRoot, iv: Interval) -> str:
     # upper edge: v - 1;  lower edge: beta*(v - 1) + 1  (v > 1 - 1/beta).  From v's
     # interval: a shift of the last coefficient, then one more Horner step unless it reduces.
-    F = _modulus(beta)
+    F = beta._modulus
     upper = _poly_sub_const(r, 1)
     lower = _poly_sub_const(_poly_times_x(upper, F), -1)
     if not lower:

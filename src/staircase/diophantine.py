@@ -584,11 +584,11 @@ def _iv_less(a: Enclosure, b: Enclosure) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    mu_cutoff: float = 20.0
-    theta_low: float = 1.001
-    theta_high: float = 1e6
+# classify's label thresholds: mu estimates at or past MU_CUTOFF, and theta
+# trends past THETA_LOW or THETA_HIGH.
+MU_CUTOFF = 20.0
+THETA_LOW = 1.001
+THETA_HIGH = 1e6
 
 
 @dataclass
@@ -600,28 +600,25 @@ class Classification:
     caveat: bool = True
 
 
-def classify(target: Preset, N: int = 8, thresholds: Thresholds = Thresholds(),
-             bit_budget: int = DEFAULT_BIT_BUDGET) -> Classification:
+def classify(target: Preset, N: int = 8, bit_budget: int = DEFAULT_BIT_BUDGET) -> Classification:
     """Finite-N trisection of a preset into the Liouville growth classes.
 
     The decision reads the trend of the last few running log-theta estimates
-    against the thresholds (early terms of a slowly-starting construction
+    against the fixed thresholds (early terms of a slowly-starting construction
     would otherwise dominate the running max); limits are not decidable, so
     the result always carries the finite-N caveat.
     """
     theta_est = target.theta_estimate(N, bit_budget)
     mu_est = target.mu_estimate(N, bit_budget)
-    log_low = math.log(thresholds.theta_low)
-    log_high = math.log(thresholds.theta_high)
     tail = theta_est.running[-3:]
     head_lo, head_hi = (max((t[i] for t in tail), default=0.0) for i in (1, 2))
     encl = None
-    if head_lo > log_high:
+    if head_lo > math.log(THETA_HIGH):
         label = "hyper-exponential"
-    elif head_lo > log_low:
+    elif head_lo > math.log(THETA_LOW):
         label = "exponential"
         encl = LogMagnitude(head_lo, head_hi).value_interval()
-    elif mu_est.headline[1] >= thresholds.mu_cutoff:
+    elif mu_est.headline[1] >= MU_CUTOFF:
         label = "hypo-exponential"
     else:
         label = "apparently-non-Liouville"

@@ -20,7 +20,7 @@ from staircase.beta import (FILTER_WORK, FLOAT_BITS, GUARD_BITS, RefinableRoot,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
                             extremal_orbit_check, finite_annihilator, greedy_digits,
                             near_one_root, periodic_annihilator)
-from staircase.delta import StaircaseDigitStream, right_limit_word
+from staircase.delta import StaircaseDigitStream, delta_rational, right_limit_word
 from staircase.diophantine import presets
 from staircase.errors import PreconditionError
 from staircase.intervals import Enclosure, eval_poly
@@ -1016,3 +1016,18 @@ def test_orbit_layer_matches_a_fresh_horner_reference():
         assert root.bracket == reference.bracket
         moved += root.bracket != start
     assert moved >= 10  # refinements moved the bracket in many orbits
+
+
+def test_carried_orbit_intervals_bound_the_fresh_horner_passes():
+    """The 960 orbit steps of 24 round trips and band checks at q = 20 run
+    ``_horner`` afresh only where a reduction or a refinement needs it: 166
+    times.  An interval compared by identity with the bracket, or never
+    carried, passes the other tests and runs it many times more."""
+    cases = [delta_rational((b - 1) + Fraction(p, 20), Fraction(1, 2 ** 24))
+             for b in (1, 2, 3) for p in range(1, 20) if gcd(p, 20) == 1]
+    with mock.patch.object(beta, "_horner", wraps=beta._horner) as horner:
+        for d in cases:
+            assert greedy_digits(d.handle, 22) == (d.word, True), d.slope
+            verdicts = [pt.verdict for pt in extremal_orbit_check(d.handle, 21)]
+            assert verdicts == ["interior"] * 19 + ["zero"], d.slope
+    assert horner.call_count <= 166  # a bound that may only be tightened

@@ -378,7 +378,7 @@ def test_a_wrong_seed_falls_back_to_the_unit_cell(F):
     assert good._K > 0
     unit = RefinableRoot(F, 2)  # the unit cell [2, 3], unrefined
     for rr in (missing, spanning):
-        assert (rr._j, rr._K, rr._k) == (unit._j, unit._K, unit._k) == (2, 0, 0)
+        assert (rr._j, rr._K, rr.bracket[2]) == (unit._j, unit._K, unit.bracket[2]) == (2, 0, 0)
     for rr in (good, missing, spanning):
         assert rr.refine(Fraction(1, 2 ** 30)) == plain.refine(Fraction(1, 2 ** 30))
 

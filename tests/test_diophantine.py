@@ -16,7 +16,6 @@ from staircase.diophantine import (
     ApproximationSample,
     ContinuedFraction,
     LogMagnitude,
-    Thresholds,
     _double_tower_series_samples,
     _factorial_series_samples,
     _log_step,
@@ -230,13 +229,6 @@ def test_classification_structure():
     assert c.caveat and c.theta is not None
     assert c.label in ("hypo-exponential", "exponential",
                        "hyper-exponential", "apparently-non-Liouville")
-
-
-def test_classify_custom_thresholds():
-    # a huge low threshold forces everything out of the exponential band
-    t = Thresholds(theta_low=1e9, theta_high=1e12)
-    c = classify(lookup_preset("targeted:2"), N=6, thresholds=t)
-    assert c.label in ("hypo-exponential", "apparently-non-Liouville")
 
 
 def _floors_from_scratch(cf: ContinuedFraction, n: int):
