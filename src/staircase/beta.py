@@ -17,8 +17,9 @@ the cell end: each step is one Horner pass over the powers of y that still
 count at double precision.  For a sparse annihilator, sign tests and
 Newton steps run over its nonzero terms only.  Deep sign tests, long dense
 heads included, first try a fixed-point Horner that bounds its own error, and
-exact integer arithmetic only where it is undecided.  A series root lengthens
-a truncation whose coarse pair of roots certifies a gap over tol, unrefined.
+exact integer arithmetic only where it is undecided.  A series root moves on
+from a pair of words (truncations, or another source's) whose coarse roots
+certify a gap over tol, unrefined.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, count
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
@@ -537,23 +538,29 @@ def positive_root_finite(digits: Sequence[int], tol: Fraction = DEFAULT_TOL) -> 
 
 
 class SeriesRoot:
-    """Incrementally refinable root for an infinite digit stream a_n = digit(n).
+    """Incrementally refinable root for an infinite digit stream a_n = digit(n),
+    sandwiched between the roots of a pair of words, one below the stream and
+    one above it, from a source of pairs by length m.
 
-    For each truncation length m the root is sandwiched between the roots of
-    a_1..a_m 0^w (digitwise below the stream) and a_1..a_m M^w (digitwise
-    above it, M = max_digit): more/larger digits push the root up.  The
-    per-m history of enclosures is nested by construction (each is
-    intersected with its predecessor) and shrinks like M * root^(-m).
+    The default source is the truncations: the roots of a_1..a_m 0^w
+    (digitwise below the stream) and a_1..a_m M^w (digitwise above it,
+    M = max_digit), as more/larger digits push the root up, at m doubling
+    from m0.  Another source, ``pairs``, gives ``pairs.pair(m, tol)``, the
+    first of its pairs of length at least m as (length, low root, high root),
+    each root built to tol, and ``pairs.after(m, tol, enclosure)``, the least
+    length to try after m (``delta.delta_irrational`` passes Stern-Brocot
+    neighbours).  The history of (length, enclosure) is nested by
+    construction (each is intersected with its predecessor).
 
     Doubling m about squares the width w, so a new pair is built coarse, to
-    max(tol/4, w^2 2^-GUARD_BITS); m doubles again unrefined where the gap
+    max(tol/4, w^2 2^-GUARD_BITS); m moves on unrefined where the gap
     between its roots exceeds tol, else both go to tol/4.  The final m and
     enclosure are those of refining every pair to tol/4, as the last sandwich
     lies inside the earlier ones; only earlier history is wider.  As in
     ``RefinableRoot.refine``, tol <= 0 is refused and a met tol refines nothing.
     """
 
-    def __init__(self, digit: Callable[[int], int], max_digit: int, m0: int = 32):
+    def __init__(self, digit: Callable[[int], int], max_digit: int, m0: int = 32, pairs=None):
         if max_digit < 1:
             raise PreconditionError("max_digit must be >= 1")
         if digit(1) < 1:
@@ -561,12 +568,16 @@ class SeriesRoot:
         self._digit = digit
         self.max_digit = max_digit
         self._m = m0
+        self._pairs = pairs
         self._low: Optional[RefinableRoot] = None
         self._high: Optional[RefinableRoot] = None
         self.history: List[Tuple[int, Enclosure]] = []
         self.enclosure: Optional[Enclosure] = None
 
     def _build(self, tol: Fraction) -> None:
+        if self._pairs is not None:
+            self._m, self._low, self._high = self._pairs.pair(self._m, tol)
+            return
         m = self._m
         digits = tuple(self._digit(n) for n in range(1, m + 1))
         if any(d < 0 or d > self.max_digit for d in digits):
@@ -589,7 +600,7 @@ class SeriesRoot:
                 if self._m > MAX_WORD_LENGTH:
                     raise CertificationError(
                         f"series root not certified to width {tol} within "
-                        f"truncation cap {MAX_WORD_LENGTH}")
+                        f"word cap {MAX_WORD_LENGTH}")
                 w = self.enclosure.width if self.enclosure is not None else 0
                 self._build(max(tol / 4, w * w / (1 << GUARD_BITS)))
             if self._high.enclosure.lo - self._low.enclosure.hi <= tol:  # else the gap is over tol
@@ -604,8 +615,8 @@ class SeriesRoot:
             if self.enclosure.width <= tol:
                 return self.enclosure
             # The sandwich roots are tight to tol/4, or their gap exceeds tol,
-            # so the remaining width is truncation gap: lengthen the word.
-            self._m *= 2
+            # so the remaining width is the pair's gap: take a longer pair.
+            self._m = self._pairs.after(self._m, tol, self.enclosure) if self._pairs else 2 * self._m
             self._low = self._high = None
 
 
@@ -643,6 +654,37 @@ def _poly_sub_const(coeffs: List[int], c: int) -> List[int]:
     """r - c, reduced for r reduced: only a constant can vanish."""
     r = [(coeffs[0] if coeffs else 0) - c] + coeffs[1:]
     return r if r[-1] else []
+
+
+def _poly_mod(coeffs: Sequence, modulus: Sequence) -> list:
+    """The remainder of coeffs modulo a nonzero ``modulus`` (ascending
+    coefficients), over the fractions unless the modulus is monic."""
+    r, d = list(coeffs), len(modulus) - 1
+    while len(r) > d:
+        c = r.pop()
+        if c:
+            c = c / modulus[-1] if modulus[-1] != 1 else c
+            for i in range(d):
+                r[len(r) - d + i] -= c * modulus[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _vanishes(p: List[int], beta: RefinableRoot) -> bool:
+    """Whether p(beta) = 0, for a beta that is no exact root: g = gcd(p, F),
+    monic with integer coefficients as a factor of the monic F, changes sign
+    across beta's cell, which holds no other root of F.  Orbits then reduce
+    modulo g, as p does."""
+    a, b = [Fraction(c) for c in beta._modulus], [Fraction(c) for c in p]
+    while b:
+        a, b = b, _poly_mod(a, b)
+    g = tuple(int(c / a[-1]) for c in a)
+    lo, hi, k = beta.bracket
+    if len(g) < 2 or _poly_sign(g, lo, k) * _poly_sign(g, hi, k) >= 0:
+        return False
+    beta._modulus = g
+    return True
 
 
 def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, int]:
@@ -701,6 +743,8 @@ def _orbit_step(r: List[int], beta: RefinableRoot, den: int,
     digit = _decide_floor(r, beta, den, iv) if r else 0
     if digit:
         r = _poly_sub_const(r, digit * den)
+        if len(r) >= len(beta._modulus):  # the modulus became a factor of F (_vanishes)
+            r = _poly_mod(r, beta._modulus)
         c = (digit * den) << iv[3]
         iv = iv[0], iv[1] - c, iv[2] - c, iv[3]
     return digit, r, iv
@@ -714,7 +758,8 @@ def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1)) -> Tup
     digit word is the complete finite expansion.  Floors are decided by
     interval evaluation with on-demand refinement.  On a reducible annihilator
     an orbit value that is an integer at beta need not reduce to a constant:
-    its floor is never decided, and the CertificationError is spurious.
+    a floor still undecided after a few rounds is checked for that
+    (``_vanishes``), and orbits then reduce modulo the factor of F at beta.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -739,11 +784,17 @@ def greedy_digits(beta: RefinableRoot, n: int, x: Fraction = Fraction(1)) -> Tup
 
 def _decide_floor(r: List[int], beta: RefinableRoot, den: int, iv: Interval) -> int:
     """floor of the real number r(beta) / den, ``iv`` its carried interval."""
+    f = (iv[1] >> iv[3]) // den
+    if f == (iv[2] >> iv[3]) // den:  # as most digits are, on the carried interval
+        return f
+    asked = count()
 
     def floor() -> Optional[int]:
         _, lo, hi, s = _interval(r, beta, iv)
-        f_lo = (lo >> s) // den
-        return f_lo if f_lo == (hi >> s) // den else None
+        f_lo, f = (lo >> s) // den, (hi >> s) // den
+        # Still undecided on the fourth ask: r(beta) may be exactly f den,
+        # which no refinement decides where F is reducible.
+        return f if f_lo == f or next(asked) == 3 and _vanishes(_poly_sub_const(r, f * den), beta) else None
 
     return _refine_root_until(floor, beta, "greedy digit")
 

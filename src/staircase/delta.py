@@ -11,6 +11,7 @@ at every positive rational.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -41,8 +42,9 @@ class DeltaValue:
 
     ``word`` is the digit expansion of 1 in base beta.  Its one root, ``handle``,
     is a ``RefinableRoot`` (algebraic beta) or a ``SeriesRoot`` (irrational
-    slopes, whose digit ``stream`` is kept too), which ``enclosure`` reads,
-    ``refine`` shrinks on demand and ``nature`` names.
+    slopes: Delta between its values at Stern-Brocot neighbours, and the
+    digit ``stream`` is kept too), which ``enclosure`` reads, ``refine``
+    shrinks on demand and ``nature`` names.
     """
 
     slope: Union[Fraction, ContinuedFraction]
@@ -173,34 +175,107 @@ class StaircaseDigitStream:
     def __init__(self, cf: ContinuedFraction):
         self.cf = cf
         self.b = cf.a0 + 1
-        self._floors: List[int] = [0]
+        self._digits: Word = (self.b,)
 
     def digit(self, n: int) -> int:
         if n < 1:
             raise PreconditionError("digit index starts at 1")
-        if n == 1:
-            return self.b
-        if len(self._floors) <= n:
-            self._floors = self.cf.floors_upto(max(n, 2 * len(self._floors)))
-        return self._floors[n] - self._floors[n - 1]
+        if len(self._digits) < n:
+            f = self.cf.floors_upto(max(n, 2 * len(self._digits)))
+            self._digits = (self.b,) + tuple(map(operator.sub, f[2:], f[1:-1]))
+        return self._digits[n - 1]
+
+    def prefix(self, n: int) -> Word:
+        """a_1 .. a_n, n >= 1."""
+        self.digit(n)
+        return self._digits[:n]
+
+
+def _lex_sign(word: PeriodicWord, stream: StaircaseDigitStream, n: int, cap: int) -> int:
+    """The sign of word - stream in lexicographic order, from their prefixes
+    of n letters, doubling, up to the first difference; 0 where they agree on
+    ``cap`` letters."""
+    while (u := word.prefix(n)) == (v := stream.prefix(n)):
+        if n >= cap:
+            return 0
+        n = min(2 * n, cap)
+    return (u > v) - (u < v)
+
+
+class _NeighbourPairs:
+    """The pair source of ``delta_irrational``: the Stern-Brocot neighbours
+    r < alpha < s, (p_n/q_n, (p_(n-1) + j p_n)/(q_(n-1) + j q_n)) for
+    j = 1..a_(n+1), the convergent below alpha at even n and above it at odd n,
+    by their length q_r + q_s, which grows pair by pair.  The words of the
+    slopes in (r, s) share about q_r + q_s letters, so Delta(r+) < Delta(alpha)
+    < Delta(s) is about beta^-(q_r + q_s) wide."""
+
+    def __init__(self, cf: ContinuedFraction, stream: StaircaseDigitStream):
+        self._cf, self._stream = cf, stream
+        self._n, self._j, self._q = 0, 1, (1, 0, cf.a0, 1)  # p_(n-1), q_(n-1), p_n, q_n
+
+    def pair(self, m: int, tol: Fraction) -> Tuple[int, RefinableRoot, RefinableRoot]:
+        """The first pair with q_r + q_s >= m: its length and the roots of
+        Delta(r+) and Delta(s) to tol, once their words sandwich the stream."""
+        P, Q, p, q = self._q
+        while True:
+            a = self._cf.term(self._n + 1)
+            if not isinstance(a, int):
+                raise CertificationError(f"partial quotient {self._n + 1} of "
+                                         f"{self._cf.name or 'cf'} is not an exact integer")
+            j = max(self._j, -(-(m - Q - q) // q))  # Q + (j + 1) q >= m
+            if j <= a:
+                break
+            self._n, self._j, (P, Q, p, q) = self._n + 1, 1, (p, q, a * p + P, a * q + Q)
+        self._j, self._q = j, (P, Q, p, q)
+        length = Q + (j + 1) * q
+        if length > MAX_WORD_LENGTH:
+            raise CertificationError(f"series root not certified to width {tol} within "
+                                     f"word cap {MAX_WORD_LENGTH}")
+        near, far = Fraction(p, q), Fraction(P + j * p, Q + j * q)
+        r, s = (near, far) if self._n % 2 == 0 else (far, near)
+        low, high = delta_right_limit(r, tol), delta_rational(s, tol)
+        above = _lex_sign(PeriodicWord.from_finite(high.word), self._stream, length, MAX_WORD_LENGTH)
+        if above == 0:
+            raise CertificationError(f"the word of {s} agrees with the stream "
+                                     f"past {MAX_WORD_LENGTH} letters")
+        # Delta(0+) = 1 lies below every Delta(alpha), alpha > 0
+        below = _lex_sign(low.word, self._stream, length, 8 * length) if r else -1
+        if above < 0 or below > 0:
+            raise CertificationError(f"the words of {r}+ and {s} do not sandwich the stream")
+        if below == 0:  # alpha lies too near r: a_1..a_m 0^w is digitwise below the stream
+            return length, beta_root_finite(self._stream.prefix(length), tol), high.handle
+        return length, low.handle, high.handle
+
+    def after(self, m: int, tol: Fraction, enc: Enclosure) -> int:
+        """The next pair's length, or more where it predicts
+        (q_r + q_s) log2 beta >= log2(1/tol) + 3, log2 beta read off enc's
+        lower end (its upper one where that is Delta(0+) = 1)."""
+        x = enc.lo if enc.lo > 1 else enc.hi
+        bits = math.log2(x.numerator) - math.log2(x.denominator)
+        want = (math.log2(tol.denominator) - math.log2(tol.numerator) + 3) / bits
+        return max(m + 1, math.ceil(want))
 
 
 def delta_irrational(cf: ContinuedFraction, tol: Fraction = IRRATIONAL_TOL) -> DeltaValue:
     """Certified enclosure of Delta at an irrational slope.
 
     The slope is passed as a regular continued fraction with exact integer
-    partial quotients.  The value is transcendental; the returned word is a
-    finite prefix view only (the stream itself is kept on the result as
-    ``stream``).
+    partial quotients.  Delta is strictly increasing with a jump at every
+    positive rational, so Delta(r+) < Delta(alpha) < Delta(s) for rationals
+    r < alpha < s: the handle is a ``SeriesRoot`` over the Stern-Brocot
+    neighbours (``_NeighbourPairs``), from the first pair with q_r + q_s >= 32,
+    whose words are checked against the stream in lexicographic order.  The
+    value is transcendental; the returned word is a finite prefix view only
+    (the stream itself is kept on the result as ``stream``).
     """
     if cf.length is not None:
         raise CertificationError(f"a continued fraction of {cf.length} partial "
                                  "quotients is rational, not an irrational slope")
     stream = StaircaseDigitStream(cf)
-    root = SeriesRoot(stream.digit, max_digit=stream.b)
+    root = SeriesRoot(stream.digit, stream.b, 32, _NeighbourPairs(cf, stream))
     root.refine(tol)
-    prefix = tuple(stream.digit(n) for n in range(1, 33))
-    return DeltaValue(cf, prefix, root, stream)
+    return DeltaValue(cf, stream.prefix(32), root, stream)
 
 
 # ---------------------------------------------------------------------------

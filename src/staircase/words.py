@@ -168,7 +168,7 @@ class PeriodicWord:
         return self.per[(i - len(self.pre)) % len(self.per)]
 
     def prefix(self, n: int) -> Word:
-        return tuple(self[i] for i in range(n))
+        return (self.pre + self.per * -(-(n - len(self.pre)) // len(self.per)))[:n]
 
     def shift(self, k: int = 1) -> "PeriodicWord":
         """Drop the first k letters."""

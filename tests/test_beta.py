@@ -152,6 +152,32 @@ def test_series_root_lengthens_a_truncation_of_root_one():
     assert hist[0][0] > 40
 
 
+@pytest.mark.parametrize("word, factor, x, want", [
+    ((1, 0, 0, 2), (-2, 2, -2, 1), Fraction(1, 4), (0, 0, 0, 1, 0, 1)),
+    ((1, 2, 2, 2), (-2, 0, -2, 1), Fraction(1, 2), (1, 0, 1)),
+    ((1, 2, 2, 2), (-2, 0, -2, 1), Fraction(1, 4), (0, 1, 0, 2, 0, 1)),
+    ((1, 2, 2, 2), (-2, 0, -2, 1), Fraction(3, 4), (1, 1, 1, 2, 0, 1)),
+    ((1, 2, 2, 2), (-2, 0, -2, 1), Fraction(1, 8), (0, 0, 1, 1, 1, 0, 1, 0, 1)),
+])
+def test_greedy_digits_on_a_reducible_annihilator(word, factor, x, want):
+    """F = (x + 1) G for these words (G = x^3 - 2x^2 + 2x - 2, x^3 - 2x^2 - 2):
+    an orbit value that is an integer at beta but no constant modulo F is
+    decided all the same, and the expansion of x terminates on its exact
+    finite expansion: den x beta^N - num sum d_n beta^(N-n) is a multiple of G,
+    which changes sign across beta's bracket."""
+    h = beta_root_finite(word, Fraction(1, 2 ** 24))
+    assert greedy_digits(h, 12, x) == (want, True)
+    lo, hi, k = h.bracket
+    G = lambda t: sum(c * t ** i for i, c in enumerate(factor))
+    assert G(Fraction(lo, 1 << k)) < 0 < G(Fraction(hi, 1 << k))
+    p = [x.denominator * d for d in reversed(want)] + [-x.numerator]  # ascending powers of beta
+    while len(p) >= len(factor):
+        c = p.pop()
+        for i in range(len(factor) - 1):
+            p[len(p) - len(factor) + 1 + i] -= c * factor[i]
+    assert not any(p)
+
+
 def test_greedy_digits_roundtrip_finite():
     digits = (2, 0, 1)
     h = beta_root_finite(digits, TOL)

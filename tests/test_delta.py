@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import count, cycle, takewhile
 from math import isqrt
 from pathlib import Path
 from unittest import mock
@@ -20,6 +21,8 @@ from staircase.beta import (RefinableRoot, SeriesRoot, beta_root_finite, beta_ro
                             finite_annihilator, near_one_root, periodic_annihilator)
 from staircase.delta import (
     IRRATIONAL_TOL,
+    StaircaseDigitStream,
+    _NeighbourPairs,
     delta_irrational,
     delta_rational,
     delta_right_limit,
@@ -172,12 +175,13 @@ def _fresh_sandwich(stream, m: int, tol: Fraction) -> Enclosure:
 @pytest.mark.parametrize("digits", [12, 45, 100])
 @pytest.mark.parametrize("name", ["golden", "sqrt2m1", "e"])
 def test_series_root_ends_on_the_fresh_sandwich_of_its_truncation(name, digits):
-    """At tol and again 10 digits deeper, the series root ends where refining
-    every doubled truncation to tol/4 ends: on the first length from 32 whose
-    sandwich has width at most tol, with that sandwich as its enclosure.
-    Coarse pairs of hopeless truncations leave only wider, nested history."""
+    """At tol and again 10 digits deeper, a series root over the truncations
+    of a staircase stream ends where refining every doubled truncation to
+    tol/4 ends: on the first length from 32 whose sandwich has width at most
+    tol, with that sandwich as its enclosure.  Coarse pairs of hopeless
+    truncations leave only wider, nested history."""
     d = delta_irrational(presets()[name].cf, Fraction(1, 10 ** digits))
-    sr = d.handle
+    sr = SeriesRoot(d.stream.digit, d.stream.b)
     for tol in (Fraction(1, 10 ** digits), Fraction(1, 10 ** (digits + 10))):
         sr.refine(tol)
         m = 32
@@ -189,6 +193,71 @@ def test_series_root_ends_on_the_fresh_sandwich_of_its_truncation(name, digits):
         assert lengths == sorted(set(lengths)) and lengths[-1] == m
         for (_, a), (_, b) in zip(sr.history, sr.history[1:]):
             assert a.lo <= b.lo and b.hi <= a.hi
+
+
+def _stern_brocot_pairs(cf):
+    """(q_r + q_s, r, s) for the Stern-Brocot pairs r < alpha < s of cf's
+    slope, by increasing length: (p_n/q_n, (p_(n-1) + j p_n)/(q_(n-1) + j q_n))
+    for j = 1..a_(n+1), the convergent below alpha at even n."""
+    P, Q, p, q = 1, 0, cf.a0, 1
+    for n in count():
+        a = cf.term(n + 1)
+        for j in range(1, a + 1):
+            near, far = Fraction(p, q), Fraction(P + j * p, Q + j * q)
+            yield (Q + (j + 1) * q, *((near, far) if n % 2 == 0 else (far, near)))
+        P, Q, p, q = p, q, a * p + P, a * q + Q
+
+
+def _stream_prefix(cf, n: int):
+    """a_1..a_n of the staircase stream by the floor formula, each floor read
+    off a convergent p/q of the slope with q_prev > n."""
+    P, Q, p, q, k = 1, 0, cf.a0, 1, 0
+    while Q <= n:
+        k += 1
+        a = cf.term(k)
+        P, Q, p, q = p, q, a * p + P, a * q + Q
+    return (cf.a0 + 1,) + tuple((m * p) // q - ((m - 1) * p) // q for m in range(2, n + 1))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.lists(st.integers(1, 50), min_size=1, max_size=4),
+       st.integers(12, 200))
+def test_delta_irrational_ends_in_its_stern_brocot_sandwich(a0, period, digits):
+    """Over periodic continued fractions [a0; period...]: the enclosure has
+    width <= tol, its history is nested with strictly increasing lengths, each
+    a Stern-Brocot pair's q_r + q_s whose words pass the lex check (the word
+    of r+ may agree with the stream past 8 lengths, where a_1..a_m 0^w takes
+    its place), and the enclosure lies within that last pair's fresh roots at
+    tol/4 and overlaps a truncation sandwich of the same stream.  The pair
+    source refuses a stream of a slope outside its pair."""
+    cf, tol = ContinuedFraction(a0, partial(cycle, period)), Fraction(1, 10 ** digits)
+    d = delta_irrational(cf, tol)
+    enc, history = d.enclosure, d.handle.history
+    assert enc.width <= tol
+    lengths = [m for m, _ in history]
+    assert lengths == sorted(set(lengths))
+    for (_, a), (_, b) in zip(history, history[1:]):
+        assert a.lo <= b.lo and b.hi <= a.hi
+    pairs = {m: (r, s) for m, r, s in takewhile(lambda t: t[0] <= lengths[-1],
+                                                _stern_brocot_pairs(cf))}
+    for i, m in enumerate(lengths):
+        r, s = pairs[m]
+        stream = _stream_prefix(cf, 8 * m)
+        assert stream < PeriodicWord.from_finite(delta_rational(s, 1).word).prefix(8 * m)
+        low = right_limit_word(r).prefix(8 * m)
+        assert low <= stream
+        if i or len(lengths) == 1:
+            lo = (delta_right_limit(r, tol / 4) if low < stream or not r else
+                  beta_root_finite(stream[:m], tol / 4)).enclosure.lo
+            hi = delta_rational(s, tol / 4).enclosure.hi
+        if 0 < i < len(lengths) - 1:  # a pair after the first is passed by only while too wide
+            assert hi - lo > tol
+    assert lo <= enc.lo and enc.hi <= hi
+    truncated = SeriesRoot(d.stream.digit, d.stream.b).refine(max(tol, Fraction(1, 10 ** 20)))
+    assert truncated.lo <= enc.hi and enc.lo <= truncated.hi
+    above = StaircaseDigitStream(ContinuedFraction(a0 + 1, partial(cycle, period)))
+    with pytest.raises(CertificationError, match="sandwich"):
+        _NeighbourPairs(cf, above).pair(m, tol)
 
 
 def test_delta_irrational_rejects_rational_cf():

@@ -11,7 +11,9 @@ starts between slopes and crosses integer slopes, and a sparse root (the
 word 1 0^38 1) refined to 1e-40 and printed to 45 digits, and two series
 roots at irrational slopes (golden to 1e-100, the ``--cf 0,2,periodic``
 slope to 1e-120).
-Refactors and kernel rewrites must leave every byte unchanged.
+Refactors and kernel rewrites must leave every byte unchanged.  The
+irrational ``delta eval`` rows also check their own value: each printed
+enclosure must hold an mpmath root of the slope's floor-formula digits.
 
 Regenerate the corpus, after a deliberate output change only, with
 
@@ -20,15 +22,19 @@ Regenerate the corpus, after a deliberate output change only, with
 
 import contextlib
 import io
+import json
 import os
 import shlex
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from staircase import cli
+from staircase.diophantine import lookup_preset
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -78,6 +84,61 @@ def test_extra_golden_output(n, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
     expected = GOLDEN.joinpath(f"x{n:02d}.out").read_text()
     assert capture(EXTRA[n - 1], tmp_path) == expected
+
+
+IRRATIONAL_ROWS = ["05", "06", "x11", "x23", "x24"]
+
+
+def _row_command(name: str) -> str:
+    lines = EXTRA if name.startswith("x") else COMMANDS
+    return lines[int(name.lstrip("x")) - 1]
+
+
+def _slope_cf(line: str):
+    argv = _argv(line)
+    if "--cf" in argv:
+        return cli.parse_cf(argv[argv.index("--cf") + 1], irrational=True)
+    return lookup_preset(argv[argv.index("--preset") + 1]).cf
+
+
+def _mp_delta(cf, digits: int):
+    """Delta at the slope of ``cf`` to ``digits`` + 45 digits, by mpmath, with
+    its error bound: the root of sum a_n x^-n = 1 over the digits a_1 = b,
+    a_n = floor(n alpha) - floor((n-1) alpha), each floor read off a
+    convergent p/q of alpha with q_prev > n, truncated where the tail is
+    under 10^-(digits + 60)."""
+    mp.mp.dps = digits + 60
+    n_max = 5 * (digits + 60)  # every Delta here exceeds 10^(1/5)
+    p0, q0, p, q, k = 1, 0, cf.a0, 1, 0
+    while q0 <= n_max:
+        k += 1
+        a = cf.term(k)
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+    word = [cf.a0 + 1] + [(n * p) // q - ((n - 1) * p) // q for n in range(2, n_max + 1)]
+    series = lambda y: mp.fsum(c * y ** n for n, c in enumerate(word, 1)) - 1
+    man, exp = (1 / mp.findroot(series, mp.mpf(1) / (cf.a0 + 1.7))).man_exp
+    return Fraction(man) * Fraction(2) ** exp, Fraction(1, 10 ** (digits + 45))
+
+
+def _holds(lo, hi, value: Fraction, err: Fraction) -> bool:
+    return Fraction(lo) <= value - err and value + err <= Fraction(hi)
+
+
+@pytest.mark.parametrize("name", IRRATIONAL_ROWS)
+def test_irrational_delta_rows_hold_their_value(name):
+    """Each irrational ``delta eval`` row's printed enclosure, read as exact
+    fractions, holds Delta at its slope, computed by mpmath 45 digits past
+    the printed ones from the floor formula, apart from ``staircase.beta``.
+    Moving the lower end up, or the upper end down, by one unit of the first
+    digit where the ends differ makes one of the two copies fail: the check
+    is sharp to the printed digits."""
+    lo, hi = json.loads(GOLDEN.joinpath(f"{name}.out").read_text())["enclosure"]
+    value, err = _mp_delta(_slope_cf(_row_command(name)), len(lo.split(".")[1]))
+    assert _holds(lo, hi, value, err)
+    first = next(i for i, (x, y) in enumerate(zip(lo, hi)) if x != y)
+    unit = Fraction(1, 10 ** (first - lo.index(".")))
+    moved = [(Fraction(lo) + unit, hi), (lo, Fraction(hi) - unit)]
+    assert not all(_holds(a, b, value, err) for a, b in moved)
 
 
 if __name__ == "__main__":
