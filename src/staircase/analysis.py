@@ -85,44 +85,20 @@ class QuotientTrace:
 # ---------------------------------------------------------------------------
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator fraction strictly inside (lo, hi), 0 <= lo < hi.
-
-    Continued-fraction descent (Graham, Knuth & Patashnik, Concrete
-    Mathematics, section 4.5), one step per partial quotient: the answer is
-    the first integer above lo if that lies below hi; otherwise both ends
-    share the integer part f, and the answer is f + 1/y for the simplest y in
-    (1/(hi - f), 1/(lo - f)).  (p1 y + p0)/(q1 y + q0) maps y back to x.
-    """
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        f = lo.numerator // lo.denominator
-        if f + 1 < hi:
-            y = f + 1
-            break
-        p0, q0, p1, q1 = p1, q1, p1 * f + p0, q1 * f + q0
-        r = 1 / (hi - f)
-        if lo == f:  # y may be any number above r
-            y = r.numerator // r.denominator + 1
-            break
-        lo, hi = r, 1 / (lo - f)
-    return Fraction(p1 * y + p0, q1 * y + q0)
-
-
 def _ladder_offset(alpha0: Fraction, N: int, side: str) -> Fraction:
-    """An offset inside the probe ladder ((2qN)^-1, delta_N) on the given side.
+    """The simplest fraction in the probe ladder ((2qN)^-1, delta_N) on the
+    given side, for N >= q.
 
     delta_N is the prefix-agreement radius: every slope within it shares the
     first N staircase digits with alpha0, which is what makes the probe
-    quotient meaningful.  The simplest fraction in the ladder keeps the probe
-    slope's denominator (and hence its expansion length) small.
+    quotient meaningful.  As N >= q it is 1/(q b), the gap to the Farey
+    neighbour a/b of order N on that side (|p b - q a| = 1), and the simplest
+    fraction in (0, delta_N), 1/(q b + 1) = delta_N/(1 + delta_N), lies in the
+    ladder as b <= N.  It keeps the probe slope's denominator (and hence its
+    expansion length) small.
     """
-    q = Fraction(alpha0).denominator
     delta = common_prefix_radius(alpha0, N, side)
-    inner = Fraction(1, 2 * q * N)
-    if not inner < delta:
-        raise CertificationError(f"empty probe ladder at N={N}")
-    return _simplest_between(inner, delta)
+    return delta / (1 + delta)
 
 
 def rational_left_quotients(alpha0: Fraction, K: int, tol: Fraction = DEFAULT_TOL) -> QuotientTrace:

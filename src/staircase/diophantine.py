@@ -555,8 +555,6 @@ def best_approx_check(t, p: int, q: int) -> dict:
             for a in (a0 - 1, a0, a0 + 1):
                 if b == q and a == p:
                     continue
-                if Fraction(a, b) == Fraction(p, q):
-                    continue
                 cmp1 = less(target_first, size(x - Fraction(a, b)))
                 cmp2 = less(target_second, size(x * b - a))
                 if cmp1 is None or cmp2 is None:

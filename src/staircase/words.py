@@ -170,14 +170,6 @@ class PeriodicWord:
     def prefix(self, n: int) -> Word:
         return (self.pre + self.per * -(-(n - len(self.pre)) // len(self.per)))[:n]
 
-    def shift(self, k: int = 1) -> "PeriodicWord":
-        """Drop the first k letters."""
-        if k <= len(self.pre):
-            return PeriodicWord.make(self.pre[k:], self.per)
-        k -= len(self.pre)
-        r = k % len(self.per)
-        return PeriodicWord.make((), self.per[r:] + self.per[:r])
-
     def __str__(self) -> str:
         return f"{word_str(self.pre)}({word_str(self.per)})^w"
 
@@ -244,13 +236,14 @@ def is_parry_admissible(w: WordLike) -> bool:
     if not isinstance(w, PeriodicWord) and len(tuple(w)) == 0:
         raise PreconditionError("the empty word has no admissibility status")
     pw = PeriodicWord.from_finite(w)
-    for k in range(1, len(pw.pre) + len(pw.per) + 1):
-        if lex_compare(pw.shift(k), pw) >= 0:
-            return False
-    # Every further shift repeats one of the tails already checked.  The last
-    # one is the period alone, the word itself when it is purely periodic, so
-    # no purely periodic word (such as (10)^w) is admissible.
-    return True
+    # A shift by k <= n and the word agree forever once they agree on their
+    # first n letters, so their first n letters decide the order.  Every
+    # further shift repeats one of the tails already checked.  The last one
+    # is the period alone, the word itself when it is purely periodic, so no
+    # purely periodic word (such as (10)^w) is admissible.
+    n = len(pw.pre) + len(pw.per)
+    u = pw.prefix(2 * n)
+    return all(u[k:k + n] < u[:n] for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +255,11 @@ def common_prefix_radius(alpha: Fraction, n: int, side: str) -> Fraction:
     """How far a rational slope may move before some of the first n letters change.
 
     Every slope within the returned radius of alpha = p/q on the stated side
-    ("below" or "above") shares the length-n word prefix, where the radius is
-    the minimum over 1 <= m <= n with q not dividing m of frac(m*alpha)/m
-    (below) or (1 - frac(m*alpha))/m (above).  Integer slopes (where that
-    minimum is vacuous) use the radius 1/n instead.
+    ("below" or "above") shares the length-n word prefix.  The radius is the
+    gap to the nearest fraction a/m != alpha on that side with m <= n
+    (Graham, Knuth & Patashnik, Concrete Mathematics, section 4.5): the
+    minimum over 1 <= m <= n of (m p mod q, or q where q divides m p)/(q m)
+    below and (q - m p mod q)/(q m) above.
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
@@ -274,20 +268,10 @@ def common_prefix_radius(alpha: Fraction, n: int, side: str) -> Fraction:
     alpha = Fraction(alpha)
     if alpha < 0:
         raise PreconditionError("slope must be >= 0")
-    q = alpha.denominator
-    best: Optional[Fraction] = None
-    for m in range(1, n + 1):
-        if m % q == 0:
-            continue
-        frac = m * alpha % 1
-        r = frac / m if side == "below" else (1 - frac) / m
-        if best is None or r < best:
-            best = r
-    if best is None:
-        # Integer slope: every frac(m*alpha) vanishes, and the applicable
-        # radius is the one that keeps a length-n constant block intact.
-        best = Fraction(1, n)
-    return best
+    p, q = alpha.numerator, alpha.denominator
+    if side == "below":
+        return min(Fraction(m * p % q or q, q * m) for m in range(1, n + 1))
+    return min(Fraction(q - m * p % q, q * m) for m in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

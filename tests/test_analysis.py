@@ -3,15 +3,16 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircase.analysis import (
     QuotientTrace,
+    _ladder_offset,
     _left_limit_word,
-    _simplest_between,
     irrational_probe,
     lowerbound_check,
     rational_left_quotients,
@@ -21,22 +22,14 @@ from staircase.analysis import (
 from staircase.delta import delta_rational
 from staircase.diophantine import ContinuedFraction, LogMagnitude
 from staircase.errors import CertificationError, PreconditionError
-from staircase.words import PeriodicWord
-
-
-def test_simplest_between():
-    assert _simplest_between(Fraction(0), Fraction(1)) == Fraction(1, 2)
-    assert _simplest_between(Fraction(3, 10), Fraction(2, 5)) == Fraction(1, 3)
-    got = _simplest_between(Fraction(113, 355), Fraction(113, 354))
-    assert Fraction(113, 355) < got < Fraction(113, 354)
-    # no simpler fraction exists inside the gap
-    for q in range(1, got.denominator):
-        for p in range(q + 1):
-            assert not Fraction(113, 355) < Fraction(p, q) < Fraction(113, 354)
+from staircase.words import PeriodicWord, common_prefix_radius
 
 
 def _simplest_by_search(lo: Fraction, hi: Fraction) -> Fraction:
-    q = 1
+    """The smallest-denominator fraction in (lo, hi), 0 <= lo < hi, by trying
+    each denominator from floor(1/hi) on: a fraction a/d > lo >= 0 has a >= 1,
+    so a/d < hi needs d > 1/hi."""
+    q = max(1, hi.denominator // hi.numerator)
     while True:
         p = lo.numerator * q // lo.denominator + 1  # the first p/q above lo
         if Fraction(p, q) < hi:
@@ -44,16 +37,20 @@ def _simplest_by_search(lo: Fraction, hi: Fraction) -> Fraction:
         q += 1
 
 
-small_fractions = st.builds(Fraction, st.integers(0, 400), st.integers(1, 400))
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_fractions, small_fractions)
-def test_simplest_between_matches_search(a, b):
-    if a == b:
-        return
-    lo, hi = min(a, b), max(a, b)
-    assert _simplest_between(lo, hi) == _simplest_by_search(lo, hi)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 59), st.integers(0, 2), st.integers(1, 12),
+       st.sampled_from(["below", "above"]))
+@example(1, 0, 0, 1, "below")  # integer slopes: the radius is 1/N
+@example(1, 0, 2, 12, "above")
+@example(60, 1, 0, 12, "below")
+@example(59, 58, 1, 12, "above")
+def test_ladder_offset_is_the_simplest_fraction_in_the_ladder(q, p, whole, k, side):
+    """Every ladder has N = 1 + q k >= q, so it is never empty, and its
+    simplest fraction, found by search from its two ends, is the offset."""
+    assume(p < q and gcd(p, q) == 1)
+    alpha0, N = whole + Fraction(p, q), 1 + q * k
+    ladder = (Fraction(1, 2 * q * N), common_prefix_radius(alpha0, N, side))
+    assert _ladder_offset(alpha0, N, side) == _simplest_by_search(*ladder)
 
 
 def test_delta_rational_caps_the_word_length():

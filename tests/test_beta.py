@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from staircase import beta
 from staircase.beta import (
     BetaHandle,
     RefinableRoot,
@@ -26,7 +27,7 @@ from staircase.beta import (
 )
 from staircase.delta import StaircaseDigitStream, delta_rational, delta_right_limit
 from staircase.diophantine import sqrt2_minus_1_cf
-from staircase.errors import PreconditionError
+from staircase.errors import CertificationError, PreconditionError
 from staircase.intervals import Enclosure, refine_until
 from staircase.words import PeriodicWord, is_parry_admissible, lex_compare
 
@@ -135,6 +136,17 @@ def test_series_root_refines_a_coarse_pair_whose_gap_is_over_half_tol():
     low = beta_root_finite(digits, coarse)
     high = beta_root_periodic(PeriodicWord.make(digits, (M,)), coarse)
     assert tol / 2 < high.enclosure.lo - low.enclosure.hi <= tol
+
+
+def test_series_root_raises_past_its_word_cap(monkeypatch):
+    """A series root whose truncations double past the word cap raises,
+    naming the width it was asked for and the cap, instead of building a
+    longer pair."""
+    monkeypatch.setattr(beta, "MAX_WORD_LENGTH", 64)
+    sr = SeriesRoot(StaircaseDigitStream(sqrt2_minus_1_cf()).digit, 2)
+    with pytest.raises(CertificationError, match=r"width 1/10{100} within word cap 64$"):
+        sr.refine(Fraction(1, 10 ** 100))
+    assert [m for m, _ in sr.history] == [32, 64]
 
 
 def test_positive_root_series_interface():

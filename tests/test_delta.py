@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import staircase
-from staircase import beta
+from staircase import beta, delta
 from staircase.beta import (RefinableRoot, SeriesRoot, beta_root_finite, beta_root_periodic,
                             finite_annihilator, near_one_root, periodic_annihilator)
 from staircase.delta import (
@@ -258,6 +258,36 @@ def test_delta_irrational_ends_in_its_stern_brocot_sandwich(a0, period, digits):
     above = StaircaseDigitStream(ContinuedFraction(a0 + 1, partial(cycle, period)))
     with pytest.raises(CertificationError, match="sandwich"):
         _NeighbourPairs(cf, above).pair(m, tol)
+
+
+def test_neighbour_pairs_raise_past_the_word_cap(monkeypatch):
+    """A pair longer than the word cap is refused before its roots are built,
+    naming the width its roots were asked for (a coarse one here) and the cap."""
+    monkeypatch.setattr(delta, "MAX_WORD_LENGTH", 100)
+    with pytest.raises(CertificationError,
+                       match=r"^series root not certified to width \d+/\d+ within word cap 100$"):
+        delta_irrational(golden_cf(), Fraction(1, 10 ** 300))
+
+
+class _PaddedWord:
+    """A stub digit stream: the word of a slope padded with 0s."""
+
+    def __init__(self, slope):
+        self._word = delta_rational(slope, 1).word
+
+    def prefix(self, n):
+        return (self._word + (0,) * n)[:n]
+
+
+def test_neighbour_pairs_raise_where_the_far_word_agrees_with_the_stream(monkeypatch):
+    """The golden slope's first pair from length 32 is (8/13, 13/21), q_r + q_s = 34;
+    a stream equal to the word of 13/21 padded with 0s agrees with it up to
+    the cap, so the lex check cannot sort the two and the pair is refused."""
+    monkeypatch.setattr(delta, "MAX_WORD_LENGTH", 1000)
+    pairs = _NeighbourPairs(golden_cf(), _PaddedWord(Fraction(13, 21)))
+    with pytest.raises(CertificationError,
+                       match=r"^the word of 13/21 agrees with the stream past 1000 letters$"):
+        pairs.pair(32, Fraction(1, 10 ** 12))
 
 
 def test_delta_irrational_rejects_rational_cf():

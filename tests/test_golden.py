@@ -12,8 +12,10 @@ word 1 0^38 1) refined to 1e-40 and printed to 45 digits, and two series
 roots at irrational slopes (golden to 1e-100, the ``--cf 0,2,periodic``
 slope to 1e-120).
 Refactors and kernel rewrites must leave every byte unchanged.  The
-irrational ``delta eval`` rows also check their own value: each printed
-enclosure must hold an mpmath root of the slope's floor-formula digits.
+``delta eval`` rows and the ``delta plot`` rows also check their own value:
+each printed enclosure must hold the root of the slope's floor-formula
+digits, an mpmath root at irrational slopes and exact signs of the digit
+series at its ends at rational ones.
 
 Regenerate the corpus, after a deliberate output change only, with
 
@@ -139,6 +141,79 @@ def test_irrational_delta_rows_hold_their_value(name):
     unit = Fraction(1, 10 ** (first - lo.index(".")))
     moved = [(Fraction(lo) + unit, hi), (lo, Fraction(hi) - unit)]
     assert not all(_holds(a, b, value, err) for a, b in moved)
+
+
+RATIONAL_ROWS = ["03", "04", "x19", "x22"]
+PLOT_ROWS = ["07", "x14", "x21"]
+
+
+def _floor_word(alpha: Fraction, right: bool):
+    """(pre, per) of the expansion of 1 in base Delta(alpha), or Delta(alpha+)
+    when ``right``, at a rational slope alpha with denominator q: a_1 =
+    floor(alpha) + 1 and a_n = floor(n alpha) - floor((n-1) alpha), for
+    n = 2..q followed by 0^w, or for every n >= 2, a word of period q."""
+    p, q = alpha.numerator, alpha.denominator
+    a = [p // q + 1] + [n * p // q - (n - 1) * p // q for n in range(2, q + 2)]
+    return (a[:1], a[1:]) if right else (a[:q], [0])
+
+
+def _homogeneous(coeffs, u: int, v: int) -> int:
+    """sum c_i u^(d-i) v^i over coeffs c_0..c_d: v^d times the polynomial
+    sum c_i x^(d-i) at x = u/v."""
+    s, w = 0, 1
+    for c in coeffs:
+        s, w = s * u + c * w, w * v
+    return s
+
+
+def _g_sign(pre, per, x: Fraction) -> int:
+    """The exact sign of g(x) = sum a_n x^-n - 1 over the word pre (per)^w at
+    x > 1, by the closed form of the geometric tail: with k = |pre| and
+    L = |per|, g(x) x^k (x^L - 1) = (x^L - 1) F(x) + P(x), where
+    F(x) = sum pre_n x^(k-n) - x^k and P(x) = sum per_j x^(L-j); times
+    v^(k+L) at x = u/v, an integer."""
+    assert x > 1
+    u, v, k, L = x.numerator, x.denominator, len(pre), len(per)
+    F = _homogeneous([-1] + list(pre), u, v)
+    P = _homogeneous([0] + list(per), u, v)
+    G = (u ** L - v ** L) * F + v ** k * P
+    return (G > 0) - (G < 0)
+
+
+def _brackets_root(pre, per, lo, hi) -> bool:
+    """lo <= beta <= hi for the root beta of g: g falls through 0 at beta."""
+    return _g_sign(pre, per, Fraction(lo)) >= 0 >= _g_sign(pre, per, Fraction(hi))
+
+
+@pytest.mark.parametrize("name", RATIONAL_ROWS)
+def test_rational_delta_rows_hold_their_value(name):
+    """Each rational ``delta eval`` row's printed enclosure, read as exact
+    fractions, brackets the root of its slope's floor-formula word, by exact
+    signs of the digit series at its two ends, apart from ``staircase``.
+    Moving one end inward by one unit of the first digit where the ends
+    differ makes one of the two copies fail."""
+    row = json.loads(GOLDEN.joinpath(f"{name}.out").read_text())
+    lo, hi = row["enclosure"]
+    word = _floor_word(Fraction(row["slope"]), "--right-limit" in _row_command(name))
+    assert _brackets_root(*word, lo, hi)
+    first = next(i for i, (x, y) in enumerate(zip(lo, hi)) if x != y)
+    unit = Fraction(1, 10 ** (first - lo.index(".")))
+    moved = [(Fraction(lo) + unit, hi), (lo, Fraction(hi) - unit)]
+    assert not all(_brackets_root(*word, a, b) for a, b in moved)
+
+
+@pytest.mark.parametrize("name", PLOT_ROWS)
+def test_plot_rows_hold_their_values(name):
+    """Both enclosures of every ``delta plot`` row, Delta(alpha) in
+    delta_lo/hi and Delta(alpha+) in right_lo/hi, bracket the roots of the
+    slope's floor-formula words."""
+    lines = GOLDEN.joinpath(f"{name}.out").read_text().splitlines()
+    assert lines[0].startswith("slope_num,slope_den,delta_lo,delta_hi,right_lo,right_hi,")
+    for line in lines[1:]:
+        num, den, lo, hi, right_lo, right_hi = line.split(",")[:6]
+        alpha = Fraction(int(num), int(den))
+        assert _brackets_root(*_floor_word(alpha, False), lo, hi), line
+        assert _brackets_root(*_floor_word(alpha, True), right_lo, right_hi), line
 
 
 if __name__ == "__main__":

@@ -188,6 +188,51 @@ def test_common_prefix_radius_rational_sides():
     assert mechanical_prefix(Fraction(2, 5) + Fraction(1, 35), Fraction(0), 7) != w0
 
 
+def nearest_gap(alpha: Fraction, n: int, side: str) -> Fraction:
+    """Reference: the gap from alpha to the nearest a/b != alpha on the given
+    side with 1 <= b <= n, by trying every denominator."""
+    gaps = []
+    for b in range(1, n + 1):
+        if side == "below":
+            a = -(-alpha.numerator * b // alpha.denominator) - 1  # the last a/b < alpha
+            gaps.append(alpha - Fraction(a, b))
+        else:
+            a = alpha.numerator * b // alpha.denominator + 1  # the first a/b > alpha
+            gaps.append(Fraction(a, b) - alpha)
+    return min(gaps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 40), st.integers(0, 39), st.integers(1, 90),
+       st.sampled_from(["below", "above"]))
+@example(0, 1, 0, 5, "below")  # integer slopes: the radius is 1/n on both sides
+@example(2, 1, 0, 1, "above")
+@example(0, 7, 3, 4, "above")  # n < q: no multiple of q among the m
+@example(0, 7, 3, 7, "below")  # n = q: the multiple of q gives the gap 1/q
+def test_common_prefix_radius_is_the_nearest_farey_gap(whole, q, p, n, side):
+    alpha = whole + Fraction(p % q, q)
+    assert common_prefix_radius(alpha, n, side) == nearest_gap(alpha, n, side)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_parts.filter(lambda parts: parts[0] or parts[1]))
+@example(((), (1, 0)))  # purely periodic: its shift by the period is itself
+@example(((1, 0), (1, 0)))
+@example(((2,), (1, 0)))
+@example(((2, 0, 1), ()))
+def test_parry_admissibility_matches_a_letter_by_letter_reference(parts):
+    """Against each shift by k = 1..n of the word as written, n = |pre| + |per|
+    (|per| = 1 for a finite word), compared letter by letter over 2n letters;
+    a shift equal to the word on all of them is not below it."""
+    n = len(parts[0]) + max(len(parts[1]), 1)
+
+    def below(k):
+        diff = next((i for i in range(2 * n) if _letter(*parts, k + i) != _letter(*parts, i)), None)
+        return diff is not None and _letter(*parts, k + diff) < _letter(*parts, diff)
+
+    assert is_parry_admissible(_as_word(*parts)) == all(below(k) for k in range(1, n + 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 150), max_size=12).map(tuple))
 def test_word_str_parse_roundtrip(w):
