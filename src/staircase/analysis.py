@@ -22,7 +22,7 @@ from .delta import (DeltaValue, delta_irrational, delta_rational,
 from .diophantine import ContinuedFraction
 from .errors import CertificationError, PreconditionError
 from .intervals import Enclosure, refine_until
-from .words import PeriodicWord, bzb_word, common_prefix_radius, first_difference
+from .words import PeriodicWord, bzb_word, first_difference
 
 DEFAULT_TOL = Fraction(1, 10 ** 12)
 TREND_WINDOW = 5
@@ -87,18 +87,18 @@ class QuotientTrace:
 
 def _ladder_offset(alpha0: Fraction, N: int, side: str) -> Fraction:
     """The simplest fraction in the probe ladder ((2qN)^-1, delta_N) on the
-    given side, for N >= q.
+    given side of alpha0 = p/q, for N >= q.
 
     delta_N is the prefix-agreement radius: every slope within it shares the
-    first N staircase digits with alpha0, which is what makes the probe
-    quotient meaningful.  As N >= q it is 1/(q b), the gap to the Farey
-    neighbour a/b of order N on that side (|p b - q a| = 1), and the simplest
-    fraction in (0, delta_N), 1/(q b + 1) = delta_N/(1 + delta_N), lies in the
-    ladder as b <= N.  It keeps the probe slope's denominator (and hence its
-    expansion length) small.
+    first N staircase digits with alpha0, which makes the probe quotient
+    meaningful.  As N >= q it is 1/(q b) for the Farey neighbour a/b of order
+    N on that side, b the largest b <= N with b = d mod q (d = p^-1 mod q below,
+    -p^-1 mod q above, 0 at q = 1); 1/(q b + 1) lies in the ladder as b <= N,
+    and its small denominator keeps the probe's expansion short.
     """
-    delta = common_prefix_radius(alpha0, N, side)
-    return delta / (1 + delta)
+    p, q = alpha0.numerator, alpha0.denominator
+    d = pow(p, -1, q) if side == "below" else -pow(p, -1, q) % q
+    return Fraction(1, q * (d + q * ((N - d) // q)) + 1)
 
 
 def rational_left_quotients(alpha0: Fraction, K: int, tol: Fraction = DEFAULT_TOL) -> QuotientTrace:

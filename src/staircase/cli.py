@@ -124,10 +124,19 @@ def parse_cf(spec: str, irrational: bool = False) -> ContinuedFraction:
     return ContinuedFraction(a0, streams[suffix], name=spec)
 
 
-def _target(args, cf: bool = False, irrational: bool = False) -> diophantine.Preset:
-    """The number named by --cf, else by --preset.  With ``cf`` or
-    ``irrational`` it needs a continued fraction, and with ``irrational`` a
-    --cf list needs a generator suffix."""
+def _target(args, cf: bool = False, irrational: bool = False) -> Fraction | diophantine.Preset:
+    """The number named by exactly one of --cf and --preset, or on delta eval
+    of --alpha too, whose exact fraction it returns wherever --alpha is given.
+    With ``cf`` or ``irrational`` it needs a continued fraction, and with
+    ``irrational`` a --cf list needs a generator suffix."""
+    named = [f"--{k}" for k in ("alpha", "cf", "preset") if getattr(args, k, None)]
+    if not named:
+        raise PreconditionError("need --alpha, --cf, or --preset" if hasattr(args, "alpha")
+                                else "need --cf or --preset")
+    if len(named) > 1:
+        raise PreconditionError(f"{', '.join(named)} each name a number: give only one")
+    if getattr(args, "alpha", None) is not None:
+        return parse_fraction(args.alpha)
     if args.cf:
         return diophantine.Preset("cf", cf=parse_cf(args.cf, irrational))
     try:
@@ -192,18 +201,13 @@ def _cmd_admissible(args) -> None:
 
 
 def _cmd_delta_eval(args) -> None:
-    tol = args.tol
-    if args.alpha is not None:
-        alpha = parse_fraction(args.alpha)
-        if args.right_limit:
-            value = delta.delta_right_limit(alpha, tol)
-        else:
-            value = delta.delta_rational(alpha, tol)
-        slope = {"slope": str(alpha)}
+    tol, target = args.tol, _target(args, irrational=True)
+    if isinstance(target, Fraction):
+        value = (delta.delta_right_limit if args.right_limit else delta.delta_rational)(target, tol)
+        slope = {"slope": str(target)}
     else:
-        cf = _target(args, irrational=True).cf
-        value = delta.delta_irrational(cf, tol)
-        slope = {"slope_cf": cf.name or "cf"}
+        value = delta.delta_irrational(target.cf, tol)
+        slope = {"slope_cf": target.cf.name or "cf"}
     _emit({**slope, "word": words.word_str(value.word), "nature": value.nature,
            "enclosure": list(enclosure_strings(value.enclosure, args.digits))})
 
@@ -337,13 +341,21 @@ def build_parser() -> _Parser:
                      description="Certified staircase-of-bases computations.")
     _add_global_opts(parser, top=True)
     sub = parser.add_subparsers(dest="cmd", required=True)
-    leaves: List[argparse.ArgumentParser] = []
+    leaves = []
 
-    def leaf(group, name, handler):
-        """A subcommand that runs ``handler``; its global options come last."""
+    def leaf(group, name, handler, number=False, out=False):
+        """A subcommand that runs ``handler``.  A number leaf names its number
+        by --cf or --preset, for ``_target`` to check and resolve, and by
+        --alpha first where ``number`` is "alpha"; ``out`` adds --out after
+        the leaf's own options, and its global options come last."""
         p = group.add_parser(name)
         p.set_defaults(handler=handler)
-        leaves.append(p)
+        if number == "alpha":
+            p.add_argument("--alpha")
+        if number:
+            p.add_argument("--cf")
+            p.add_argument("--preset")
+        leaves.append((p, out))
         return p
 
     word = sub.add_parser("word").add_subparsers(dest="word_cmd", required=True)
@@ -362,59 +374,43 @@ def build_parser() -> _Parser:
     p.add_argument("word", metavar="digits")  # not dest digits, which --digits sets
 
     dlt = sub.add_parser("delta").add_subparsers(dest="delta_cmd", required=True)
-    p = leaf(dlt, "eval", _cmd_delta_eval)
-    p.add_argument("--alpha")
-    p.add_argument("--cf")
-    p.add_argument("--preset")
-    p.add_argument("--right-limit", action="store_true")
-    p = leaf(dlt, "plot", _cmd_delta_plot)
+    leaf(dlt, "eval", _cmd_delta_eval, number="alpha").add_argument("--right-limit",
+                                                                   action="store_true")
+    p = leaf(dlt, "plot", _cmd_delta_plot, out=True)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--max-den", type=int, required=True)
-    p.add_argument("--out", default=None)
 
     cf = sub.add_parser("cf").add_subparsers(dest="cf_cmd", required=True)
     p = leaf(cf, "expand", _cmd_cf_expand)
     p.add_argument("--alpha", required=True)
     p.add_argument("-N", dest="n", type=int, default=20)
-    p = leaf(cf, "convergents", _cmd_cf_convergents)
-    p.add_argument("--cf")
-    p.add_argument("--preset")
-    p.add_argument("-N", dest="n", type=int, default=10)
+    leaf(cf, "convergents", _cmd_cf_convergents, number=True).add_argument(
+        "-N", dest="n", type=int, default=10)
 
     meas = sub.add_parser("measure").add_subparsers(dest="measure_cmd", required=True)
     for name, estimate in (("mu", diophantine.Preset.mu_estimate),
                            ("theta", diophantine.Preset.theta_estimate)):
-        p = leaf(meas, name, partial(_cmd_measure, estimate))
-        p.add_argument("--cf")
-        p.add_argument("--preset")
-        p.add_argument("-N", type=int, default=8)
-
-    p = leaf(sub, "classify", _cmd_classify)
-    p.add_argument("--cf")
-    p.add_argument("--preset")
-    p.add_argument("-N", type=int, default=8)
+        leaf(meas, name, partial(_cmd_measure, estimate), number=True).add_argument(
+            "-N", type=int, default=8)
+    leaf(sub, "classify", _cmd_classify, number=True).add_argument("-N", type=int, default=8)
 
     probe = sub.add_parser("probe").add_subparsers(dest="probe_cmd", required=True)
     for name, quotients in (("left", analysis.rational_left_quotients),
                             ("right", analysis.rational_right_quotients)):
-        p = leaf(probe, name, partial(_cmd_probe_side, quotients))
+        p = leaf(probe, name, partial(_cmd_probe_side, quotients), out=True)
         p.add_argument("--alpha", required=True)
         p.add_argument("-K", type=int, default=6)
-        p.add_argument("--out", default=None)
-    p = leaf(probe, "zero", _cmd_probe_zero)
-    p.add_argument("-K", type=int, default=8)
-    p.add_argument("--out", default=None)
-    p = leaf(probe, "irrational", _cmd_probe_irrational)
-    p.add_argument("--cf")
-    p.add_argument("--preset")
-    p.add_argument("-I", type=int, default=8)
-    p.add_argument("--out", default=None)
+    leaf(probe, "zero", _cmd_probe_zero, out=True).add_argument("-K", type=int, default=8)
+    leaf(probe, "irrational", _cmd_probe_irrational, number=True, out=True).add_argument(
+        "-I", type=int, default=8)
     p = leaf(probe, "lowerbound", _cmd_lowerbound)
     p.add_argument("--alpha", required=True)
     p.add_argument("--alpha-n", dest="alpha_n", required=True)
 
-    for p in leaves:
+    for p, out in leaves:
+        if out:
+            p.add_argument("--out")
         _add_global_opts(p)
     return parser
 
@@ -433,19 +429,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.tol <= 0:
             raise PreconditionError("tolerance must be positive")
-        # Every subcommand with --preset reads its number from exactly one of
-        # --cf and --preset (or, for delta eval, --alpha).
-        if hasattr(args, "preset"):
-            named = [f"--{k}" for k in ("alpha", "cf", "preset") if getattr(args, k, None)]
-            if not named:
-                raise PreconditionError("need --alpha, --cf, or --preset" if hasattr(args, "alpha")
-                                        else "need --cf or --preset")
-            if len(named) > 1:
-                raise PreconditionError(f"{', '.join(named)} each name a number: give only one")
         args.handler(args)
         return EXIT_OK
-    except SystemExit:
-        raise
     except PreconditionError as exc:
         print(f"error: precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

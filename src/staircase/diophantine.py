@@ -775,19 +775,17 @@ def targeted_theta_cf(beta: Fraction) -> ContinuedFraction:
 
     def gen():
         beta_mag = LogMagnitude(*ln_interval(beta))
-        q_prev2, q_prev = 0, 1
-        while True:
-            if isinstance(q_prev, int) and q_prev <= q_exact_max:
-                power = beta ** q_prev
-                a: Nat = int(power.numerator // (power.denominator * q_prev))
-                q_next: Nat = a * q_prev + q_prev2
+        # a_n reads q_(n-1) off cf's own convergents: term() has stored
+        # a_1..a_(n-1) before it resumes this source for a_n.
+        for c in cf.convergents():
+            if isinstance(c.q, int) and c.q <= q_exact_max:
+                power = beta ** c.q
+                yield int(power.numerator // (power.denominator * c.q))
             else:
-                a = _targeted_log_term(beta_mag, q_prev)
-                q_next = _log_step(a, q_prev, q_prev2)
-            yield a
-            q_prev2, q_prev = q_prev, q_next
+                yield _targeted_log_term(beta_mag, c.q)
 
-    return ContinuedFraction(0, gen, name=f"targeted:{beta}")
+    cf = ContinuedFraction(0, gen, name=f"targeted:{beta}")
+    return cf
 
 
 def presets() -> dict:

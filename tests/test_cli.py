@@ -486,3 +486,66 @@ def test_any_argv_keeps_the_cli_contract(argv):
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), (argv, lines)
     if code == 0 and out.getvalue().startswith("{"):
         jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# The number options, --out and the checks in main
+# ---------------------------------------------------------------------------
+
+NUMBER_LEAVES = [("delta", "eval"), ("cf", "convergents"), ("measure", "mu"),
+                 ("measure", "theta"), ("classify",), ("probe", "irrational")]
+OUT_LEAVES = [("delta", "plot"), ("probe", "left"), ("probe", "right"), ("probe", "zero"),
+              ("probe", "irrational")]
+
+
+def _one_line_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_PRECONDITION and out == "" and len(err.splitlines()) == 1, err
+    return err
+
+
+@pytest.mark.parametrize("tol", [["--tol", "0"], ["--tol=-1e-3"], ["--tol", "-0.001"],
+                                 ["--tol", "0/7"]])
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_tolerance_must_be_positive(capsys, tol, where):
+    """A zero or negative --tol, before or after the subcommand, is a
+    precondition error.  (Split in two, ``--tol -1e-3`` is a usage error
+    instead: argparse reads -1e-3 as an option, not a value.)"""
+    leaf = ["delta", "eval", "--alpha", "1/2"]
+    argv = tol + leaf if where == "before" else leaf + tol
+    assert _one_line_error(capsys, argv) == "error: precondition: tolerance must be positive\n"
+
+
+def test_an_empty_alpha_is_a_bad_fraction_beside_a_preset(capsys):
+    """--alpha counts toward the one number only when nonempty, but is read
+    whenever it is given, so an empty one next to --preset is still refused."""
+    err = _one_line_error(capsys, ["delta", "eval", "--alpha", "", "--preset", "golden"])
+    assert err.startswith("error: precondition: bad fraction ''")
+
+
+@pytest.mark.parametrize("path", NUMBER_LEAVES)
+def test_every_number_leaf_names_exactly_one_number(capsys, path):
+    need = "need --alpha, --cf, or --preset" if path == ("delta", "eval") else "need --cf or --preset"
+    for extra in ([], ["--cf", ""], ["--preset", ""]):
+        assert _one_line_error(capsys, [*path, *extra]) == f"error: precondition: {need}\n"
+    for both in (["--cf", "0,1,fib", "--preset", "golden"],
+                 ["--preset", "golden", "--cf", "0,1,fib"]):
+        assert _one_line_error(capsys, [*path, *both]) == (
+            "error: precondition: --cf, --preset each name a number: give only one\n")
+
+
+def test_every_leaf_help_lists_its_number_and_out_options(capsys):
+    assert len(LEAVES) == 16
+    for path, _, _, _ in LEAVES:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*path, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        listed = {flag for flag in ("--cf CF", "--preset PRESET", "--out OUT") if flag in out}
+        want = {"--cf CF", "--preset PRESET"} if path in NUMBER_LEAVES else set()
+        assert listed == want | ({"--out OUT"} if path in OUT_LEAVES else set()), path
+    # delta eval lists --alpha ahead of --cf, as its usage line always has
+    with pytest.raises(SystemExit):
+        cli.main(["delta", "eval", "--help"])
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage.index("--alpha ALPHA") < usage.index("--cf CF") < usage.index("--preset PRESET")

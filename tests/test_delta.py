@@ -33,7 +33,7 @@ from staircase.delta import (
     right_limit_word,
     sweep,
 )
-from staircase.diophantine import ContinuedFraction, presets
+from staircase.diophantine import ContinuedFraction, LogMagnitude, presets
 from staircase.errors import CertificationError, PreconditionError
 from staircase.intervals import Enclosure, refine_until
 from staircase.words import PeriodicWord, bzb_word
@@ -288,6 +288,15 @@ def test_neighbour_pairs_raise_where_the_far_word_agrees_with_the_stream(monkeyp
     with pytest.raises(CertificationError,
                        match=r"^the word of 13/21 agrees with the stream past 1000 letters$"):
         pairs.pair(32, Fraction(1, 10 ** 12))
+
+
+def test_neighbour_pairs_need_exact_partial_quotients():
+    """A pair past a partial quotient held only in log space is refused: its
+    Stern-Brocot neighbours have no exact numerators and denominators."""
+    cf = ContinuedFraction(0, lambda: iter([2, LogMagnitude(100.0, 101.0)]), name="stub")
+    with pytest.raises(CertificationError,
+                       match=r"^partial quotient 2 of stub is not an exact integer$"):
+        _NeighbourPairs(cf, None).pair(32, Fraction(1, 10 ** 12))
 
 
 def test_delta_irrational_rejects_rational_cf():

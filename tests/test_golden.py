@@ -15,7 +15,9 @@ Refactors and kernel rewrites must leave every byte unchanged.  The
 ``delta eval`` rows and the ``delta plot`` rows also check their own value:
 each printed enclosure must hold the root of the slope's floor-formula
 digits, an mpmath root at irrational slopes and exact signs of the digit
-series at its ends at rational ones.
+series at its ends at rational ones.  The estimator rows (``measure``,
+``classify``, and ``cf convergents`` in log space) check theirs against an
+mpmath value of each row's defining quantity.
 
 Regenerate the corpus, after a deliberate output change only, with
 
@@ -30,6 +32,8 @@ import shlex
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import count, repeat
+from math import factorial
 from pathlib import Path
 
 import mpmath as mp
@@ -214,6 +218,146 @@ def test_plot_rows_hold_their_values(name):
         alpha = Fraction(int(num), int(den))
         assert _brackets_root(*_floor_word(alpha, False), lo, hi), line
         assert _brackets_root(*_floor_word(alpha, True), right_lo, right_hi), line
+
+
+ESTIMATOR_ROWS = ["10", "11", "x04", "x05", "x06", "x07", "x08", "x09", "x18"]
+DPS = 80  # every value below is good to about 75 digits, checked to 70
+
+
+def _ln_plus(ln_x, y: int):
+    """ln(x + y) from ln x, for integers x and y >= 0.  Where y/x is below
+    e^-10000 the log1p term is dropped, as mpmath would not hold x itself:
+    it is far under the relative 10^-70 that every check allows."""
+    return ln_x + (mp.log1p(y * mp.exp(-ln_x)) if ln_x - mp.log(y + 1) < 10 ** 4 else 0)
+
+
+def _targeted_ln_q(beta: int):
+    """ln q_0 .. ln q_5 of targeted:beta, a_n = floor(beta^q_(n-1) / q_(n-1)),
+    from exact integers up to q_4; a_5 q_4 = beta^q_4 - (beta^q_4 mod q_4)
+    gives ln q_5 = q_4 ln beta + ln(1 + (q_3 - beta^q_4 mod q_4) beta^-q_4)."""
+    q = [1, beta]  # q_1 = a_1 = beta
+    while len(q) < 5:
+        q.append(beta ** q[-1] // q[-1] * q[-1] + q[-2])
+    tail = q[3] - pow(beta, q[4], q[4])
+    return [mp.log(x) for x in q] + [q[4] * mp.log(beta) + mp.log1p(tail * mp.mpf(beta) ** -q[4])]
+
+
+def _quotient_ln_q(terms):
+    """ln q_0 .. ln q_40 of [a_0; a_1, a_2, ...] with integer terms."""
+    q = [1, next(terms)]
+    while len(q) < 41:
+        q.append(next(terms) * q[-1] + q[-2])
+    return [mp.log(x) for x in q]
+
+
+def _alpha3_ln_q():
+    """ln q_0 .. ln q_5 of alpha3, a_1 = 10 and a_(n+1) = a_n!: q_0..q_2 are
+    exact, ln a_3 and ln a_4 come by mpmath's loggamma, and ln q_5, past
+    mpmath, is given by its lower bound ln q_4 (its printed row is
+    [1e300, inf])."""
+    q = [1, 10, 3628800 * 10 + 1]
+    ln_a3 = mp.loggamma(3628801)
+    ln_q3 = _ln_plus(ln_a3 + mp.log(q[2]), q[1])
+    ln_q4 = _ln_plus(mp.loggamma(mp.exp(ln_a3) + 1) + ln_q3, q[2])
+    return [mp.log(x) for x in q] + [ln_q3, ln_q4, ln_q4]
+
+
+def _e_terms():
+    for m in count(1):
+        yield from (1, 2 * m, 1)
+
+
+# ln q_n of the continued-fraction targets; ln s_1, ln s_2, ... of the series
+# presets alpha = sum 1/s_k, each s_k dividing s_(k+1), where +inf stands for
+# a denominator past mpmath whose tail term is dropped (_neg_log_dist)
+CF_LN_Q = {"e": lambda: _quotient_ln_q(_e_terms()),
+           "cf": lambda: _quotient_ln_q(repeat(1)),  # --cf 0,1,fib
+           "targeted:2": lambda: _targeted_ln_q(2), "alpha5": lambda: _targeted_ln_q(2),
+           "alpha3": _alpha3_ln_q}
+SAMPLE_LN_S = {"alpha1": lambda: [factorial(k) * mp.log(10) for k in range(1, 13)],
+               "alpha4": lambda: [e * mp.log(10) for e in (1, 10, 10 ** 10, mp.mpf(10) ** 10 ** 10)],
+               "alpha7": lambda: [2 * mp.log(2), 2 ** 513 * mp.log(2), mp.inf]}
+
+
+def _neg_log_dist(ln_s, m: int):
+    """-ln||s_m alpha|| = ln(s_(m+1)/s_m) - ln(1 + sum_(k > m+1) s_(m+1)/s_k);
+    a tail term below e^-10000 is dropped, and the ones after it fall faster
+    still, so the dropped sum is far under the relative 10^-70 checked."""
+    head = ln_s[m]
+    tail = mp.fsum(mp.exp(head - x) for x in ln_s[m + 1:] if x - head < 10 ** 4)
+    return head - ln_s[m - 1] - mp.log1p(tail)
+
+
+def _running_values(target: str, kind: str):
+    """n -> the defining quantity of a running row: 1 + ln q_(n+1)/ln q_n
+    (mu) and ln q_(n+1)/q_n (theta) on a continued fraction, 1 - ln||s_m
+    alpha||/ln s_m (mu) and -ln||s_m alpha||/s_m (theta) on a series."""
+    if target in CF_LN_Q:
+        lq = CF_LN_Q[target]()
+        if kind == "mu":
+            return lambda n: 1 + lq[n + 1] / lq[n]
+        return lambda n: mp.exp(mp.log(lq[n + 1]) - lq[n])
+    ln_s = SAMPLE_LN_S[target]()
+    if kind == "mu":
+        return lambda m: 1 + _neg_log_dist(ln_s, m) / ln_s[m - 1]
+    return lambda m: mp.exp(mp.log(_neg_log_dist(ln_s, m)) - ln_s[m - 1])
+
+
+def _measure_intervals(where: str, est: dict, target: str):
+    """(where, lo, hi, value) for each running row of one estimate and for
+    its headline, the largest running value."""
+    value = _running_values(target, est["kind"])
+    rows = [(f"{where} n={n}", lo, hi, value(n)) for n, lo, hi in est["running"]]
+    return rows + [(f"{where} headline", *est["headline"], max(r[3] for r in rows))]
+
+
+def _estimator_intervals(name: str, payload: dict):
+    """Every printed interval of an estimator golden file with the mpmath
+    value it must hold."""
+    argv = _argv(_row_command(name))
+    target = "cf" if "--cf" in argv else argv[argv.index("--preset") + 1]
+    if argv[0] == "cf":
+        lq = CF_LN_Q[target]()
+        return [(f"ln_q n={c['n']}", *c["ln_q"], lq[c["n"]])
+                for c in payload["convergents"] if "ln_q" in c]
+    if argv[0] == "measure":
+        return _measure_intervals(argv[1], payload, target)
+    rows = _measure_intervals("mu", payload["mu"], target)
+    theta = _measure_intervals("theta", payload["theta"], target)
+    if payload["theta_enclosure"]:
+        tail = max(r[3] for r in theta[:-1][-3:])  # classify reads the last three
+        rows.append(("theta_enclosure", *payload["theta_enclosure"], mp.exp(tail)))
+    return rows + theta
+
+
+def _holds_mp(lo, hi, value) -> bool:
+    err = abs(value) * mp.mpf(10) ** -70
+    return mp.mpf(lo) <= value - err and value + err <= mp.mpf(hi)
+
+
+@pytest.mark.parametrize("name", ESTIMATOR_ROWS)
+def test_estimator_rows_hold_their_value(name):
+    """Each running row, headline, theta enclosure and ln q interval of the
+    estimator golden files (measure, classify, cf convergents on log-space
+    denominators), read as exact floats, holds its defining quantity,
+    evaluated by mpmath at 80 digits from exact integers, or from the
+    preset's closed form where q is in log space, apart from
+    ``staircase.diophantine``.  A copy with the first row's upper end moved
+    down to its lower end, past the value, fails."""
+    payload = json.loads(GOLDEN.joinpath(f"{name}.out").read_text())
+    with mp.workdps(DPS):
+        rows = _estimator_intervals(name, payload)
+        assert rows
+        for where, lo, hi, value in rows:
+            assert _holds_mp(lo, hi, value), (where, lo, hi, mp.nstr(value, 20))
+        moved = json.loads(json.dumps(payload))
+        if "convergents" in moved:
+            first = next(c["ln_q"] for c in moved["convergents"] if "ln_q" in c)
+        else:
+            first = moved.get("mu", moved)["running"][0]
+        first[-1] = first[-2]
+        assert not all(_holds_mp(lo, hi, value)
+                       for _, lo, hi, value in _estimator_intervals(name, moved))
 
 
 if __name__ == "__main__":
