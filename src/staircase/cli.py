@@ -430,6 +430,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.tol <= 0:
             raise PreconditionError("tolerance must be positive")
         args.handler(args)
+        sys.stdout.flush()
+        return EXIT_OK
+    except BrokenPipeError:
+        # The reader closed stdout early, which is no failure of the command;
+        # fd 1 goes to devnull so that the interpreter's exit flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except PreconditionError as exc:
         print(f"error: precondition: {exc}", file=sys.stderr)

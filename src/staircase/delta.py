@@ -272,6 +272,8 @@ def delta_irrational(cf: ContinuedFraction, tol: Fraction = IRRATIONAL_TOL) -> D
     if cf.length is not None:
         raise CertificationError(f"a continued fraction of {cf.length} partial "
                                  "quotients is rational, not an irrational slope")
+    if cf.a0 < 0:
+        raise PreconditionError("slope must be >= 0")
     stream = StaircaseDigitStream(cf)
     root = SeriesRoot(stream.digit, stream.b, 32, _NeighbourPairs(cf, stream))
     root.refine(tol)

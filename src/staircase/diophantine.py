@@ -28,9 +28,9 @@ from .intervals import Enclosure
 DEFAULT_BIT_BUDGET = 10 ** 6
 
 _INF = math.inf
-# Saturation threshold: a LogMagnitude whose ln exceeds this is recorded as
-# [LN_SAT, inf).  Kept close to float max so that logs of doubly-iterated
-# towers (ln of EXP_4(4) is around 1e154) still carry two-sided bounds.
+# Saturation threshold: a LogMagnitude whose ln_hi reaches this is stored as
+# [min(ln_lo, LN_SAT), inf).  Kept close to float max so that logs of
+# doubly-iterated towers (ln of EXP_4(4) is around 1e154) keep two-sided bounds.
 LN_SAT = 1e300
 
 
@@ -82,8 +82,8 @@ def ln_interval(x: Fraction) -> Tuple[float, float]:
 class LogMagnitude:
     """A positive real carried only through an interval around its natural log.
 
-    ``ln_hi`` may be ``inf``, meaning the value's log itself overflows float
-    range ("saturated"); ``ln_lo`` then is a valid (huge) lower bound.
+    A log that reaches ``LN_SAT`` saturates: the magnitude is stored as
+    [min(ln_lo, LN_SAT), inf), and ``ln_lo`` stays a valid lower bound.
     """
 
     ln_lo: float
@@ -92,18 +92,9 @@ class LogMagnitude:
     def __post_init__(self):
         if self.ln_lo > self.ln_hi:
             raise ValueError("empty log interval")
-
-    @property
-    def saturated(self) -> bool:
-        return self.ln_hi == _INF
-
-    @classmethod
-    def from_int(cls, n: int) -> "LogMagnitude":
-        return cls(*ln_int_interval(n))
-
-    @classmethod
-    def saturate(cls, ln_lo: float = LN_SAT) -> "LogMagnitude":
-        return cls(min(ln_lo, LN_SAT), _INF)
+        if self.ln_hi >= LN_SAT:  # inf included
+            object.__setattr__(self, "ln_lo", min(self.ln_lo, LN_SAT))
+            object.__setattr__(self, "ln_hi", _INF)
 
     def ln_interval(self) -> Tuple[float, float]:
         return (self.ln_lo, self.ln_hi)
@@ -155,7 +146,7 @@ def log_factorial(x: Nat) -> LogMagnitude:
     if isinstance(x, int) and x < 1:
         raise PreconditionError("log_factorial needs x >= 1")
     if isinstance(x, int) and x <= 2000:
-        return LogMagnitude.from_int(math.factorial(x))
+        return LogMagnitude(*ln_int_interval(math.factorial(x)))
     vlo, vhi = nat_value_interval(x)
     ln_lo, ln_hi = nat_ln_interval(x)
     if isinstance(x, int) and vhi != _INF:
@@ -164,9 +155,7 @@ def log_factorial(x: Nat) -> LogMagnitude:
         # x in log space or beyond float range: ln x! in [v(ln x - 1), v ln x]
         # with v any bound on the value of x.
         lo, hi = _down(vlo * (ln_lo - 1.0)), _up(vhi * ln_hi)
-    if hi >= LN_SAT:  # inf included
-        return LogMagnitude.saturate(max(lo, 0.0))
-    return LogMagnitude(lo, hi)
+    return LogMagnitude(max(lo, 0.0), hi)  # ln x! >= 0
 
 
 def log_pow(base: Nat, exponent: Nat) -> LogMagnitude:
@@ -175,8 +164,6 @@ def log_pow(base: Nat, exponent: Nat) -> LogMagnitude:
     elo, ehi = nat_value_interval(exponent)
     lo = _down(elo * blo)
     hi = _up(ehi * bhi) if ehi != _INF else _INF
-    if hi >= LN_SAT:  # inf included
-        return LogMagnitude.saturate(lo)
     return LogMagnitude(lo, hi)
 
 
@@ -277,19 +264,6 @@ class ContinuedFraction:
                 f"convergent q_{c.index} of {self.name or '<cf>'} is not exactly representable")
         return c.p, c.q
 
-    def exact_convergent(self, i: int) -> Tuple[int, int]:
-        """(p_i, q_i) as exact integers; raises if a term is log-space only."""
-        return self._exact(next(islice(self.convergents(), i, None)))
-
-    def value_enclosure(self, i: int) -> Enclosure:
-        """Enclosure of the value from convergents i and i+1 (exact terms only)."""
-        pi, qi = self.exact_convergent(i)
-        pj, qj = self.exact_convergent(i + 1)
-        lo, hi = Fraction(pi, qi), Fraction(pj, qj)
-        if lo > hi:
-            lo, hi = hi, lo
-        return Enclosure(lo, hi)
-
     def floors_upto(self, n: int) -> List[int]:
         """[floor(m * alpha) for m in 0..n], computed exactly.
 
@@ -349,8 +323,8 @@ def _log_step(a: Nat, prev: Nat, prev2: Nat) -> LogMagnitude:
     alo, ahi = nat_ln_interval(a)
     plo, phi = nat_ln_interval(prev)
     base_lo, base_hi = _down(alo + plo), _up(ahi + phi)
-    if base_hi >= LN_SAT:  # inf included
-        return LogMagnitude.saturate(base_lo)
+    if base_hi >= LN_SAT:  # inf included: saturated, so no correction term
+        return LogMagnitude(base_lo, _INF)
     corr_hi = 0.0
     if prev2 != 0:
         # r = prev2 / (a * prev) <= 1, so ln(1 + r) lies in [0, ln(1 + r_hi)]

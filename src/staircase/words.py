@@ -57,14 +57,12 @@ def christoffel(p: int, q: int, upper: bool = False) -> Word:
     """The Christoffel word of slope p/q on {0,1} (length q).
 
     Lower word = 0 z 1 and upper word = 1 z 0 where z is the central word:
-    s(k) = floor(p(k+1)/q) - floor(pk/q), ceilings for the upper word, as
-    ``mechanical_prefix`` builds it at intercept 0 over Fractions.
+    s(k) = floor(p(k+1)/q) - floor(pk/q), ceilings for the upper word: the
+    mechanical word of slope p/q at intercept 0.
     Requires 0 <= p <= q reduced, q >= 1; the degenerate slopes give 0 and 1.
     """
     _check_slope(p, q)
-    if upper:  # ceilings, as negated floors of the negated cuts
-        return tuple((-p * k) // q - (-p * k - p) // q for k in range(q))
-    return tuple((p * k + p) // q - p * k // q for k in range(q))
+    return mechanical_prefix(Fraction(p, q), Fraction(0), q, upper)
 
 
 def _check_slope(p: int, q: int) -> None:
@@ -77,13 +75,6 @@ def central_word(p: int, q: int) -> Word:
     first and last letters.  A palindrome of length q - 2."""
     w = christoffel(p, q)
     return w[1:-1]
-
-
-def to_alphabet(w: Sequence[int], b: int) -> Word:
-    """Rename letters 0 -> b-1, 1 -> b."""
-    if b < 1:
-        raise PreconditionError("alphabet parameter b must be >= 1")
-    return tuple(b - 1 + x for x in w)
 
 
 def bzb_word(b: int, p: int, q: int) -> Word:

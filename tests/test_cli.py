@@ -419,6 +419,39 @@ def test_admissible_word_is_not_the_digits_option(capsys, monkeypatch):
     assert run_json(capsys, ["word", "admissible", "2(10)", "--digits", "5"])["word"] == "2(10)^w"
 
 
+@pytest.mark.parametrize("argv", [["delta", "eval", "--cf=-1,2,fib"],
+                                  ["probe", "irrational", "--cf=-1,2,fib"],
+                                  ["delta", "eval", "--cf=-3,1,1,fib", "--tol", "1e-20"]])
+def test_a_negative_irrational_slope_is_refused_as_a_slope(capsys, argv):
+    assert run(capsys, argv) == (2, "", "error: precondition: slope must be >= 0\n")
+
+
+def test_a_negative_cf_after_a_space_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["delta", "eval", "--cf", "-1,2,fib"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: usage: argument --cf: expected one argument\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "mu", "--preset", "golden", "-N", "40"],  # JSON
+    ["delta", "plot", "--from", "0/1", "--to", "1/2", "--max-den", "20", "--output", "csv"],
+    ["word", "christoffel", "2", "5"],  # plain text
+])
+def test_a_closed_stdout_ends_the_command_quietly(argv):
+    # the read end is closed before the command starts, so its first write
+    # to stdout meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "staircase.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
 # ---------------------------------------------------------------------------
 # Argv fuzzing: the exit-code, stderr and schema contract for every argv
 # ---------------------------------------------------------------------------

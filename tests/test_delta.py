@@ -129,6 +129,14 @@ def test_delta_irrational_keeps_its_slope():
     assert delta_irrational(cf).slope is cf
 
 
+@pytest.mark.parametrize("a0", [-1, -2, -10 ** 30])
+def test_delta_irrational_refuses_a_negative_slope(a0):
+    # refused as a slope, where its digit base b = a0 + 1 would be refused as
+    # a max_digit below 1
+    with pytest.raises(PreconditionError, match="^slope must be >= 0$"):
+        delta_irrational(ContinuedFraction.constant(a0, 1))
+
+
 def test_every_root_refines_under_one_contract():
     """A tolerance <= 0 is refused before any work, by a series root, an
     algebraic root and an exact one alike; a tolerance the enclosure already

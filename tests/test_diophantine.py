@@ -83,7 +83,7 @@ def test_convergents_switch_to_log_space():
 
 def test_exact_convergent_and_floors():
     cf = ContinuedFraction.constant(0, 2)  # sqrt(2) - 1
-    p, q = cf.exact_convergent(6)
+    _, p, q = convergents(cf, 6)[6]
     assert Fraction(p, q) == Fraction(70, 169)
     floors = cf.floors_upto(20)
     import math as m
@@ -93,9 +93,14 @@ def test_exact_convergent_and_floors():
 
 def test_value_enclosure_brackets_true_value():
     cf = ContinuedFraction.constant(0, 1)
-    e = cf.value_enclosure(12)
+    e = _value_enclosure(cf, 12)
     phi_inv = (math.sqrt(5) - 1) / 2
     assert float(e.lo) < phi_inv < float(e.hi)
+
+
+def _value_enclosure(cf, i):
+    """The value between convergents i and i + 1, as an exact enclosure."""
+    return Enclosure(*sorted(Fraction(p, q) for _, p, q in convergents(cf, i + 1)[i:]))
 
 
 def test_dist_to_integers():
@@ -105,13 +110,13 @@ def test_dist_to_integers():
 
 
 def test_log_magnitude_arithmetic():
-    a = LogMagnitude.from_int(1000)
+    a = LogMagnitude(*ln_int_interval(1000))
     lo, hi = a.ln_interval()
     assert lo <= math.log(1000.0) <= hi
     b = a.mul(a)
     lo2, hi2 = b.ln_interval()
     assert abs(lo2 - 2 * math.log(1000.0)) < 1e-9
-    assert LogMagnitude.saturate().saturated
+    assert LogMagnitude(LN_SAT, LN_SAT).ln_interval() == (LN_SAT, math.inf)
     v_lo, v_hi = a.value_interval()
     assert v_lo <= 1000.0 <= v_hi
 
@@ -151,7 +156,7 @@ def test_mu_from_samples_monotone_headline():
 
 def test_best_approx_check_golden_convergent():
     cf = ContinuedFraction.constant(0, 1)
-    enc = cf.value_enclosure(25)
+    enc = _value_enclosure(cf, 25)
     res = best_approx_check(enc, 8, 13)
     assert res["first_kind"] and res["second_kind"]
     res = best_approx_check(enc, 7, 12)
@@ -159,7 +164,7 @@ def test_best_approx_check_golden_convergent():
 
 
 def test_best_approx_check_too_wide_enclosure_is_certification_error():
-    wide = ContinuedFraction.constant(0, 1).value_enclosure(2)  # [1/2, 2/3]
+    wide = _value_enclosure(ContinuedFraction.constant(0, 1), 2)  # [1/2, 2/3]
     with pytest.raises(CertificationError):
         best_approx_check(wide, 8, 13)
 
@@ -236,9 +241,9 @@ def _floors_from_scratch(cf: ContinuedFraction, n: int):
     if n == 0:
         return [0]
     k = 1
-    while cf.exact_convergent(k - 1)[1] <= n:
+    while convergents(cf, k - 1)[k - 1].q <= n:
         k += 1
-    p, q = cf.exact_convergent(k)
+    _, p, q = convergents(cf, k)[k]
     return [(m * p) // q for m in range(n + 1)]
 
 
@@ -431,18 +436,38 @@ def test_ln_interval_needs_x_above_one():
         ln_interval(Fraction(1))
 
 
-SATURATED = st.floats(0.0, LN_SAT).map(LogMagnitude.saturate)
+SATURATED = st.floats(0.0, LN_SAT).map(lambda lo: LogMagnitude(lo, math.inf))
 
 
 @BOUNDED
 @given(st.one_of(LOGS, _logs(-800.0, -700.0), SATURATED), st.one_of(NATS, SATURATED))
-@example(LogMagnitude.saturate(0.0), LogMagnitude.saturate(0.0))
+@example(LogMagnitude(0.0, math.inf), LogMagnitude(0.0, math.inf))
 def test_nat_ratio_contains_the_ratio(num, den):
     lo, hi = _nat_ratio(num, den)
     assert 0.0 <= lo <= hi
     # inf - inf, from two saturated logs, stands for no value
     assert all(_contains((lo, hi), MP.exp(u - v)) for u in _lns(num) for v in _lns(den)
                if not MP.isnan(u - v))
+
+
+# ln ends from 0 to float max, with LN_SAT, its float neighbours and inf
+LN_ENDS = st.one_of(st.floats(0.0, 1e308), st.sampled_from(
+    [LN_SAT, math.nextafter(LN_SAT, 0.0), math.nextafter(LN_SAT, math.inf), math.inf]))
+
+
+@BOUNDED
+@given(LN_ENDS, LN_ENDS, st.one_of(NATS, st.tuples(LN_ENDS, LN_ENDS).map(
+    lambda t: LogMagnitude(min(t), max(t)))))
+@example(LN_SAT, LN_SAT, 1)  # a log exactly at LN_SAT saturates
+@example(1e305, 1e306, 1)  # and a lower end past it comes down to LN_SAT
+@example(math.nextafter(LN_SAT, 0.0), math.nextafter(LN_SAT, 0.0), 2)  # mul steps up to LN_SAT
+def test_log_magnitude_saturates_at_ln_sat(a, b, other):
+    lo, hi = min(a, b), max(a, b)
+    want = (min(lo, LN_SAT), math.inf) if hi >= LN_SAT else (lo, hi)
+    m = LogMagnitude(lo, hi)
+    assert m.ln_interval() == want
+    for r in (m.mul(other), m.div(other)):
+        assert r.ln_hi < LN_SAT or (r.ln_hi == math.inf and r.ln_lo <= LN_SAT)
 
 
 def test_value_interval_is_never_negative():

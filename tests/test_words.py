@@ -20,7 +20,6 @@ from staircase.words import (
     lex_compare,
     mechanical_prefix,
     parse_word,
-    to_alphabet,
     word_str,
 )
 
@@ -75,7 +74,7 @@ def test_christoffel_period_reproduces_mechanical_word():
 def test_bzb_word_alphabet_shift():
     # slope (b-1) + p/q: central word moved to the alphabet {b-1, b}
     z = central_word(2, 5)
-    assert bzb_word(1, 2, 5) == (1,) + to_alphabet(z, 1) + (1,)
+    assert bzb_word(1, 2, 5) == (1,) + z + (1,)  # on {0, 1}, z is itself
     w = bzb_word(3, 2, 5)
     assert w[0] == w[-1] == 3
     assert set(w[1:-1]) <= {2, 3}
@@ -313,3 +312,19 @@ def test_christoffel_words_match_the_mechanical_reference(slope, b, upper):
 def test_christoffel_builders_refuse_unreduced_or_out_of_range_slopes(build):
     with pytest.raises(PreconditionError):
         build()
+
+
+def _christoffel_by_floors(p, q, upper):
+    """The integer floor formula: s(k) = floor(p(k+1)/q) - floor(pk/q) below,
+    the ceilings, as negated floors of the negated cuts, above."""
+    if upper:
+        return tuple((-p * k) // q - (-p * k - p) // q for k in range(q))
+    return tuple((p * k + p) // q - p * k // q for k in range(q))
+
+
+@pytest.mark.parametrize("upper", [False, True])
+def test_christoffel_is_the_integer_floor_formula_up_to_q_120(upper):
+    slopes = [(p, q) for q in range(1, 121) for p in range(q + 1) if gcd(p, q) == 1]
+    assert len(slopes) == 4387
+    for p, q in slopes:
+        assert christoffel(p, q, upper) == _christoffel_by_floors(p, q, upper), (p, q)
