@@ -14,10 +14,12 @@ refinement, and a repeated one goes deeper than asked, so that later requests
 are shifts of one certified cell.  The float guess takes Newton steps on the
 log of the series in log y, y = 1/x, which is convex for a finite word, from
 the cell end: each step is one Horner pass over the powers of y that still
-count at double precision.  For a sparse annihilator, sign tests and
-Newton steps run over its nonzero terms only.  Deep sign tests, long dense
-heads included, first try a fixed-point Horner that bounds its own error, and
-exact integer arithmetic only where it is undecided.  A series root moves on
+count at double precision, a growing prefix of them for a long dense word.
+Newton steps read only the top coefficients that their precision needs.  For
+a sparse annihilator, sign tests and Newton steps run over its nonzero terms
+only.  Deep sign tests, long dense heads included, first try a fixed-point
+Horner that bounds its own error, and exact integer arithmetic only where it
+is undecided.  A series root moves on
 from a pair of words (truncations, or another source's) whose coarse roots
 certify a gap over tol, unrefined.
 """
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, count
+from itertools import chain, compress, count, takewhile
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, PreconditionError
@@ -50,10 +52,10 @@ GUARD_BITS = 16
 # Every other jump starts from a cell at least as fine (RefinableRoot._bisect).
 FLOAT_BITS = 46
 
-# Full sign tests at deg F * k >= FILTER_WORK, and _head_sign's dense heads of
-# n coefficients at n * k >= FILTER_WORK (not sparse heads), try _filtered_sign
-# first: the exact accumulator grows to deg*k (or n*k) bits, the filter's to
-# about k.  Per test beside a root, exact -> filter: degree 256 at k = 125, 844
+# Full sign tests at deg F * k >= FILTER_WORK try _filtered_sign first, and
+# _head_sign's dense heads of n coefficients at n * k >= FILTER_WORK (not
+# sparse heads) filter the head alone: the exact accumulator grows to deg*k
+# (or n*k) bits, the filter's to about k.  Per test beside a root, exact -> filter: degree 256 at k = 125, 844
 # -> 98 us; degree 100 at k = 20/40/80, 20/36/70 -> 25/35/30 us; near-one degree
 # 1000 at k = 4/8, 7/17 -> 7/7 us, 3000 at k = 85, 4435 -> 11 us.
 FILTER_WORK = 4000
@@ -68,7 +70,7 @@ REFINE_BUDGET = 20000
 
 def _poly_sign(F, m: int, k: int) -> int:
     """Exact sign of F at the dyadic point x = m / 2**k, F a coefficient
-    sequence or the descending list of its nonzero terms (as for ``_newton``)."""
+    sequence or the descending list of its nonzero terms (``_sign_kernel``)."""
     s = _degree(F) * k >= FILTER_WORK and _filtered_sign(F, m, k)
     acc = s or _exact(F, m, k)
     return (acc > 0) - (acc < 0)
@@ -79,11 +81,13 @@ def _degree(F) -> int:
     return F[0][0] if F and isinstance(F[0], tuple) else len(F) - 1
 
 
-def _filtered_sign(F, m: int, k: int) -> int:
-    """The sign of F (terms or coefficients, as for ``_newton``) at x = m/2^k
+def _filtered_sign(F, m: int, k: int, C: int = 0) -> int:
+    """The sign of F (terms or coefficients, as for ``_poly_sign``) at x = m/2^k
     where Horner at p = k + 32 + bitlen(deg F) fractional bits proves it, else 0.
     Products are floored, and e bounds the error in ulps: a product by x maps
-    it to floor(e x) + 2, one by x^g in [lo, hi] to floor(e hi + |acc| (hi - lo)) + 2."""
+    it to floor(e x) + 2, one by x^g in [lo, hi] to floor(e hi + |acc| (hi - lo)) + 2.
+    With C > 0, F is a head G of coefficients at x > 1 (``_head_sign``), and
+    the sign is G's only where |G(x)| (x - 1) > C holds with the error too."""
     sparse = isinstance(F[0], tuple)
     deg = F[0][0] if sparse else len(F) - 1
     p, acc, e = k + 32 + deg.bit_length(), 0, 0
@@ -91,15 +95,17 @@ def _filtered_sign(F, m: int, k: int) -> int:
         for c in reversed(F):
             acc = (acc * m >> k) + (c << p)
             e = (e * m >> k) + 2
-        return (acc > e) - (acc < -e)
-    powers, prev, x = {}, deg, m << (p - k)  # powers: gap g -> x^g in [lo, hi]
-    for i, c in chain(F, [(0, 0)]):
-        g, prev = prev - i, i
-        if g not in powers:
-            powers[g] = _fixed_pow(x, g, p), _fixed_pow(x, g, p, -1)
-        lo, hi = powers[g]
-        e = (e * hi + abs(acc) * (hi - lo) >> p) + 2
-        acc = (acc * lo >> p) + (c << p)
+    else:
+        powers, prev, x = {}, deg, m << (p - k)  # powers: gap g -> x^g in [lo, hi]
+        for i, c in chain(F, [(0, 0)]):
+            g, prev = prev - i, i
+            if g not in powers:
+                powers[g] = _fixed_pow(x, g, p), _fixed_pow(x, g, p, -1)
+            lo, hi = powers[g]
+            e = (e * hi + abs(acc) * (hi - lo) >> p) + 2
+            acc = (acc * lo >> p) + (c << p)
+    if C and (abs(acc) - e) * (m - (1 << k)) <= C << (p + k):
+        return 0
     return (acc > e) - (acc < -e)
 
 
@@ -142,14 +148,16 @@ def _exact(F, m: int, k: int, low: int = 0) -> int:
 
 
 def _head_length(q: int, C: int, k_head: float, m: int, k: int) -> Optional[int]:
-    """The head length n that ``_head_sign`` tries at x = m/2^k, for a
-    polynomial of degree q whose coefficients under the leading one are at
-    most C in size; None for the full test.
+    """The number n of top coefficients of a polynomial F of degree q, whose
+    coefficients under the leading one are at most C in size, that decide F
+    to k bits at x = m/2^k > 1; None where F is read whole.
 
     n is where the tail bound holds with GUARD_BITS to spare at 2^-k from a
-    root, by a float estimate of log2 x that only picks n.  The full test
-    runs at the scales k >= k_head, at x <= 1, and where the head would be
-    the whole polynomial, as for the near-one words, whose x is close to 1.
+    root, by a float estimate of log2 x that only picks n.  ``_head_sign``
+    tests the head's sign at the scales k < k_head; ``_newton`` solves the
+    head at x = its iterate at scale 2^k, with k_head infinite.  F is read
+    whole at x <= 1, and where the head would be the whole polynomial, as
+    for the near-one words, whose x is close to 1.
     """
     d = m - (1 << k)
     if k >= k_head or d <= 0:
@@ -166,15 +174,19 @@ def _head_sign(F, C: int, k_head: float, m: int, k: int) -> int:
 
     With x = m/2^k > 1 and q = deg F, F(x) = x^(q-n) G(x) + R(x), where G
     holds the top coefficients and R the others, each at most C in size,
-    so |R(x)| < C x^(q-n) / (x - 1).  A = ``_exact(F, m, k, q - n)`` is
-    2^(kn) G(x), so |A| (m - 2^k) > C 2^(k(n+1)) proves sign F(x) = sign A;
-    else the full test ``_poly_sign`` runs, as at once for a dense head with
-    n * k >= FILTER_WORK, whose filter costs about the head.  n is ``_head_length``'s.
+    so |R(x)| < C x^(q-n) / (x - 1), and |G(x)| (x - 1) > C proves
+    sign F(x) = sign G(x).  A dense head with n * k >= FILTER_WORK tests
+    that with ``_filtered_sign`` over F's top coefficients, whose error it
+    counts; any other head exactly, A = ``_exact(F, m, k, q - n)`` being
+    2^(kn) G(x), by |A| (m - 2^k) > C 2^(k(n+1)).  Else the full test
+    ``_poly_sign`` runs.  n is ``_head_length``'s.
     """
     q = _degree(F)
     n = _head_length(q, C, k_head, m, k)
-    if n is None or n * k >= FILTER_WORK and not isinstance(F[0], tuple):
+    if n is None:
         return _poly_sign(F, m, k)
+    if n * k >= FILTER_WORK and not isinstance(F[0], tuple):
+        return _filtered_sign(F[q - n:], m, k, C) or _poly_sign(F, m, k)
     acc = _exact(F, m, k, q - n)
     if abs(acc) * (m - (1 << k)) <= C << (k * (n + 1)):
         return _poly_sign(F, m, k)
@@ -186,8 +198,8 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     test at the scales where the head can be short.  The kernel's first
     argument is F as its test runs over it: when at most a quarter of F's
     coefficients are nonzero (the near-one words 1 0^(n-2) 1 have three),
-    the list of its nonzero terms by descending power; ``_newton`` takes
-    the same.
+    the list of its nonzero terms by descending power.  ``_newton`` and
+    ``_float_root`` take the kernel's arguments, C for Newton's own head.
 
     The roots of F lie below C + 1, C = max |F[i]| under the leading one,
     and the points tested lie near them, so the head has at least
@@ -203,30 +215,40 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     return partial(_head_sign, F, C, k_head) if k_head > 0 else partial(_poly_sign, F)
 
 
-def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
+def _newton(poly, x: int, p: int, P: int) -> Optional[int]:
     """Newton's method on F in fixed point from the guess x/2^p, p < P.
 
-    F is a coefficient tuple, or the descending list of the nonzero terms
-    (i, c_i) of a sparse F that its sign kernel runs over (``_sign_kernel``).
+    ``poly`` is a root's sign kernel's arguments (``_sign_kernel``): F, a
+    coefficient tuple or the descending list of the nonzero terms (i, c_i)
+    of a sparse F, then C and k_head where the kernel runs a head test.
+    With C, each step solves the head that ``_head_length`` gives at the
+    iterate and its precision: F's top n + 1 coefficients, or its terms of
+    power at least deg F - n; a short F is read whole.
     The precision about doubles from step to step up to P bits, from 16 bits
     at the least (where halving plus 8 stops falling); steps at P bits then
     repeat, at most four more, until one moves x by at most
-    2^(GUARD_BITS - P).  Returns the final x at scale 2^P, or None where F'
-    is not positive.  The result is only a guess: no error bound is claimed.
+    2^(GUARD_BITS - P).  Returns the final x at scale 2^P, or None where the
+    head's slope is not positive.  The result is only a guess: no error bound
+    is claimed.
     """
-    sparse = isinstance(F[0], tuple)
+    F = poly[0]
+    sparse, q = isinstance(F[0], tuple), _degree(F)
+    # C where a head shorter than F solves F at P bits, so at every precision up to P
+    C = poly[1] if len(poly) == 3 and _head_length(q, poly[1], math.inf, x << (P - p), P) else None
     schedule = [P]
     while schedule[-1] > 2 * p and schedule[-1] // 2 + 8 < schedule[-1]:
         schedule.append(schedule[-1] // 2 + 8)
     schedule.reverse()
-    for q in schedule + [P] * 4:
-        x <<= q - p
-        p = q
+    for r in schedule + [P] * 4:
+        x <<= r - p
+        p = r
+        n = C is not None and _head_length(q, C, math.inf, x, p)
+        low = q - n if n else 0
         if sparse:
-            f, d = _sparse_value_and_slope(F, x, p)
+            f, d = _sparse_value_and_slope(F, x, p, low)
         else:
-            f, d = F[-1] << p, 0  # F(x) and F'(x) at scale 2^p, by Horner
-            for c in reversed(F[:-1]):
+            f, d = F[-1] << p, 0  # G(x) and G'(x) at scale 2^p, by Horner
+            for c in reversed(F[low:-1]):
                 d = (d * x >> p) + f
                 f = f * x >> p
                 if c:
@@ -240,21 +262,27 @@ def _newton(F: IntPoly, x: int, p: int, P: int) -> Optional[int]:
     return x
 
 
-def _float_root(F, m: int, k: int) -> Optional[float]:
-    """A float guess x = 1/y at the root of F (as ``_newton`` takes it), where
-    H(y) = y^q F(1/y) = 1 - P(y), q = deg F, whose powers of y < 1 never
-    overflow.  Newton runs on phi(t) = log P(e^t), t = log y, from the cell
-    end m/2^k left of the root: for a finite word P has nonnegative
-    coefficients, so phi is convex and increasing and the steps descend
-    monotonically.  Powers of y under 2^-64 are left out: a dense F runs one
-    Horner pass over the powers above that, a sparse one its terms in turn.
-    None where a coefficient or m is past float range, P or P' is not
-    positive, y leaves (0, 1) or is NaN, or 64 steps do not settle."""
+def _float_root(poly, m: int, k: int) -> Optional[float]:
+    """A float guess x = 1/y at the root of F, ``poly`` = (F, ...) as for
+    ``_newton``, where H(y) = y^q F(1/y) = 1 - P(y), q = deg F, whose powers
+    of y < 1 never overflow.  Newton runs on phi(t) = log P(e^t), t = log y,
+    from the cell end m/2^k left of the root: for a finite word P has
+    nonnegative coefficients, so phi is convex and increasing and the steps
+    descend monotonically.  Powers of y under 2^-64 are left out: a dense F
+    runs one Horner pass over the powers above that, a sparse one its terms
+    in turn.  A dense F reads at most its top powers up to y^top, top = 64
+    at first and twice as many after each step that wanted more, and settles
+    only on a step that read all it wanted: every such head's P is at most
+    P, so the steps still descend.  None where a coefficient read or m is
+    past float range, P or P' is not positive, y leaves (0, 1) or is NaN, or
+    64 steps do not settle."""
+    F = poly[0]
     try:
         y, q = (1 << k) / m, _degree(F)
         sparse = isinstance(F[0], tuple)
+        top = q if sparse or q < 64 else 64
         # by ascending power of y for a sparse F, by descending for a dense one
-        cs = [(q - i, float(c)) for i, c in F] if sparse else list(map(float, F))
+        cs = [(q - i, float(c)) for i, c in F] if sparse else list(map(float, F[q - top:]))
         for _ in range(64):
             h = d = 0.0  # H(y) and y H'(y)
             if sparse:
@@ -266,7 +294,7 @@ def _float_root(F, m: int, k: int) -> Optional[float]:
                     d += c * e * t
             else:
                 lg = -math.log2(y)  # the powers y^n >= 2^-64 are those with n lg <= 64
-                for c in cs[q - int(64 / lg):] if q * lg > 64 else cs:
+                for c in cs[top - int(64 / lg):] if top * lg > 64 else cs:
                     d = d * y + h
                     h = h * y + c
                 d *= y
@@ -276,29 +304,34 @@ def _float_root(F, m: int, k: int) -> Optional[float]:
             y *= math.exp(-step)
             if not 0 < y < 1:
                 return None
-            if abs(step) <= 2.0 ** -40:
+            if top < q and top * lg <= 64:  # more powers of y counted than were read
+                top = min(q, 2 * top)
+                cs = list(map(float, F[q - top:]))
+            elif abs(step) <= 2.0 ** -40:
                 return 1 / y
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ValueError, ZeroDivisionError):
         pass
     return None
 
 
-def _sparse_value_and_slope(terms: Sequence[Tuple[int, int]], x: int, p: int) -> Tuple[int, int]:
-    """F(x) and F'(x) at scale 2^p over the nonzero terms (i, c_i) of F,
-    listed by descending power: Horner that crosses each run of g - 1 zero
-    coefficients with the fixed-point powers x^(g-1) and x^g, by
-    square-and-multiply, so a step costs O(nnz log deg) products, not deg."""
+def _sparse_value_and_slope(terms: Sequence[Tuple[int, int]], x: int, p: int,
+                            low: int = 0) -> Tuple[int, int]:
+    """G(x) and G'(x) at scale 2^p for G = sum_{i >= low} c_i x^(i - low)
+    over the nonzero terms (i, c_i) of F, listed by descending power: Horner
+    that crosses each run of g - 1 zero coefficients with the fixed-point
+    powers x^(g-1) and x^g, by square-and-multiply, so a step costs
+    O(nnz log deg) products, not deg."""
     powers = {}  # gap g -> (x^(g-1), x^g) at scale 2^p
     f = d = 0
     prev = terms[0][0]
-    for i, c in chain(terms, [(0, 0)]):
+    for i, c in chain(takewhile(lambda t: t[0] >= low, terms), [(low, 0)]):
         g = prev - i
         if g:
             if g not in powers:
-                low = _fixed_pow(x, g - 1, p)
-                powers[g] = low, low * x >> p
-            low, high = powers[g]
-            d = (d * high >> p) + g * (f * low >> p)
+                low_power = _fixed_pow(x, g - 1, p)
+                powers[g] = low_power, low_power * x >> p
+            low_power, high = powers[g]
+            d = (d * high >> p) + g * (f * low_power >> p)
             f = f * high >> p
         f += c << p
         prev = i
@@ -383,7 +416,7 @@ class RefinableRoot:
         around a ``seed`` guess (a, b, s), [a/2^s, b/2^s], as below."""
         self.annihilator = self._modulus = F  # what orbit values reduce by
         self._sign = sign = _sign_kernel(F)
-        self._poly = sign.args[0]  # F as the kernel runs over it, for _newton
+        self._poly = sign.args  # (F as the kernel runs over it, ...), for _newton and _float_root
         self.exact, self._shown = None, (None, None)
         if seed is not None:
             # The finest cell [j, j+1]/2^k holding the guess, if in a unit cell

@@ -426,7 +426,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # The parser outlives this call, so the environment is read on each call.
     parser.set_defaults(digits=os.environ.get(ENV_DIGITS, "30"))
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            if not exc.code:  # --help: its text must meet a closed stdout here, not at exit
+                sys.stdout.flush()
+            raise
         if args.tol <= 0:
             raise PreconditionError("tolerance must be positive")
         args.handler(args)

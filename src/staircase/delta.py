@@ -126,7 +126,12 @@ class JumpValue:
 
     @property
     def enclosure(self) -> Enclosure:
-        return self.right.enclosure - self.left.enclosure
+        """[right.lo - left.hi, right.hi - left.lo], each end one Fraction
+        from the two integer brackets at their common scale."""
+        (la, lb, lk), (ra, rb, rk) = self.left.handle.bracket, self.right.handle.bracket
+        k = max(lk, rk)
+        return Enclosure(Fraction((ra << k - rk) - (lb << k - lk), 1 << k),
+                         Fraction((rb << k - rk) - (la << k - lk), 1 << k))
 
     def certify_positive(self) -> Enclosure:
         """Refine both sides until the jump's lower bound is positive."""

@@ -20,6 +20,7 @@ from staircase.beta import (FILTER_WORK, FLOAT_BITS, GUARD_BITS, RefinableRoot,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
                             extremal_orbit_check, finite_annihilator, greedy_digits,
                             near_one_root, periodic_annihilator)
+from staircase.analysis import _ladder_offset
 from staircase.delta import StaircaseDigitStream, delta_rational, right_limit_word
 from staircase.diophantine import presets
 from staircase.errors import PreconditionError
@@ -875,6 +876,88 @@ def test_head_filter_defers_where_the_value_is_tiny(k):
     assert _filtered_sign(F, m, k) == 0
     assert _filtered_kernel_sign(F, m, k) == (-1, True)
     assert fraction_poly_sign(F, x) == -1
+
+
+@pytest.mark.parametrize("k, n, C", [(4, 11, 1), (4, 14, 3), (5, 10, 2), (6, 8, 1)])
+def test_filtered_head_verdict_just_inside_the_tail_bound(k, n, C):
+    """x = 1 + 2^-k and the head G = (X - 1)^n - C 2^k, so that
+    |G(x)| (x - 1) = C - 2^-(k(n+1)) lies just inside the tail bound C.  The
+    tail C (X^(t-1) + ... + 1), t the least with x^t > C 2^(k(n+1)), takes
+    F = X^t G + tail to the sign opposite G's, beside F's root.  The floored
+    products carry the filter's |acc| past 2^p |G(x)|, so only the filter's
+    error e keeps it from certifying G's sign for F."""
+    m = (1 << k) + 1
+    G = [math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
+    G[0] -= C << k
+    t = 1
+    while m ** t <= C << k * (n + 1 + t):
+        t += 1
+    F = [C] * t + G
+    assert power_sum_sign(F, m, k) == 1 == -power_sum_sign(G, m, k)
+    assert _filtered_sign(G, m, k, C) in (0, 1)
+    assert _filtered_sign(G, m, k) == -1  # G's own sign, with no tail bound
+
+
+def _newton_head_cases():
+    """(F, a_1, whether Newton's head at 416 bits is shorter than F): long
+    bzb and right-limit words, b = 1, 2 and 2^20 (C = 2^20), and words whose
+    last digit, 2^300 or 2^2000, is far larger than the root near 4, so that
+    the head is all of F only because it counts log2 C."""
+    for b, p, q in ((1, 377, 987), (1, 610, 1597), (2, 500, 1001), (1 << 20, 37, 100)):
+        yield finite_annihilator(bzb_word(b, p, q)), b, True
+        yield periodic_annihilator(right_limit_word(Fraction(b - 1) + Fraction(p, q))), b, True
+    for j, D in ((298, 1 << 300), (998, 1 << 2000)):
+        yield finite_annihilator((1,) + (0,) * j + (D,)), 1, False
+
+
+@pytest.mark.parametrize("F, a1, short", list(_newton_head_cases()))
+def test_newton_head_guess_is_good_to_its_precision(F, a1, short):
+    """From the 2^-40 cell, Newton to P = 400 + GUARD_BITS bits solves its
+    head, shorter than F on the Christoffel words, yet lies within
+    2^-(P - GUARD_BITS) of the certified root: the head counts log2 C."""
+    rr = RefinableRoot(F, a1)
+    assert rr.exact is None
+    rr._halve(40)
+    a, _, k = rr.bracket
+    P = 400 + GUARD_BITS
+    x = beta._newton(rr._poly, 2 * a + 1, k + 1, P)
+    assert (_head_length(len(F) - 1, rr._poly[1], math.inf, x, P) is not None) == short
+    enc = rr.refine(Fraction(1, 1 << (P + 8)))
+    assert max(abs(Fraction(x, 1 << P) - enc.lo), abs(Fraction(x, 1 << P) - enc.hi)) \
+        <= Fraction(1, 1 << (P - GUARD_BITS))
+
+
+def _probe_ladder_words():
+    """(F, a_1) of probe slopes c -/+ _ladder_offset(c, N) around c = 3/7,
+    1/3, 2/5 and 3/4 whose words have 300 to 2,000 letters, and the right
+    limits of some of them."""
+    seen = set()
+    for c in (Fraction(3, 7), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)):
+        for side in ("below", "above"):
+            for N in range(c.denominator, 2000):
+                off = _ladder_offset(c, N, side)
+                alpha = c - off if side == "below" else c + off
+                if 300 <= alpha.denominator <= 2000 and alpha not in seen:
+                    seen.add(alpha)
+                    yield finite_annihilator(bzb_word(1, alpha.numerator, alpha.denominator)), 1
+                    if len(seen) % 3 == 0:
+                        yield periodic_annihilator(right_limit_word(alpha)), 1
+
+
+def test_growing_prefix_float_guess_is_good_to_float_bits_and_five_more():
+    """From the unit cell [1, 2], y = 1 and every power of y counts, so the
+    dense float start reads a prefix of 64 powers, doubled at each step, and
+    settles only on a step that read all it wanted: on the probe ladders'
+    words of 300 to 2,000 letters its guess lies within 2^-(FLOAT_BITS + 5)
+    of the certified root, relative, as ``_float_guess_cases``' do."""
+    cases = list(_probe_ladder_words())
+    assert len(cases) >= 40
+    for F, a1 in cases:
+        rr = RefinableRoot(F, a1)
+        assert rr.exact is None and (rr._j, rr._K) == (1, 0) and not isinstance(rr._poly[0][0], tuple)
+        x = Fraction(beta._float_root(rr._poly, rr._j, 0))
+        enc = rr.refine(Fraction(1, 1 << 64))
+        assert max(abs(x - enc.lo), abs(x - enc.hi)) <= enc.lo / (1 << (FLOAT_BITS + 5)), len(F)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 255, 1000, 2047, 3001, 4096, 5100])

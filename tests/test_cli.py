@@ -437,13 +437,17 @@ def test_a_negative_cf_after_a_space_is_a_usage_error(capsys):
     ["measure", "mu", "--preset", "golden", "-N", "40"],  # JSON
     ["delta", "plot", "--from", "0/1", "--to", "1/2", "--max-den", "20", "--output", "csv"],
     ["word", "christoffel", "2", "5"],  # plain text
+    ["--help"],  # argparse's help, which ends in SystemExit(0)
+    ["delta", "plot", "--help"],
 ])
 def test_a_closed_stdout_ends_the_command_quietly(argv):
     # the read end is closed before the command starts, so its first write
-    # to stdout meets a broken pipe
+    # to stdout meets a broken pipe; stdout is buffered, as where
+    # PYTHONUNBUFFERED is unset, so the help text meets it only when flushed
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     try:
         done = subprocess.run([sys.executable, "-m", "staircase.cli", *argv], env=env,
                               stdout=write_end, stderr=subprocess.PIPE, timeout=60)
