@@ -11,6 +11,7 @@ lower bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -239,6 +240,11 @@ def _left_limit_word(alpha: Fraction) -> PeriodicWord:
     return quasi_greedy_of_finite(bzb_word(*_split_slope(Fraction(alpha))))
 
 
+def _log2(x: Fraction) -> float:
+    """log2 x for a fraction x >= 0, to within float error; -inf at 0."""
+    return math.log2(x.numerator) - math.log2(x.denominator) if x else -math.inf
+
+
 def lowerbound_check(alpha: Fraction, alpha_N: Fraction,
                      tol: Fraction = DEFAULT_TOL) -> LowerboundReport:
     """Check the explicit lower bound on |Delta(alpha) - Delta(alpha_N)|.
@@ -261,6 +267,12 @@ def lowerbound_check(alpha: Fraction, alpha_N: Fraction,
         e, e_N = beta.enclosure, beta_N.enclosure
         big = e_N if mirrored else e
         lhs = (e - e_N).abs()
+        # h is log2 rhs.hi to far under a bit (the bases' cells lie at or above 1).
+        # Where lhs reaches from under half of rhs.hi to over twice it, neither
+        # inequality can hold, so the round builds no N-th power of big's ends
+        h = _log2(e.hi - 1) + _log2(e_N.hi - 1) - N * _log2(big.lo) - math.log2(b * N)
+        if _log2(lhs.lo) <= h - 1 and _log2(lhs.hi) >= h + 1:
+            return None
         rhs = (e - 1) * (e_N - 1) / (big.pow_int(N) * (b * N))
         if lhs.lo > rhs.hi:
             return LowerboundReport(N, mirrored, lhs, rhs, True)

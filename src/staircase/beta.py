@@ -17,11 +17,12 @@ the cell end: each step is one Horner pass over the powers of y that still
 count at double precision, a growing prefix of them for a long dense word.
 Newton steps read only the top coefficients that their precision needs.  For
 a sparse annihilator, sign tests and Newton steps run over its nonzero terms
-only.  Deep sign tests, long dense heads included, first try a fixed-point
-Horner that bounds its own error, and exact integer arithmetic only where it
-is undecided.  A series root moves on
-from a pair of words (truncations, or another source's) whose coarse roots
-certify a gap over tol, unrefined.
+only.  Every sign test is one ladder: on a long word, the head where the
+rest cannot change the sign; a fixed-point Horner that bounds its own error,
+over a long dense head or a deep full test; exact integer arithmetic only
+where those are undecided, at once after an undecided head filter.  A series
+root moves on from a pair of words (truncations, or another source's) whose
+coarse roots certify a gap over tol, unrefined.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ GUARD_BITS = 16
 # Every other jump starts from a cell at least as fine (RefinableRoot._bisect).
 FLOAT_BITS = 46
 
-# Full sign tests at deg F * k >= FILTER_WORK try _filtered_sign first, and
-# _head_sign's dense heads of n coefficients at n * k >= FILTER_WORK (not
-# sparse heads) filter the head alone: the exact accumulator grows to deg*k
-# (or n*k) bits, the filter's to about k.  Per test beside a root, exact -> filter: degree 256 at k = 125, 844
-# -> 98 us; degree 100 at k = 20/40/80, 20/36/70 -> 25/35/30 us; near-one degree
-# 1000 at k = 4/8, 7/17 -> 7/7 us, 3000 at k = 85, 4435 -> 11 us.
+# A dense head of n coefficients at n * k >= FILTER_WORK (not a sparse one)
+# and a full test at deg F * k >= FILTER_WORK try _filtered_sign first: the
+# exact accumulator grows to n*k (or deg*k) bits, the filter's to about k.  Per
+# test beside a root, exact -> filter: degree 256 at k = 125, 844 -> 98 us;
+# degree 100 at k = 20/40/80, 20/36/70 -> 25/35/30 us; near-one degree 1000 at
+# k = 4/8, 7/17 -> 7/7 us, 3000 at k = 85, 4435 -> 11 us.
 FILTER_WORK = 4000
 
 # The longest digit word a root is built from: series truncations stop here,
@@ -68,25 +69,17 @@ MAX_WORD_LENGTH = 1 << 20
 REFINE_BUDGET = 20000
 
 
-def _poly_sign(F, m: int, k: int) -> int:
-    """Exact sign of F at the dyadic point x = m / 2**k, F a coefficient
-    sequence or the descending list of its nonzero terms (``_sign_kernel``)."""
-    s = _degree(F) * k >= FILTER_WORK and _filtered_sign(F, m, k)
-    acc = s or _exact(F, m, k)
-    return (acc > 0) - (acc < 0)
-
-
 def _degree(F) -> int:
     """deg F, as ``_exact`` scales it: the top power of a list of terms."""
     return F[0][0] if F and isinstance(F[0], tuple) else len(F) - 1
 
 
 def _filtered_sign(F, m: int, k: int, C: int = 0) -> int:
-    """The sign of F (terms or coefficients, as for ``_poly_sign``) at x = m/2^k
+    """The sign of F (terms or coefficients, as for ``_dyadic_sign``) at x = m/2^k
     where Horner at p = k + 32 + bitlen(deg F) fractional bits proves it, else 0.
     Products are floored, and e bounds the error in ulps: a product by x maps
     it to floor(e x) + 2, one by x^g in [lo, hi] to floor(e hi + |acc| (hi - lo)) + 2.
-    With C > 0, F is a head G of coefficients at x > 1 (``_head_sign``), and
+    With C > 0, F is a head G of coefficients at x > 1 (``_dyadic_sign``), and
     the sign is G's only where |G(x)| (x - 1) > C holds with the error too."""
     sparse = isinstance(F[0], tuple)
     deg = F[0][0] if sparse else len(F) - 1
@@ -147,20 +140,20 @@ def _exact(F, m: int, k: int, low: int = 0) -> int:
     return acc
 
 
-def _head_length(q: int, C: int, k_head: float, m: int, k: int) -> Optional[int]:
+def _head_length(q: int, C: int, m: int, k: int) -> Optional[int]:
     """The number n of top coefficients of a polynomial F of degree q, whose
     coefficients under the leading one are at most C in size, that decide F
     to k bits at x = m/2^k > 1; None where F is read whole.
 
     n is where the tail bound holds with GUARD_BITS to spare at 2^-k from a
-    root, by a float estimate of log2 x that only picks n.  ``_head_sign``
-    tests the head's sign at the scales k < k_head; ``_newton`` solves the
-    head at x = its iterate at scale 2^k, with k_head infinite.  F is read
-    whole at x <= 1, and where the head would be the whole polynomial, as
-    for the near-one words, whose x is close to 1.
+    root, by a float estimate of log2 x that only picks n.  ``_dyadic_sign``
+    tests the head's sign at its scales k < k_head; ``_newton`` solves the
+    head at x = its iterate at scale 2^k.  F is read whole at x <= 1, and
+    where the head would be the whole polynomial, as for the near-one words,
+    whose x is close to 1.
     """
     d = m - (1 << k)
-    if k >= k_head or d <= 0:
+    if d <= 0:
         return None
     # log2 x, and the digits wanted: k + GUARD_BITS + log2 C + log2(x/(x-1))
     lx = math.log2(m) - k
@@ -168,28 +161,31 @@ def _head_length(q: int, C: int, k_head: float, m: int, k: int) -> Optional[int]
     return None if n >= q else n
 
 
-def _head_sign(F, C: int, k_head: float, m: int, k: int) -> int:
-    """``_poly_sign(F, m, k)``, decided from F's top n + 1 coefficients when
-    the rest cannot change the sign, at scales k < k_head (see ``_sign_kernel``).
+def _dyadic_sign(F, C: int, k_head: float, m: int, k: int) -> int:
+    """Exact sign of F at the dyadic point x = m / 2**k, F a coefficient
+    sequence or the descending list of its nonzero terms (``_sign_kernel``),
+    decided from F's top n + 1 coefficients where the rest cannot change it,
+    at the scales k < k_head (none at k_head = 0); n is ``_head_length``'s.
 
-    With x = m/2^k > 1 and q = deg F, F(x) = x^(q-n) G(x) + R(x), where G
-    holds the top coefficients and R the others, each at most C in size,
-    so |R(x)| < C x^(q-n) / (x - 1), and |G(x)| (x - 1) > C proves
+    With x > 1 and q = deg F, F(x) = x^(q-n) G(x) + R(x), where G holds the
+    top coefficients and R the others, each at most C in size, so
+    |R(x)| < C x^(q-n) / (x - 1), and |G(x)| (x - 1) > C proves
     sign F(x) = sign G(x).  A dense head with n * k >= FILTER_WORK tests
     that with ``_filtered_sign`` over F's top coefficients, whose error it
-    counts; any other head exactly, A = ``_exact(F, m, k, q - n)`` being
-    2^(kn) G(x), by |A| (m - 2^k) > C 2^(k(n+1)).  Else the full test
-    ``_poly_sign`` runs.  n is ``_head_length``'s.
+    counts, and the exact test over F runs where that is undecided.  Any
+    other head tests it exactly, A = ``_exact(F, m, k, q - n)`` being
+    2^(kn) G(x), by |A| (m - 2^k) > C 2^(k(n+1)); where it fails, or with
+    no head, the full test runs: ``_filtered_sign`` over F where
+    deg F * k >= FILTER_WORK, then the exact test where that is undecided.
     """
     q = _degree(F)
-    n = _head_length(q, C, k_head, m, k)
-    if n is None:
-        return _poly_sign(F, m, k)
-    if n * k >= FILTER_WORK and not isinstance(F[0], tuple):
-        return _filtered_sign(F[q - n:], m, k, C) or _poly_sign(F, m, k)
-    acc = _exact(F, m, k, q - n)
-    if abs(acc) * (m - (1 << k)) <= C << (k * (n + 1)):
-        return _poly_sign(F, m, k)
+    n = _head_length(q, C, m, k) if k < k_head else None
+    if n is not None and n * k >= FILTER_WORK and not isinstance(F[0], tuple):
+        acc = _filtered_sign(F[q - n:], m, k, C) or _exact(F, m, k)
+    else:
+        acc = 0 if n is None else _exact(F, m, k, q - n)
+        if not acc or abs(acc) * (m - (1 << k)) <= C << (k * (n + 1)):
+            acc = q * k >= FILTER_WORK and _filtered_sign(F, m, k) or _exact(F, m, k)
     return (acc > 0) - (acc < 0)
 
 
@@ -212,7 +208,7 @@ def _sign_kernel(F: IntPoly) -> Callable[[int, int], int]:
     k_head = q * math.log2(C + 1) / 2 - GUARD_BITS - C.bit_length()
     if 4 * (len(F) - F.count(0)) <= len(F):
         F = [(i, F[i]) for i in compress(range(len(F)), F)][::-1]
-    return partial(_head_sign, F, C, k_head) if k_head > 0 else partial(_poly_sign, F)
+    return partial(_dyadic_sign, F, C, k_head)
 
 
 def _newton(poly, x: int, p: int, P: int) -> Optional[int]:
@@ -220,10 +216,10 @@ def _newton(poly, x: int, p: int, P: int) -> Optional[int]:
 
     ``poly`` is a root's sign kernel's arguments (``_sign_kernel``): F, a
     coefficient tuple or the descending list of the nonzero terms (i, c_i)
-    of a sparse F, then C and k_head where the kernel runs a head test.
-    With C, each step solves the head that ``_head_length`` gives at the
-    iterate and its precision: F's top n + 1 coefficients, or its terms of
-    power at least deg F - n; a short F is read whole.
+    of a sparse F, then C and k_head.  Each step solves the head that
+    ``_head_length`` gives at the iterate and its precision: F's top n + 1
+    coefficients, or its terms of power at least deg F - n; a short F is
+    read whole.
     The precision about doubles from step to step up to P bits, from 16 bits
     at the least (where halving plus 8 stops falling); steps at P bits then
     repeat, at most four more, until one moves x by at most
@@ -231,10 +227,10 @@ def _newton(poly, x: int, p: int, P: int) -> Optional[int]:
     head's slope is not positive.  The result is only a guess: no error bound
     is claimed.
     """
-    F = poly[0]
+    F, C, _ = poly
     sparse, q = isinstance(F[0], tuple), _degree(F)
-    # C where a head shorter than F solves F at P bits, so at every precision up to P
-    C = poly[1] if len(poly) == 3 and _head_length(q, poly[1], math.inf, x << (P - p), P) else None
+    # whether a head shorter than F solves F at P bits, so at every precision up to P
+    head = _head_length(q, C, x << (P - p), P) is not None
     schedule = [P]
     while schedule[-1] > 2 * p and schedule[-1] // 2 + 8 < schedule[-1]:
         schedule.append(schedule[-1] // 2 + 8)
@@ -242,7 +238,7 @@ def _newton(poly, x: int, p: int, P: int) -> Optional[int]:
     for r in schedule + [P] * 4:
         x <<= r - p
         p = r
-        n = C is not None and _head_length(q, C, math.inf, x, p)
+        n = head and _head_length(q, C, x, p)
         low = q - n if n else 0
         if sparse:
             f, d = _sparse_value_and_slope(F, x, p, low)
@@ -342,7 +338,7 @@ def digit_series_sign(digits: Sequence[int], x: Fraction) -> int:
     """Exact sign of g(x) = sum a_n x^(-n) - 1 for a finite digit word.
 
     The reference at any rational x > 0; root isolation itself runs the
-    dyadic ``_poly_sign`` on the word's annihilator.
+    dyadic ``_dyadic_sign`` on the word's annihilator.
     """
     if x <= 0:
         raise PreconditionError("sign test requires x > 0")
@@ -714,7 +710,7 @@ def _vanishes(p: List[int], beta: RefinableRoot) -> bool:
         a, b = b, _poly_mod(a, b)
     g = tuple(int(c / a[-1]) for c in a)
     lo, hi, k = beta.bracket
-    if len(g) < 2 or _poly_sign(g, lo, k) * _poly_sign(g, hi, k) >= 0:
+    if len(g) < 2 or _dyadic_sign(g, 0, 0, lo, k) * _dyadic_sign(g, 0, 0, hi, k) >= 0:
         return False
     beta._modulus = g
     return True

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +23,7 @@ from staircase.analysis import (
 from staircase.delta import delta_rational
 from staircase.diophantine import ContinuedFraction, LogMagnitude
 from staircase.errors import CertificationError, PreconditionError
+from staircase.intervals import Enclosure
 from staircase.words import PeriodicWord, common_prefix_radius
 
 
@@ -161,6 +163,30 @@ def test_lowerbound_check_across_integer_base():
     # slopes with different integer parts still separate
     r = lowerbound_check(Fraction(3, 2), Fraction(7, 5))
     assert r.holds
+
+
+@pytest.mark.parametrize("alpha_N, N, powers", [
+    (Fraction(3333, 10000), None, 0),
+    (Fraction(333, 1000), None, 0),
+    (Fraction(233, 700), 700, 1),
+    (Fraction(166, 500), 250, 1),
+], ids=["3333/10000", "333/1000", "233/700", "166/500"])
+def test_lowerbound_check_builds_no_power_it_cannot_use(alpha_N, N, powers):
+    """Beside 1/3, slopes whose expansions of 1 from below share N - 1 = 999
+    or 9,999 digits: both sides of the inequality lie near Delta(1/3)^-N,
+    under what the budget's 64 rounds of 8 bits resolve, so every round's
+    lhs spans the right side's scale and the check raises at its budget
+    without building an N-th power (at N = 10,000 the powers took 78 s).
+    A pair that decides builds one power, in the round that decides."""
+    with mock.patch.object(Enclosure, "pow_int", autospec=True,
+                           side_effect=Enclosure.pow_int) as pow_int:
+        if N is None:
+            with pytest.raises(CertificationError, match="lower-bound inequality"):
+                lowerbound_check(Fraction(1, 3), alpha_N)
+        else:
+            r = lowerbound_check(Fraction(1, 3), alpha_N)
+            assert r.N == N and r.holds and r.lhs.lo > r.rhs.hi
+    assert pow_int.call_count == powers
 
 
 @pytest.mark.parametrize("slope", [1, 2, 3, 4])

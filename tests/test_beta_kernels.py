@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from staircase import beta
 from staircase.beta import (FILTER_WORK, FLOAT_BITS, GUARD_BITS, RefinableRoot,
                             _certified_root, _filtered_sign,
-                            _head_length, _head_sign, _horner, _poly_sign, _refine_root_until,
+                            _dyadic_sign, _head_length, _horner, _refine_root_until,
                             _sign_kernel,
                             beta_root_finite, beta_root_periodic, digit_series_sign,
                             extremal_orbit_check, finite_annihilator, greedy_digits,
@@ -93,7 +93,7 @@ def test_horner_floors_are_shifts(coeffs, den, bracket):
 @example((1, 1), 3, 1)
 def test_finite_sign_matches_reference(digits, m, k):
     x = Fraction(m, 1 << k)
-    assert -_poly_sign(finite_annihilator(digits), m, k) == digit_series_sign(digits, x)
+    assert -_dyadic_sign(finite_annihilator(digits), 0, 0, m, k) == digit_series_sign(digits, x)
 
 
 @SETTINGS
@@ -102,7 +102,7 @@ def test_finite_sign_matches_reference(digits, m, k):
 @example((-3, 2), 3, 1)
 @example((2, -3, 1), 4, 1)
 def test_poly_sign_matches_reference(coeffs, m, k):
-    assert _poly_sign(coeffs, m, k) == fraction_poly_sign(coeffs, Fraction(m, 1 << k))
+    assert _dyadic_sign(coeffs, 0, 0, m, k) == fraction_poly_sign(coeffs, Fraction(m, 1 << k))
 
 
 @SETTINGS
@@ -111,7 +111,7 @@ def test_poly_sign_matches_reference(coeffs, m, k):
 @example([], [1], 2 << 10)
 def test_periodic_sign_matches_reference(pre, per, m):
     F = periodic_annihilator(PeriodicWord.make(tuple(pre), tuple(per)))
-    assert _poly_sign(F, m, 10) == fraction_poly_sign(F, Fraction(m, 1 << 10))
+    assert _dyadic_sign(F, 0, 0, m, 10) == fraction_poly_sign(F, Fraction(m, 1 << 10))
 
 
 def _assert_certified(rr: RefinableRoot, sign, tol: Fraction):
@@ -175,7 +175,7 @@ def test_sparse_sign_matches_reference(terms, pad, m, k):
     for i, c in terms.items():
         coeffs[i] = c
     expected = fraction_poly_sign(coeffs, Fraction(m, 1 << k))
-    assert _poly_sign(sorted(terms.items(), reverse=True), m, k) == expected
+    assert _dyadic_sign(sorted(terms.items(), reverse=True), 0, 0, m, k) == expected
     assert _sign_kernel(tuple(coeffs))(m, k) == expected
 
 
@@ -217,7 +217,7 @@ def test_newton_jump_lands_on_the_bisection_cell(word, K):
     assert rr.bracket == _bisected(F, a1, K).bracket
     a, b, k = rr.bracket
     assert k == K and b == a + 1
-    assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
+    assert _dyadic_sign(F, 0, 0, a, K) < 0 < _dyadic_sign(F, 0, 0, b, K)
 
 
 @pytest.mark.parametrize("word", [(1, 1), (2, 0, 1, 1), bzb_word(2, 5, 13)])
@@ -267,7 +267,7 @@ def test_wrong_newton_guess_still_certifies(word, K, cells_off):
         rr.refine(Fraction(1, 1 << K))
     assert rr.bracket == _bisected(F, a1, K).bracket
     a, b, _ = rr.bracket
-    assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
+    assert _dyadic_sign(F, 0, 0, a, K) < 0 < _dyadic_sign(F, 0, 0, b, K)
 
 
 @settings(max_examples=40, deadline=None)
@@ -290,7 +290,7 @@ def test_wrong_float_guess_still_certifies(word, K, wrong):
         rr.refine(Fraction(1, 1 << K))
     assert rr.bracket == _bisected(F, a1, K).bracket
     a, b, _ = rr.bracket
-    assert _poly_sign(F, a, K) < 0 < _poly_sign(F, b, K)
+    assert _dyadic_sign(F, 0, 0, a, K) < 0 < _dyadic_sign(F, 0, 0, b, K)
     for k in (K // 2, K + 1, 2 * K):  # later requests: shifts, or refined from the deep cell
         assert rr.refine(Fraction(1, 1 << k)) == _bisected(F, a1, max(k, K)).enclosure
 
@@ -375,7 +375,7 @@ def test_sparse_root_sign_test_budget():
     tests, and two more certify the float guess's cell at 2^-44, of which
     the 2^-27 cell is a shift: 4 sign tests, where bisection alone spent 29.
     One more pays for a guess that lands in the neighbouring cell."""
-    with mock.patch.object(beta, "_head_sign", wraps=beta._head_sign) as sign:
+    with mock.patch.object(beta, "_dyadic_sign", wraps=beta._dyadic_sign) as sign:
         enc = near_one_root(3000, Fraction(1, 10 ** 8))
     assert enc.width <= Fraction(1, 10 ** 8)
     assert sign.call_count <= 5, sign.call_count
@@ -448,7 +448,8 @@ def test_repeated_refinement_ends_on_the_bisection_cells(word, rounds, fault):
             reference._halve(K - reference.bracket[2])
             assert rr.bracket == reference.bracket
             a, b, k = rr.bracket
-            assert (k, b) == (K, a + 1) and _poly_sign(F, a, k) < 0 < _poly_sign(F, b, k)
+            assert (k, b) == (K, a + 1)
+            assert _dyadic_sign(F, 0, 0, a, k) < 0 < _dyadic_sign(F, 0, 0, b, k)
 
 
 def test_repeated_refinement_sign_test_budget():
@@ -490,14 +491,14 @@ def _reference_cell(F, a1, depth):
     """The cell [a, b]/2^k, k = depth, that holds the root, found with full
     Horner sign tests only; None for an integer root."""
     n = a1
-    while _poly_sign(F, n, 0) < 0:
+    while _dyadic_sign(F, 0, 0, n, 0) < 0:
         n += 1
-    if _poly_sign(F, n, 0) == 0:
+    if _dyadic_sign(F, 0, 0, n, 0) == 0:
         return None
     a, b, k = n - 1, n, 0
     for _ in range(depth):
         m = a + b
-        a, b = (m, b << 1) if _poly_sign(F, m, k + 1) < 0 else (a << 1, m)
+        a, b = (m, b << 1) if _dyadic_sign(F, 0, 0, m, k + 1) < 0 else (a << 1, m)
         k += 1
     return a, b, k
 
@@ -558,7 +559,7 @@ def _assert_signs_beside_the_root(root, depth, k, draw_m):
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(long_annihilators(), long_sparse_annihilators()), st.integers(0, 48))
 def test_head_sign_over_coefficients_and_terms_matches_reference(root, depth):
-    """``_head_sign`` over F's coefficient tuple and over its descending
+    """``_dyadic_sign`` over F's coefficient tuple and over its descending
     list of nonzero terms, beside the root at scales k < k_head, where the
     head test runs."""
     F, a1 = root
@@ -570,7 +571,7 @@ def test_head_sign_over_coefficients_and_terms_matches_reference(root, depth):
         m = a + b + off
         expected = fraction_poly_sign(F, Fraction(m, 1 << (d + 1)))
         for G in (F, descending_terms(F)):
-            assert _head_sign(G, C, k_head, m, d + 1) == expected
+            assert _dyadic_sign(G, C, k_head, m, d + 1) == expected
 
 
 def _greedy_digits_of_one(x: Fraction, q: int):
@@ -603,7 +604,7 @@ def test_sign_of_a_root_beside_a_coarse_point(k, q, bump, draw_m):
     assert fraction_poly_sign(F, x) == -1
     assert _sign_kernel(F)(m, k) == -1
     C = max(map(abs, F[:-1]))
-    assert _head_sign(F, C, float("inf"), m, k) == -1
+    assert _dyadic_sign(F, C, float("inf"), m, k) == -1
 
 
 @pytest.mark.parametrize("m", [268, 269, 270])
@@ -619,10 +620,10 @@ def test_a_head_that_falls_through_runs_one_filtered_full_test(m, bump):
     digits[-1] += bump
     F = finite_annihilator(digits)
     C = max(map(abs, F[:-1]))
-    n = _head_length(q, C, float("inf"), m, k)
+    n = _head_length(q, C, m, k)
     assert n * k < FILTER_WORK <= q * k and _filtered_sign(F, m, k) != 0
     with mock.patch.object(beta, "_exact", wraps=beta._exact) as exact:
-        assert _head_sign(F, C, float("inf"), m, k) == fraction_poly_sign(F, x)
+        assert _dyadic_sign(F, C, float("inf"), m, k) == fraction_poly_sign(F, x)
     assert [c.args[3:] for c in exact.call_args_list] == [(q - n,)]
 
 
@@ -661,13 +662,13 @@ def test_tail_bound_divides_by_x_minus_one(k):
     tail bound, G (x - 1) <= C = 1 < G x, so a tail bound without the factor
     x - 1 would certify the head's wrong sign."""
     m = (1 << k) + 1
-    n = _head_length(1 << 20, 1, float("inf"), m, k)
+    n = _head_length(1 << 20, 1, m, k)
     F = finite_annihilator(_greedy_digits_short_of_one(m, k, n) + [1] * n)
     A = beta._exact(F, m, k, n)  # 2^(kn) G(x)
     assert abs(A) * (m - (1 << k)) <= 1 << (k * (n + 1)) < abs(A) * m
     assert fraction_poly_sign(F, Fraction(m, 1 << k)) == -1
     for G in (F, descending_terms(F)):
-        assert _head_sign(G, 1, float("inf"), m, k) == -1
+        assert _dyadic_sign(G, 1, float("inf"), m, k) == -1
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -742,7 +743,7 @@ def test_filter_agrees_beside_long_dense_roots(q, top, word_seed, k):
     a, b, _ = rr.bracket
     for m, K in ((a, k), (b, k), (a + b, k + 1)):
         _assert_filter_agrees(F, m, K, dyadic_fraction_sign)
-        assert _poly_sign(F, m, K) == dyadic_fraction_sign(F, m, K)
+        assert _dyadic_sign(F, 0, 0, m, K) == dyadic_fraction_sign(F, m, K)
 
 
 @FILTERED
@@ -791,7 +792,7 @@ def test_filter_defers_where_the_dense_value_is_tiny(k, draw_m, bump):
     F = finite_annihilator(digits)
     assert _filtered_sign(F, m, k) == _filtered_sign(descending_terms(F), m, k) == 0
     with mock.patch.object(beta, "_exact", wraps=beta._exact) as exact:
-        assert _poly_sign(F, m, k) == fraction_poly_sign(F, x)
+        assert _dyadic_sign(F, 0, 0, m, k) == fraction_poly_sign(F, x)
     assert exact.called
 
 
@@ -810,25 +811,26 @@ def test_filter_defers_where_the_sparse_value_is_tiny(k, n, draw_m, s):
     assert verdict in (0, s)
     if k * n > k + 32 + n.bit_length():
         assert verdict == 0
-    assert _poly_sign(terms, m, k) == s
+    assert _dyadic_sign(terms, 0, 0, m, k) == s
 
 
 def _assert_head_path_filters(F, m: int, k: int) -> None:
     """F's kernel takes the head path at m/2^k, with a head of n < deg F
-    coefficients and n * k >= FILTER_WORK, where ``_head_sign`` filters."""
+    coefficients and n * k >= FILTER_WORK, where ``_dyadic_sign`` filters."""
     sign = _sign_kernel(F)
-    assert sign.func is _head_sign
+    assert sign.func is _dyadic_sign
     _, C, k_head = sign.args
     q = len(F) - 1
-    n = _head_length(q, C, k_head, m, k)
+    assert k < k_head
+    n = _head_length(q, C, m, k)
     assert n is not None and n < q and n * k >= FILTER_WORK
 
 
 def _filtered_kernel_sign(F, m: int, k: int):
-    """The kernel's sign of F at m/2^k and whether it called ``_filtered_sign``."""
+    """The kernel's sign of F at m/2^k and how many times it called ``_filtered_sign``."""
     with mock.patch.object(beta, "_filtered_sign", wraps=beta._filtered_sign) as filtered:
         s = _sign_kernel(F)(m, k)
-    return s, filtered.called
+    return s, filtered.call_count
 
 
 @FILTERED
@@ -849,24 +851,25 @@ def test_head_filter_agrees_beside_series_truncation_roots(name, periodic, draw_
         F = finite_annihilator(digits)
     q, x = len(F) - 1, beta_root_finite(digits, Fraction(1, 1 << 20)).enclosure.lo
     _, C, k_head = _sign_kernel(F).args
-    heads = ((k, _head_length(q, C, k_head, floor(x * (1 << k)), k))
+    heads = ((k, _head_length(q, C, floor(x * (1 << k)), k))
              for k in range(1, min(ceil(k_head) - 1, 40000 // q)))
     ks = [k for k, n in heads if n is not None and 10 * n * k >= 11 * FILTER_WORK]
     k = ks[draw_k % len(ks)]
     a, b, _ = _certified_root(F, digits[0], Fraction(1, 1 << k), None).bracket
     for m, K in ((a + off, k), (b + off, k), (a + b, k + 1)):
         _assert_head_path_filters(F, m, K)
-        s, filtered = _filtered_kernel_sign(F, m, K)
+        s, filters = _filtered_kernel_sign(F, m, K)
         assert s == dyadic_fraction_sign(F, m, K)
-        assert filtered
+        assert filters
 
 
 @pytest.mark.parametrize("k", [72, 96, 160])
 def test_head_filter_defers_where_the_value_is_tiny(k):
     """The greedy word of 1 in base x = m/2^k near 5/2, 300 letters, its last
     digit raised by 1: F(x) = r - 1 for the greedy remainder r in [0, 1),
-    far inside the filter's error bound.  The filter defers, and the head
-    loop decides -1; a head test that took the filter's 0 would be wrong."""
+    far inside the filter's error bound.  The head filter defers, and the
+    exact test over F decides -1 at once, with no second filter; a head
+    test that took the filter's 0 would be wrong."""
     m = (5 << (k - 1)) + 1
     x = Fraction(m, 1 << k)
     digits = _greedy_digits_of_one(x, 300)
@@ -874,7 +877,7 @@ def test_head_filter_defers_where_the_value_is_tiny(k):
     F = finite_annihilator(digits)
     _assert_head_path_filters(F, m, k)
     assert _filtered_sign(F, m, k) == 0
-    assert _filtered_kernel_sign(F, m, k) == (-1, True)
+    assert _filtered_kernel_sign(F, m, k) == (-1, 1)
     assert fraction_poly_sign(F, x) == -1
 
 
@@ -921,7 +924,7 @@ def test_newton_head_guess_is_good_to_its_precision(F, a1, short):
     a, _, k = rr.bracket
     P = 400 + GUARD_BITS
     x = beta._newton(rr._poly, 2 * a + 1, k + 1, P)
-    assert (_head_length(len(F) - 1, rr._poly[1], math.inf, x, P) is not None) == short
+    assert (_head_length(len(F) - 1, rr._poly[1], x, P) is not None) == short
     enc = rr.refine(Fraction(1, 1 << (P + 8)))
     assert max(abs(Fraction(x, 1 << P) - enc.lo), abs(Fraction(x, 1 << P) - enc.hi)) \
         <= Fraction(1, 1 << (P - GUARD_BITS))

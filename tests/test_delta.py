@@ -402,6 +402,19 @@ def test_sweep_equals_the_unseeded_reference(x, y, max_den, tol):
         _reference_rows(lo, hi, max_den, tol)
 
 
+def _counting_kernel(calls: list):
+    """``beta._sign_kernel`` whose kernels append each test's scale k to
+    ``calls``.  A counting kernel keeps every argument of the one it wraps,
+    so ``_newton`` and ``_float_root`` read F, C and k_head off it as they
+    do in production: Newton solves the same heads."""
+    kernel = beta._sign_kernel
+
+    def counting(F):
+        sign = kernel(F)
+        return partial(lambda F, C, k_head, m, k: calls.append(k) or sign(m, k), *sign.args)
+    return counting
+
+
 def test_sweep_sign_test_budget():
     """(0, 1] at denominator 30 and 1e-8 makes 2,245 sign tests through the
     roots' sign kernels, unit-cell and seed tests included, where a sweep
@@ -410,17 +423,13 @@ def test_sweep_sign_test_budget():
     denominator (they still pay from denominator 60 on).  Every deepening is
     a certified jump: bisection takes no step."""
     calls, halved = [], []
-    kernel, halve = beta._sign_kernel, RefinableRoot._halve
-
-    def counting(F):
-        sign = kernel(F)
-        return partial(lambda poly, m, k: calls.append(k) or sign(m, k), sign.args[0])
+    halve = RefinableRoot._halve
 
     def halving(rr, steps):
         halved.append(max(steps, 0))
         halve(rr, steps)
 
-    with mock.patch.object(beta, "_sign_kernel", counting), \
+    with mock.patch.object(beta, "_sign_kernel", _counting_kernel(calls)), \
             mock.patch.object(RefinableRoot, "_halve", halving):
         sweep(Fraction(0), Fraction(1), 30, Fraction(1, 10 ** 8))
     assert len(calls) <= 2500, len(calls)
@@ -430,13 +439,7 @@ def test_sweep_sign_test_budget():
 def _sign_tests(run) -> int:
     """The sign tests ``run()`` makes through the roots' sign kernels."""
     calls = []
-    kernel = beta._sign_kernel
-
-    def counting(F):
-        sign = kernel(F)
-        return partial(lambda poly, m, k: calls.append(k) or sign(m, k), sign.args[0])
-
-    with mock.patch.object(beta, "_sign_kernel", counting):
+    with mock.patch.object(beta, "_sign_kernel", _counting_kernel(calls)):
         run()
     return len(calls)
 
@@ -478,8 +481,8 @@ def test_float_guess_past_float_range_is_none():
     for rr in (root, big):
         assert beta._float_root(rr._poly, rr._j >> rr._K, 0) is None
     a, b, k = root.bracket
-    assert k == 24 and beta._poly_sign(root.annihilator, a, k) < 0 < beta._poly_sign(
-        root.annihilator, b, k)
+    assert k == 24 and beta._dyadic_sign(root.annihilator, 0, 0, a, k) < 0 < beta._dyadic_sign(
+        root.annihilator, 0, 0, b, k)
 
 
 @pytest.mark.parametrize("F", [finite_annihilator(bzb_word(2, 2, 5)),
